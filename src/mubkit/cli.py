@@ -24,30 +24,19 @@ import sys
 from typing import Sequence
 
 from .gf2n import Field, FieldBasis, default_selfdual_basis, field_for_dimension, is_selfdual
-from .mub import (
-    build_mub_set,
-    classify_basis,
-    is_unbiased_pair,
-    rank_profile,
-    structure,
-    two_qubit_rank,
-)
-from .phasespace import Point, Subgroup, is_extraordinary, zero_point, trace_zero_subgroup
+from .mub import MubSet, build_mub_set, certify_bases, classify_basis, structure, two_qubit_rank
+from .phasespace import Point, trace_zero_subgroup
 from .serialize import (
     complete_set_to_json,
     dumps_canonical,
+    mub_payload_from_json,
     mub_set_to_json,
     square_to_json,
     squares_payload_from_json,
-    state_from_json,
 )
 from .squares import (
     CompleteSet,
-    Square,
-    are_orthogonal,
     classify,
-    is_physical_striation,
-    is_supersquare,
     perturb_supersquare,
     render_ascii,
     search_complete_sets,
@@ -56,6 +45,8 @@ from .squares import (
     type_II_set_d8,
     type_III_set_d8,
     type_IV_set_d8,
+    verify_square,
+    verify_squares,
 )
 
 PASS, FAIL, USAGE, INCOMPLETE = 0, 1, 2, 3
@@ -188,73 +179,6 @@ def cmd_squares_gen(args: argparse.Namespace) -> int:
     return PASS
 
 
-def _verify_square(square: Square) -> tuple[dict[str, bool], list[str]]:
-    failures: list[str] = []
-    checks: dict[str, bool] = {}
-    zero_class = square.classes[square.label_of(zero_point(square.field)) - 1]
-    try:
-        sub = Subgroup(zero_class)
-        checks["class1_subgroup"] = True
-    except ValueError as exc:
-        sub = None
-        checks["class1_subgroup"] = False
-        failures.append(f"origin class is not a subgroup: {exc}")
-    checks["class1_extraordinary"] = sub is not None and is_extraordinary(sub)
-    if not checks["class1_extraordinary"] and sub is not None:
-        failures.append("origin class is not extraordinary")
-    checks["supersquare"] = is_supersquare(square)
-    if not checks["supersquare"]:
-        failures.append("square is not a supersquare")
-    checks["physical_striation"] = is_physical_striation(square)
-    if not checks["physical_striation"]:
-        failures.append("square is not a physical striation")
-    return checks, failures
-
-
-def _verify_set(
-    set_type: str, squares: list[Square]
-) -> tuple[dict[str, bool], list[str]]:
-    failures: list[str] = []
-    d = squares[0].d
-    checks = {"cardinality": len(squares) == d + 1}
-    if not checks["cardinality"]:
-        failures.append(f"expected {d + 1} squares, got {len(squares)}")
-    per_square = True
-    striation = True
-    subs: list[Subgroup | None] = []
-    for i, sq in enumerate(squares, start=1):
-        zero_class = sq.classes[sq.label_of(zero_point(sq.field)) - 1]
-        try:
-            sub = Subgroup(zero_class)
-        except ValueError:
-            sub = None
-        subs.append(sub)
-        if sub is None or not is_supersquare(sq) or not is_extraordinary(sub):
-            per_square = False
-            failures.append(f"square {i} is not an extraordinary supersquare")
-        if not is_physical_striation(sq):
-            striation = False
-            failures.append(f"square {i} fails the striation check")
-    checks["extraordinary_supersquares"] = per_square
-    checks["striations"] = striation
-    orth = True
-    inter = True
-    for i in range(len(squares)):
-        for j in range(i + 1, len(squares)):
-            if not are_orthogonal(squares[i], squares[j]):
-                orth = False
-                failures.append(f"squares {i + 1} and {j + 1} are not orthogonal")
-            if subs[i] is not None and subs[j] is not None:
-                if not subs[i].intersects_trivially(subs[j]):
-                    inter = False
-                    failures.append(
-                        f"generators {i + 1} and {j + 1} share a nonzero point"
-                    )
-    checks["orthogonality"] = orth
-    checks["trivial_intersections"] = inter
-    return checks, failures
-
-
 def _report(args: argparse.Namespace, checks: dict[str, bool], failures: list[str]) -> int:
     ok = all(checks.values())
     if args.format == "json":
@@ -267,24 +191,19 @@ def _report(args: argparse.Namespace, checks: dict[str, bool], failures: list[st
     return PASS if ok else FAIL
 
 
-def _load_payload(path: str):
+def _read_json(path: str):
     with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
-    return squares_payload_from_json(data)
+        return json.load(fh)
 
 
 def cmd_squares_verify(args: argparse.Namespace) -> int:
-    kind, payload = _load_payload(args.input)
-    if kind == "square":
-        checks, failures = _verify_square(payload)
-    else:
-        set_type, _v1, _v2, squares = payload
-        checks, failures = _verify_set(set_type, squares)
-    return _report(args, checks, failures)
+    kind, payload = squares_payload_from_json(_read_json(args.input))
+    report = verify_square(payload) if kind == "square" else verify_squares(payload[3])
+    return _report(args, report.checks(), list(report.failures))
 
 
 def cmd_squares_classify(args: argparse.Namespace) -> int:
-    kind, payload = _load_payload(args.input)
+    kind, payload = squares_payload_from_json(_read_json(args.input))
     squares = [payload] if kind == "square" else payload[3]
     kinds = [classify(sq).value for sq in squares]
     if args.format == "json":
@@ -295,10 +214,15 @@ def cmd_squares_classify(args: argparse.Namespace) -> int:
 
 
 def cmd_squares_search(args: argparse.Namespace) -> int:
+    workers = args.workers
+    if workers is None:
+        env = os.environ.get("MUBKIT_WORKERS", "1")
+        try:
+            workers = int(env)
+        except ValueError:
+            raise UsageError(f"MUBKIT_WORKERS must be an integer, got {env!r}") from None
     field = field_for_dimension(args.d)
-    result = search_complete_sets(
-        field, workers=args.workers, time_budget=args.time_budget
-    )
+    result = search_complete_sets(field, workers=workers, time_budget=args.time_budget)
     payload = {
         "d": args.d,
         "exhaustive": result.exhaustive,
@@ -319,11 +243,14 @@ def cmd_squares_search(args: argparse.Namespace) -> int:
 # -- mub ---------------------------------------------------------------------
 
 
-def cmd_mub_gen(args: argparse.Namespace) -> int:
+def _build_mubs(args: argparse.Namespace) -> MubSet:
     cset = _build_set(args)
-    field = cset.field
-    basis = _parse_basis(field, args.basis)
-    mubs = build_mub_set(cset, basis)
+    return build_mub_set(cset, _parse_basis(cset.field, args.basis))
+
+
+def cmd_mub_gen(args: argparse.Namespace) -> int:
+    mubs = _build_mubs(args)
+    field = mubs.source_set.field
     triple = structure(mubs).astuple() if field.order == 8 else None
     if args.format == "json":
         _emit(args, dumps_canonical(mub_set_to_json(mubs, triple)))
@@ -349,81 +276,15 @@ def cmd_mub_gen(args: argparse.Namespace) -> int:
 
 
 def cmd_mub_verify(args: argparse.Namespace) -> int:
-    with open(args.input, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
-    try:
-        d = int(data["d"])
-        bases = [
-            [state_from_json(s) for s in basis["states"]] for basis in data["bases"]
-        ]
-        maps = [basis.get("class_of_state") for basis in data["bases"]]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise UsageError(f"malformed MUB payload: {exc}") from None
-    failures: list[str] = []
-    checks: dict[str, bool] = {}
-    checks["cardinality"] = len(bases) == d + 1
-    if not checks["cardinality"]:
-        failures.append(f"expected {d + 1} bases, got {len(bases)}")
-    norm_ok = True
-    for bi, states in enumerate(bases, start=1):
-        for si, st in enumerate(states):
-            recomputed = sum(e.norm_sq() for e in st.entries)
-            if st.norm_sq != recomputed or recomputed == 0:
-                norm_ok = False
-                failures.append(f"basis {bi} state {si} has a bad norm_sq")
-    checks["norms"] = norm_ok
-    orth_ok = True
-    for bi, states in enumerate(bases, start=1):
-        for i in range(len(states)):
-            for j in range(i + 1, len(states)):
-                if not states[i].inner(states[j]).is_zero:
-                    orth_ok = False
-                    failures.append(f"basis {bi} states {i},{j} not orthogonal")
-    checks["orthogonality"] = orth_ok
-    unb_ok = True
-    for bi in range(len(bases)):
-        for bj in range(bi + 1, len(bases)):
-            for i, u in enumerate(bases[bi]):
-                for j, v in enumerate(bases[bj]):
-                    if not is_unbiased_pair(u, v, d):
-                        unb_ok = False
-                        failures.append(
-                            f"bases {bi + 1},{bj + 1} biased at states ({i},{j})"
-                        )
-    checks["unbiasedness"] = unb_ok
-    map_ok = all(
-        m is not None and sorted(m) == list(range(d)) for m in maps
-    )
-    checks["class_maps"] = map_ok
-    if not map_ok:
-        failures.append("some class->state map is not a bijection")
-    if "structure" in data and d == 8:
-        profiles = [
-            {rank_profile(st) for st in states} for states in bases
-        ]
-        triple = [0, 0, 0]
-        hom_ok = all(len(p) == 1 for p in profiles)
-        if hom_ok:
-            for p in profiles:
-                ranks = next(iter(p))
-                if all(r == 1 for r in ranks):
-                    triple[0] += 1
-                elif all(r == 2 for r in ranks):
-                    triple[2] += 1
-                else:
-                    triple[1] += 1
-        checks["structure"] = hom_ok and triple == list(data["structure"])
-        if not checks["structure"]:
-            failures.append(f"structure mismatch: recomputed {triple}")
+    d, bases, maps, triple = mub_payload_from_json(_read_json(args.input))
+    checks, failures = certify_bases(bases, d, maps, triple)
     return _report(args, checks, failures)
 
 
 def cmd_mub_structure(args: argparse.Namespace) -> int:
     if args.d != 8:
         raise UsageError("entanglement structure is defined for d = 8")
-    cset = _build_set(args)
-    basis = _parse_basis(cset.field, args.basis)
-    mubs = build_mub_set(cset, basis)
+    mubs = _build_mubs(args)
     triple = structure(mubs).astuple()
     if args.format == "json":
         kinds = [classify_basis(b).value for b in mubs.bases]
@@ -490,9 +351,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_search = squares_sub.add_parser("search", help="enumerate all complete sets")
     _add_common(p_search, with_type=False)
     p_search.add_argument(
-        "--workers",
-        type=int,
-        default=int(os.environ.get("MUBKIT_WORKERS", "1")),
+        "--workers", type=int, help="worker processes (default: $MUBKIT_WORKERS or 1)"
     )
     p_search.add_argument("--time-budget", type=float, default=None)
     p_search.set_defaults(func=cmd_squares_search, format="json")

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, replace
+from itertools import combinations
 from typing import Sequence
 
 from .gf2n import FieldBasis, default_selfdual_basis
@@ -158,7 +159,10 @@ def common_eigenbasis(
     Each eigenvector is extracted from the exact rank-one projector for
     its assignment; ``column`` overrides which projector column is taken
     (falling back to the first nonzero one), which only changes the
-    extracted representative by a scalar.
+    extracted representative by a scalar.  Every state is checked to be a
+    common eigenvector.  Distinct eigenvalue assignments make the states
+    pairwise orthogonal; certify_bases, which build_mub_set runs, checks
+    that exactly.
     """
     field = a1.field
     d = field.order
@@ -209,11 +213,6 @@ def common_eigenbasis(
         states.append(state)
         assignments.append(EigenvalueAssignment(gens, lambdas))
 
-    for i in range(d):
-        for j in range(i + 1, d):
-            if not states[i].inner(states[j]).is_zero:
-                raise ConstructionError(f"states {i} and {j} are not orthogonal")
-
     words = tuple(
         translation_operator(p, expansion_basis).word for p in a1.nonzero_points()
     )
@@ -227,9 +226,10 @@ def common_eigenbasis(
 
 
 def apply_correspondence(basis: MubBasis, ss: Supersquare) -> MubBasis:
-    """Fix the class-state bijection: the all-principal eigenvector is the
-    ray state of class 1, and class k maps to the state its canonical
-    representative translates the ray state onto."""
+    """Fix the class-state map: the all-principal eigenvector is the ray
+    state of class 1, and class k maps to the state its canonical
+    representative translates the ray state onto.  certify_bases checks
+    that the map is a bijection."""
     if ss.generator != basis.source:
         raise ValueError("supersquare generator differs from the basis source")
     ray_idx = basis.ray_index
@@ -246,8 +246,6 @@ def apply_correspondence(basis: MubBasis, ss: Supersquare) -> MubBasis:
                 f"translating the ray state by {rep} matches {len(matches)} states"
             )
         mapping.append(matches[0])
-    if len(set(mapping)) != len(mapping):
-        raise ConstructionError("class-state correspondence is not a bijection")
     return replace(basis, class_of_state=tuple(mapping))
 
 
@@ -261,12 +259,63 @@ class MubSet:
         return self.source_set.d
 
 
+def certify_bases(
+    bases: Sequence[Sequence[UnnormalizedState]],
+    d: int,
+    class_maps: Sequence[Sequence[int] | None],
+    expected_structure: Sequence[int] | None = None,
+) -> tuple[dict[str, bool], list[str]]:
+    """The exact MUB certificate: d+1 bases; each norm_sq equal to the
+    recomputed, nonzero squared norm; states orthogonal within each basis;
+    d * |<u,v>|^2 = N_u * N_v across bases; every class map a bijection
+    onto the d states.  With ``expected_structure`` and d = 8, the
+    entanglement structure recounted from the states must equal it.
+    Returns the checks and every failure."""
+    failures: list[str] = []
+    checks = {"cardinality": len(bases) == d + 1}
+    if not checks["cardinality"]:
+        failures.append(f"expected {d + 1} bases, got {len(bases)}")
+    checks["norms"] = True
+    for bi, states in enumerate(bases, start=1):
+        for si, st in enumerate(states):
+            recomputed = sum(e.norm_sq() for e in st.entries)
+            if st.norm_sq != recomputed or recomputed == 0:
+                checks["norms"] = False
+                failures.append(f"basis {bi} state {si} has a bad norm_sq")
+    checks["orthogonality"] = True
+    for bi, states in enumerate(bases, start=1):
+        for (i, u), (j, v) in combinations(enumerate(states), 2):
+            if not u.inner(v).is_zero:
+                checks["orthogonality"] = False
+                failures.append(f"basis {bi} states {i},{j} not orthogonal")
+    checks["unbiasedness"] = True
+    for (bi, us), (bj, vs) in combinations(enumerate(bases, start=1), 2):
+        for i, u in enumerate(us):
+            for j, v in enumerate(vs):
+                if not is_unbiased_pair(u, v, d):
+                    checks["unbiasedness"] = False
+                    failures.append(f"bases {bi},{bj} biased at states ({i},{j})")
+    checks["class_maps"] = all(
+        m is not None and len(m) == d and sorted(m) == list(range(d))
+        for m in class_maps
+    )
+    if not checks["class_maps"]:
+        failures.append("some class->state map is not a bijection")
+    if expected_structure is not None and d == 8:
+        kinds = [separability(states) for states in bases]
+        recount = [0, 0, 0] if None in kinds else [kinds.count(k) for k in Separability]
+        checks["structure"] = recount == list(expected_structure)
+        if not checks["structure"]:
+            failures.append(f"structure mismatch: recomputed {recount}")
+    return checks, failures
+
+
 def build_mub_set(
     c: CompleteSet, expansion_basis: FieldBasis | None = None
 ) -> MubSet:
     """Run the eigenbasis construction and correspondence over every
-    square of a verified complete set, then certify orthogonality within
-    bases and unbiasedness across them, all exactly."""
+    square of a verified complete set, then run certify_bases on the
+    result; the first failure raises ConstructionError."""
     field = c.field
     if expansion_basis is None:
         expansion_basis = default_selfdual_basis(field)
@@ -279,16 +328,11 @@ def build_mub_set(
         apply_correspondence(common_eigenbasis(ss.generator, expansion_basis), ss)
         for ss in c.supersquares
     )
-    d = field.order
-    for bi in range(len(bases)):
-        for bj in range(bi + 1, len(bases)):
-            for si, u in enumerate(bases[bi].states):
-                for sj, v in enumerate(bases[bj].states):
-                    if not is_unbiased_pair(u, v, d):
-                        raise ConstructionError(
-                            f"bases {bi + 1} and {bj + 1} are biased at states "
-                            f"({si}, {sj})"
-                        )
+    _, failures = certify_bases(
+        [b.states for b in bases], field.order, [b.class_of_state for b in bases]
+    )
+    if failures:
+        raise ConstructionError(failures[0])
     return MubSet(bases, c)
 
 
@@ -364,22 +408,28 @@ class Separability(enum.Enum):
     NONSEPARABLE = "nonseparable"
 
 
-def classify_basis(basis: MubBasis) -> Separability:
-    """Classify by the ray state's rank profile across the three cuts,
-    after asserting every state in the basis shares that profile."""
-    if basis.d != 8:
-        raise ValueError("entanglement classification is defined for d = 8")
-    profiles = {rank_profile(st) for st in basis.states}
+def separability(states: Sequence[UnnormalizedState]) -> Separability | None:
+    """The class of three-qubit states from the rank profile across the
+    three cuts they all share; None when their profiles differ."""
+    profiles = {rank_profile(st) for st in states}
     if len(profiles) != 1:
-        raise ConstructionError(
-            f"basis states have mixed rank profiles: {sorted(profiles)}"
-        )
-    profile = rank_profile(basis.ray_state)
+        return None
+    (profile,) = profiles
     if all(r == 1 for r in profile):
         return Separability.FACTORIZED
     if all(r == 2 for r in profile):
         return Separability.NONSEPARABLE
     return Separability.BISEPARABLE
+
+
+def classify_basis(basis: MubBasis) -> Separability:
+    """The separability class every state of the basis shares."""
+    if basis.d != 8:
+        raise ValueError("entanglement classification is defined for d = 8")
+    kind = separability(basis.states)
+    if kind is None:
+        raise ConstructionError("basis states have mixed rank profiles")
+    return kind
 
 
 @dataclass(frozen=True)
@@ -399,11 +449,5 @@ def structure(m: MubSet) -> EntanglementStructure:
     """Counts of factorized, biseparable, and nonseparable bases."""
     if m.d != 8:
         raise ValueError("entanglement structure is defined for d = 8")
-    counts = {kind: 0 for kind in Separability}
-    for basis in m.bases:
-        counts[classify_basis(basis)] += 1
-    return EntanglementStructure(
-        counts[Separability.FACTORIZED],
-        counts[Separability.BISEPARABLE],
-        counts[Separability.NONSEPARABLE],
-    )
+    kinds = [classify_basis(basis) for basis in m.bases]
+    return EntanglementStructure(*(kinds.count(k) for k in Separability))

@@ -1,8 +1,7 @@
 """Exact Gaussian-integer matrices and phase-space translation operators.
 
-Matrices are stored fraction-free: a ``GaussMatrix`` holds Gaussian-integer
-entries plus a denominator exponent e, representing entries / 2^e.  Nothing
-is ever rounded.
+Matrices hold Gaussian-integer entries; projectors are built fraction-free,
+so nothing is ever rounded.
 
 A translation operator for the point (x, y) is the Kronecker product of
 per-qubit factors X^(x_i) Z^(y_i), where the bits x_i = tr(x f_i) and
@@ -94,31 +93,17 @@ def gauss_divexact(a: GaussInt, b: GaussInt) -> GaussInt:
 
 
 class GaussMatrix:
-    """A dense square matrix of Gaussian integers divided by 2^den_exp.
+    """A dense square matrix of Gaussian integers."""
 
-    The representation is kept normalized: while den_exp > 0 and every
-    entry has both components even, the common factor of 2 is cancelled.
-    """
+    __slots__ = ("dim", "rows")
 
-    __slots__ = ("dim", "rows", "den_exp")
-
-    def __init__(self, rows: Iterable[Iterable[GaussInt]], den_exp: int = 0) -> None:
+    def __init__(self, rows: Iterable[Iterable[GaussInt]]) -> None:
         rows = tuple(tuple(row) for row in rows)
         dim = len(rows)
         if any(len(r) != dim for r in rows):
             raise ValueError("matrix must be square")
-        if den_exp < 0:
-            raise ValueError("denominator exponent must be non-negative")
-        while den_exp > 0 and all(
-            e.re % 2 == 0 and e.im % 2 == 0 for row in rows for e in row
-        ):
-            rows = tuple(
-                tuple(GaussInt(e.re // 2, e.im // 2) for e in row) for row in rows
-            )
-            den_exp -= 1
         self.dim = dim
         self.rows = rows
-        self.den_exp = den_exp
 
     @classmethod
     def identity(cls, dim: int) -> "GaussMatrix":
@@ -144,7 +129,7 @@ class GaussMatrix:
                     im += ar * bi + ai * br
                 orow.append(GaussInt(re, im))
             out.append(tuple(orow))
-        return GaussMatrix(tuple(out), self.den_exp + other.den_exp)
+        return GaussMatrix(tuple(out))
 
     def kron(self, other: "GaussMatrix") -> "GaussMatrix":
         out = []
@@ -157,40 +142,23 @@ class GaussMatrix:
                     else:
                         row.extend(ZERO for _ in brow)
                 out.append(tuple(row))
-        return GaussMatrix(tuple(out), self.den_exp + other.den_exp)
+        return GaussMatrix(tuple(out))
 
     def dagger(self) -> "GaussMatrix":
-        return GaussMatrix(
-            tuple(tuple(e.conj() for e in col) for col in zip(*self.rows)),
-            self.den_exp,
-        )
+        return GaussMatrix(tuple(tuple(e.conj() for e in col) for col in zip(*self.rows)))
 
     def __add__(self, other: "GaussMatrix") -> "GaussMatrix":
-        if self.dim != other.dim or self.den_exp != other.den_exp:
-            raise ValueError("shape or scaling mismatch")
+        if self.dim != other.dim:
+            raise ValueError("dimension mismatch")
         return GaussMatrix(
             tuple(
                 tuple(a + b for a, b in zip(ra, rb))
                 for ra, rb in zip(self.rows, other.rows)
-            ),
-            self.den_exp,
-        )
-
-    def __sub__(self, other: "GaussMatrix") -> "GaussMatrix":
-        if self.dim != other.dim or self.den_exp != other.den_exp:
-            raise ValueError("shape or scaling mismatch")
-        return GaussMatrix(
-            tuple(
-                tuple(a - b for a, b in zip(ra, rb))
-                for ra, rb in zip(self.rows, other.rows)
-            ),
-            self.den_exp,
+            )
         )
 
     def scale(self, g: GaussInt) -> "GaussMatrix":
-        return GaussMatrix(
-            tuple(tuple(g * e for e in row) for row in self.rows), self.den_exp
-        )
+        return GaussMatrix(tuple(tuple(g * e for e in row) for row in self.rows))
 
     @property
     def is_zero(self) -> bool:
@@ -219,15 +187,14 @@ class GaussMatrix:
         return (
             isinstance(other, GaussMatrix)
             and self.dim == other.dim
-            and self.den_exp == other.den_exp
             and self.rows == other.rows
         )
 
     def __hash__(self) -> int:
-        return hash((self.dim, self.den_exp, self.rows))
+        return hash((self.dim, self.rows))
 
     def __repr__(self) -> str:
-        return f"GaussMatrix(dim={self.dim}, den_exp={self.den_exp})"
+        return f"GaussMatrix(dim={self.dim})"
 
 
 _PAULI_ENTRIES = {
@@ -247,7 +214,7 @@ def pauli_matrix(letter: str) -> GaussMatrix:
 
 
 def tensor(a: GaussMatrix, b: GaussMatrix) -> GaussMatrix:
-    """Kronecker product; dimensions multiply, denominator exponents add."""
+    """Kronecker product; dimensions multiply."""
     return a.kron(b)
 
 
@@ -335,7 +302,7 @@ def square_sign(t: TranslationOp) -> int:
 
 def unit_multiple(m1: GaussMatrix, m2: GaussMatrix) -> GaussInt | None:
     """The Gaussian unit phi with m1 = phi * m2, if one exists."""
-    if m1.dim != m2.dim or m1.den_exp != m2.den_exp:
+    if m1.dim != m2.dim:
         return None
     first = next(
         ((i, j) for i in range(m2.dim) for j in range(m2.dim) if not m2.rows[i][j].is_zero),

@@ -23,13 +23,34 @@ def dumps_canonical(obj: Any) -> str:
     return json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
 
+# The *_from_json parsers raise ValueError on any document of the wrong
+# shape, so the CLI reports it as a parse error.
+
+
+def _expect(data: Any, kind: type, what: str) -> Any:
+    """data itself if its JSON type is kind (so a bool is no int)."""
+    if type(data) is not kind:
+        raise ValueError(f"{what}: expected {kind.__name__}, got {type(data).__name__}")
+    return data
+
+
+def _ints(data: Any, what: str, length: int | None = None) -> list[int]:
+    """data itself if it is a list of integers, of the given length if set."""
+    items = _expect(data, list, what)
+    if length is not None and len(items) != length:
+        raise ValueError(f"{what}: expected {length} entries, got {len(items)}")
+    for item in items:
+        _expect(item, int, what)
+    return items
+
+
 def point_to_json(p: Point) -> list[int]:
     return [p.x.mask, p.y.mask]
 
 
 def point_from_json(field: Field, data: Any) -> Point:
-    x, y = data
-    return Point(field.element(int(x)), field.element(int(y)))
+    x, y = _ints(data, "a point", 2)
+    return Point(field.element(x), field.element(y))
 
 
 def subgroup_to_json(g: Subgroup) -> list[list[int]]:
@@ -37,7 +58,7 @@ def subgroup_to_json(g: Subgroup) -> list[list[int]]:
 
 
 def subgroup_from_json(field: Field, data: Any) -> Subgroup:
-    return Subgroup(point_from_json(field, item) for item in data)
+    return Subgroup(point_from_json(field, item) for item in _expect(data, list, "a subgroup"))
 
 
 def square_to_json(s: Square) -> dict:
@@ -51,9 +72,11 @@ def square_to_json(s: Square) -> dict:
 
 
 def square_from_json(data: Any) -> Square:
-    field = field_for_dimension(int(data["d"]))
+    data = _expect(data, dict, "a square")
+    field = field_for_dimension(_expect(data.get("d"), int, "d"))
     classes = [
-        [point_from_json(field, item) for item in cls] for cls in data["classes"]
+        [point_from_json(field, item) for item in _expect(cls, list, "a class")]
+        for cls in _expect(data.get("classes"), list, "classes")
     ]
     return Square(field, classes)
 
@@ -72,12 +95,11 @@ def squares_payload_from_json(data: Any) -> tuple[str, Any]:
     ("set", (type, v1, v2, [Square, ...])).  Raises ValueError on
     malformed payloads; striation/orthogonality defects are left to the
     verification layer."""
-    if not isinstance(data, dict):
-        raise ValueError("expected a JSON object")
+    data = _expect(data, dict, "the document")
     if "classes" in data:
         return "square", square_from_json(data)
     if "squares" in data:
-        squares = [square_from_json(item) for item in data["squares"]]
+        squares = [square_from_json(sq) for sq in _expect(data["squares"], list, "squares")]
         if not squares:
             raise ValueError("empty square list")
         field = squares[0].field
@@ -92,8 +114,29 @@ def state_to_json(s: UnnormalizedState) -> dict:
 
 
 def state_from_json(data: Any) -> UnnormalizedState:
-    entries = tuple(GaussInt(int(re), int(im)) for re, im in data["num"])
-    return UnnormalizedState(entries, int(data["norm_sq"]))
+    data = _expect(data, dict, "a state")
+    entries = tuple(
+        GaussInt(*_ints(e, "an entry", 2)) for e in _expect(data.get("num"), list, "num")
+    )
+    return UnnormalizedState(entries, _expect(data.get("norm_sq"), int, "norm_sq"))
+
+
+def mub_payload_from_json(
+    data: Any,
+) -> tuple[int, list[list[UnnormalizedState]], list[list[int] | None], list[int] | None]:
+    """(d, states per basis, class map per basis, structure or None) from a
+    MUB document."""
+    data = _expect(data, dict, "the document")
+    d = _expect(data.get("d"), int, "d")
+    bases, maps = [], []
+    for basis in _expect(data.get("bases"), list, "bases"):
+        basis = _expect(basis, dict, "a basis")
+        states = _expect(basis.get("states"), list, "states")
+        bases.append([state_from_json(s) for s in states])
+        cmap = basis.get("class_of_state")
+        maps.append(None if cmap is None else _ints(cmap, "class_of_state"))
+    triple = data.get("structure")
+    return d, bases, maps, None if triple is None else _ints(triple, "structure")
 
 
 def basis_to_json(b: MubBasis) -> dict:

@@ -21,23 +21,25 @@ backtracking over the extraordinary subgroups.
 from __future__ import annotations
 
 import enum
+import os
 import random
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from contextlib import nullcontext
+from dataclasses import dataclass, replace
+from functools import partial
+from itertools import combinations
 from typing import Iterable, Sequence
 
 from .gf2n import Field, FieldElement
 from .phasespace import (
     Point,
     Subgroup,
-    affine_span,
     all_points,
     det,
     is_extraordinary,
     _is_extraordinary_masks,
     iter_subgroup_masks,
-    line,
     point_table,
     point_to_mask,
     scale_set,
@@ -84,11 +86,13 @@ class Square:
         order = self.field.in_dlog_order()
         return [[self._label_by_point[Point(x1, x2)] for x1 in order] for x2 in order]
 
-    def same_partition(self, other: "Square", pin_class_1: bool = True) -> bool:
-        """Partition equality up to renaming of labels 2..d."""
-        if frozenset(self.classes) != frozenset(other.classes):
-            return False
-        return not pin_class_1 or self.classes[0] == other.classes[0]
+    def same_partition(self, other: "Square") -> bool:
+        """Partition equality up to renaming of labels 2..d; class 1 must
+        match exactly."""
+        return (
+            frozenset(self.classes) == frozenset(other.classes)
+            and self.classes[0] == other.classes[0]
+        )
 
     def __eq__(self, other: object) -> bool:
         return (
@@ -147,37 +151,13 @@ def supersquare_from_subgroup(a1: Subgroup) -> Supersquare:
 def is_supersquare(square: Square) -> bool:
     """True iff some class is a subgroup and every other class is a coset
     of it.  Only the class through the origin can qualify."""
-    origin = zero_point(square.field)
-    zero_class = square.classes[square.label_of(origin) - 1]
-    try:
-        sub = Subgroup(zero_class)
-    except ValueError:
-        return False
-    for cls in square.classes:
-        if cls is zero_class:
-            continue
-        rep = min(cls, key=lambda p: p.sort_key)
-        if frozenset(rep + g for g in sub) != cls:
-            return False
-    return True
+    return verify_square(square).supersquare
 
 
 def is_physical_striation(square: Square) -> bool:
     """True iff the square has an extraordinary-subgroup class whose
     nonzero elements translate every class onto itself."""
-    origin = zero_point(square.field)
-    zero_class = square.classes[square.label_of(origin) - 1]
-    try:
-        sub = Subgroup(zero_class)
-    except ValueError:
-        return False
-    if not is_extraordinary(sub):
-        return False
-    for a in sub.nonzero_points():
-        for cls in square.classes:
-            if frozenset(p + a for p in cls) != cls:
-                return False
-    return True
+    return verify_square(square).physical_striation
 
 
 def are_orthogonal(s: Square, t: Square) -> bool:
@@ -265,15 +245,14 @@ def type_I_set(v1: Point, v2: Point) -> CompleteSet:
     F_d*v2.  Any basis of the plane over F_d is accepted."""
     if det(v1, v2).is_zero:
         raise ValueError("type I needs an F_d-basis: det(v1, v2) must be nonzero")
-    field = v1.field
-    gens = [line(v1 + v2.scale(lam)) for lam in field.in_dlog_order()]
-    gens.append(line(v2))
-    return _set_from_generators("I", v1, v2, gens)
+    recipes = [("line", v1 + v2.scale(lam)) for lam in v1.field.in_dlog_order()]
+    recipes.append(("line", v2))
+    return _set_from_recipes("I", v1, v2, recipes)
 
 
 # Generator tables are expressed as recipes -- ("line", u) for F_d*u and
-# ("span", a, b, scalars) for Z2*a + scalars*b -- consumed twice: once by
-# the validating constructors and once by the mask-level template index.
+# ("span", a, b, scalars) for Z2*a + scalars*b -- evaluated to point masks
+# by _recipe_masks, for the constructors and for the template index alike.
 
 _Recipe = tuple
 
@@ -337,40 +316,33 @@ def _d8_recipes(set_type: str, v1: Point, v2: Point, k: FieldElement) -> list[_R
     raise ValueError(f"unknown set type {set_type!r}")
 
 
-def _materialize_recipes(field: Field, recipes: list[_Recipe]) -> list[Subgroup]:
-    z2 = (field.zero, field.one)
-    out = []
-    for recipe in recipes:
-        if recipe[0] == "line":
-            out.append(line(recipe[1]))
-        else:
-            _, a, b, scalars = recipe
-            out.append(affine_span(a, b, z2, scalars))
-    return out
-
-
-def _recipes_mask_key(field: Field, recipes: list[_Recipe]) -> frozenset[tuple[int, ...]]:
-    """The frozenset of sorted point-mask tuples the recipes span; no
-    validation, for bulk template indexing."""
+def _recipe_masks(field: Field, recipe: _Recipe) -> tuple[int, ...]:
+    """The sorted point masks a recipe spans, unvalidated: Subgroup checks
+    closure and supersquare_from_subgroup the order."""
     n = field.n
     mul = field._mul_mask
-    keys = []
-    for recipe in recipes:
-        if recipe[0] == "line":
-            u = recipe[1]
-            ux, uy = u.x.mask, u.y.mask
-            masks = {mul(ux, c) | mul(uy, c) << n for c in range(field.order)}
-        else:
-            _, a, b, scalars = recipe
-            am = point_to_mask(a)
-            bx, by = b.x.mask, b.y.mask
-            masks = set()
-            for s in scalars:
-                tm = mul(bx, s.mask) | mul(by, s.mask) << n
-                masks.add(tm)
-                masks.add(tm ^ am)
-        keys.append(tuple(sorted(masks)))
-    return frozenset(keys)
+    if recipe[0] == "line":
+        u = recipe[1]
+        ux, uy = u.x.mask, u.y.mask
+        masks = {mul(ux, c) | mul(uy, c) << n for c in range(field.order)}
+    else:
+        _, a, b, scalars = recipe
+        am = point_to_mask(a)
+        bx, by = b.x.mask, b.y.mask
+        masks = set()
+        for s in scalars:
+            tm = mul(bx, s.mask) | mul(by, s.mask) << n
+            masks.add(tm)
+            masks.add(tm ^ am)
+    return tuple(sorted(masks))
+
+
+def _set_from_recipes(
+    set_type: str, v1: Point, v2: Point, recipes: list[_Recipe]
+) -> CompleteSet:
+    field = v1.field
+    gens = [Subgroup.from_masks(field, _recipe_masks(field, r)) for r in recipes]
+    return _set_from_generators(set_type, v1, v2, gens)
 
 
 def type_II_set_d4(v1: Point, v2: Point) -> CompleteSet:
@@ -380,24 +352,17 @@ def type_II_set_d4(v1: Point, v2: Point) -> CompleteSet:
         raise ValueError("this constructor is specific to d = 4")
     if det(v1, v2) != field.one:
         raise ValueError("type II at d=4 needs det(v1, v2) = 1")
-    gens = _materialize_recipes(field, _type_II_recipes_d4(v1, v2))
-    return _set_from_generators("II", v1, v2, gens)
+    return _set_from_recipes("II", v1, v2, _type_II_recipes_d4(v1, v2))
 
 
-def _require_k_d8(v1: Point, v2: Point) -> FieldElement:
+def _d8_set(set_type: str, v1: Point, v2: Point) -> CompleteSet:
     field = v1.field
     if field.order != 8:
         raise ValueError("this constructor is specific to d = 8")
     k = det(v1, v2)
     if k.is_zero or not field.trace(k).is_zero:
         raise ValueError("det(v1,v2) not in K\\{0}")
-    return k
-
-
-def _d8_set(set_type: str, v1: Point, v2: Point) -> CompleteSet:
-    k = _require_k_d8(v1, v2)
-    gens = _materialize_recipes(v1.field, _d8_recipes(set_type, v1, v2, k))
-    return _set_from_generators(set_type, v1, v2, gens)
+    return _set_from_recipes(set_type, v1, v2, _d8_recipes(set_type, v1, v2, k))
 
 
 def type_II_set_d8(v1: Point, v2: Point) -> CompleteSet:
@@ -413,6 +378,57 @@ def type_IV_set_d8(v1: Point, v2: Point) -> CompleteSet:
 
 
 @dataclass(frozen=True)
+class SquareReport:
+    """The single-square checks; ``generator`` is the origin class as a
+    subgroup, or None when it is not one."""
+
+    generator: Subgroup | None
+    class1_subgroup: bool
+    class1_extraordinary: bool
+    supersquare: bool
+    physical_striation: bool
+    failures: tuple[str, ...]
+
+    def checks(self) -> dict[str, bool]:
+        return {
+            "class1_subgroup": self.class1_subgroup,
+            "class1_extraordinary": self.class1_extraordinary,
+            "supersquare": self.supersquare,
+            "physical_striation": self.physical_striation,
+        }
+
+
+def verify_square(square: Square) -> SquareReport:
+    """Is the class through the origin an extraordinary subgroup, are the
+    other classes its cosets, and do its translations fix every class?"""
+    failures: list[str] = []
+    try:
+        sub = Subgroup(square.classes[square.label_of(zero_point(square.field)) - 1])
+    except ValueError as exc:
+        sub = None
+        failures.append(f"origin class is not a subgroup: {exc}")
+    extraordinary = sub is not None and is_extraordinary(sub)
+    if sub is not None and not extraordinary:
+        failures.append("origin class is not extraordinary")
+    supersquare = sub is not None and all(
+        frozenset(min(cls, key=lambda p: p.sort_key) + g for g in sub) == cls
+        for cls in square.classes
+    )
+    if not supersquare:
+        failures.append("square is not a supersquare")
+    striation = extraordinary and all(
+        frozenset(p + a for p in cls) == cls
+        for a in sub.nonzero_points()
+        for cls in square.classes
+    )
+    if not striation:
+        failures.append("square is not a physical striation")
+    return SquareReport(
+        sub, sub is not None, extraordinary, supersquare, striation, tuple(failures)
+    )
+
+
+@dataclass(frozen=True)
 class CompleteSetReport:
     cardinality: bool
     extraordinary_supersquares: bool
@@ -423,64 +439,72 @@ class CompleteSetReport:
 
     @property
     def passed(self) -> bool:
-        return (
-            self.cardinality
-            and self.extraordinary_supersquares
-            and self.orthogonality
-            and self.trivial_intersections
-            and self.striations
-        )
+        return all(self.checks().values())
 
     def checks(self) -> dict[str, bool]:
         return {
             "cardinality": self.cardinality,
             "extraordinary_supersquares": self.extraordinary_supersquares,
+            "striations": self.striations,
             "orthogonality": self.orthogonality,
             "trivial_intersections": self.trivial_intersections,
-            "striations": self.striations,
         }
 
 
-def verify_complete_set(c: CompleteSet) -> CompleteSetReport:
+def verify_squares(squares: Sequence[Square]) -> CompleteSetReport:
+    """The complete-set checks over bare squares: d+1 extraordinary
+    supersquares that are physical striations, pairwise orthogonal, with
+    generators meeting only in the origin."""
     failures: list[str] = []
-    d = c.d
-    cardinality = len(c.supersquares) == d + 1
+    d = squares[0].d
+    cardinality = len(squares) == d + 1
     if not cardinality:
-        failures.append(f"expected {d + 1} squares, got {len(c.supersquares)}")
-
-    extra_ok = True
-    for idx, ss in enumerate(c.supersquares, start=1):
-        if not is_supersquare(ss.square):
+        failures.append(f"expected {d + 1} squares, got {len(squares)}")
+    reports = [verify_square(sq) for sq in squares]
+    extra_ok = stri_ok = True
+    for i, report in enumerate(reports, start=1):
+        if not (report.class1_extraordinary and report.supersquare):
             extra_ok = False
-            failures.append(f"square {idx} is not a supersquare")
-        if not is_extraordinary(ss.generator):
-            extra_ok = False
-            failures.append(f"generator {idx} is not extraordinary")
-
-    orth_ok = True
-    for i in range(len(c.supersquares)):
-        for j in range(i + 1, len(c.supersquares)):
-            if not are_orthogonal(c.supersquares[i].square, c.supersquares[j].square):
-                orth_ok = False
-                failures.append(f"squares {i + 1} and {j + 1} are not orthogonal")
-
-    inter_ok = True
-    for i in range(len(c.supersquares)):
-        for j in range(i + 1, len(c.supersquares)):
-            gi = c.supersquares[i].generator
-            gj = c.supersquares[j].generator
-            if not gi.intersects_trivially(gj):
-                inter_ok = False
-                failures.append(f"generators {i + 1} and {j + 1} share a nonzero point")
-
-    stri_ok = True
-    for idx, ss in enumerate(c.supersquares, start=1):
-        if not is_physical_striation(ss.square):
+            failures.append(f"square {i} is not an extraordinary supersquare")
+        if not report.physical_striation:
             stri_ok = False
-            failures.append(f"square {idx} is not a physical striation")
-
+            failures.append(f"square {i} fails the striation check")
+    orth_ok = inter_ok = True
+    for i, j in combinations(range(len(squares)), 2):
+        if not are_orthogonal(squares[i], squares[j]):
+            orth_ok = False
+            failures.append(f"squares {i + 1} and {j + 1} are not orthogonal")
+        gi, gj = reports[i].generator, reports[j].generator
+        if gi is not None and gj is not None and not gi.intersects_trivially(gj):
+            inter_ok = False
+            failures.append(f"generators {i + 1} and {j + 1} share a nonzero point")
     return CompleteSetReport(
         cardinality, extra_ok, orth_ok, inter_ok, stri_ok, tuple(failures)
+    )
+
+
+def _is_quotient_by_generator(ss: Supersquare) -> bool:
+    try:
+        return ss == supersquare_from_subgroup(ss.generator)
+    except ValueError:
+        return False
+
+
+def verify_complete_set(c: CompleteSet) -> CompleteSetReport:
+    """verify_squares on the set's squares, plus: each supersquare's
+    generator and coset representatives belong to its square."""
+    report = verify_squares(c.squares)
+    mismatched = [
+        i for i, ss in enumerate(c.supersquares, start=1)
+        if not _is_quotient_by_generator(ss)
+    ]
+    if not mismatched:
+        return report
+    return replace(
+        report,
+        extraordinary_supersquares=False,
+        failures=report.failures
+        + tuple(f"supersquare {i} is not the quotient by its generator" for i in mismatched),
     )
 
 
@@ -522,6 +546,10 @@ class SearchResult:
         return counts
 
 
+def _template_key(field: Field, recipes: list[_Recipe]) -> frozenset[tuple[int, ...]]:
+    return frozenset(_recipe_masks(field, r) for r in recipes)
+
+
 def complete_set_templates(
     field: Field,
 ) -> dict[frozenset[tuple[int, ...]], tuple[str, Point, Point]]:
@@ -532,15 +560,14 @@ def complete_set_templates(
     points = [p for p in all_points(field) if not p.is_zero]
     e1 = Point(field.one, field.zero)
     e2 = Point(field.zero, field.one)
-    lines = _recipes_mask_key(field, [("line", u) for u in points])
-    templates[lines] = ("I", e1, e2)
+    templates[_template_key(field, [("line", u) for u in points])] = ("I", e1, e2)
 
     if field.order == 4:
         for v1 in points:
             for v2 in points:
                 if det(v1, v2) != field.one:
                     continue
-                key = _recipes_mask_key(field, _type_II_recipes_d4(v1, v2))
+                key = _template_key(field, _type_II_recipes_d4(v1, v2))
                 templates.setdefault(key, ("II", v1, v2))
     elif field.order == 8:
         for set_type in ("II", "III", "IV"):
@@ -549,7 +576,7 @@ def complete_set_templates(
                     k = det(v1, v2)
                     if k.is_zero or not field.trace(k).is_zero:
                         continue
-                    key = _recipes_mask_key(field, _d8_recipes(set_type, v1, v2, k))
+                    key = _template_key(field, _d8_recipes(set_type, v1, v2, k))
                     templates.setdefault(key, (set_type, v1, v2))
     return templates
 
@@ -558,56 +585,19 @@ class _Deadline(Exception):
     pass
 
 
-def _cover_search(
-    block_bits: list[int],
-    blocks_by_point: dict[int, list[int]],
-    want: int,
-    full: int,
-    deadline: float | None,
-    covered: int = 0,
-    chosen: tuple[int, ...] = (),
-    solutions: list[tuple[int, ...]] | None = None,
-) -> list[tuple[int, ...]]:
-    if solutions is None:
-        solutions = []
-    if deadline is not None and time.monotonic() > deadline:
-        raise _Deadline
-    if covered == full:
-        if len(chosen) == want:
-            solutions.append(tuple(sorted(chosen)))
-        return solutions
-    if len(chosen) >= want:
-        return solutions
-    remaining = full & ~covered
-    best: list[int] | None = None
-    idx = 0
-    while remaining:
-        if remaining & 1:
-            cands = [i for i in blocks_by_point[idx] if not block_bits[i] & covered]
-            if not cands:
-                return solutions
-            if best is None or len(cands) < len(best):
-                best = cands
-                if len(cands) == 1:
-                    break
-        remaining >>= 1
-        idx += 1
-    assert best is not None
-    for i in best:
-        _cover_search(
-            block_bits,
-            blocks_by_point,
-            want,
-            full,
-            deadline,
-            covered | block_bits[i],
-            chosen + (i,),
-            solutions,
-        )
-    return solutions
+@dataclass(frozen=True)
+class _Cover:
+    """Exact-cover tables: each block's nonzero points as a bitset, the
+    blocks through each point, the bitset of all nonzero points, and the
+    number of blocks a cover takes."""
+
+    block_bits: tuple[int, ...]
+    blocks_by_point: dict[int, list[int]]
+    full: int
+    want: int
 
 
-def _prepare_cover(blocks: Sequence[tuple[int, ...]], d: int):
+def _prepare_cover(blocks: Sequence[tuple[int, ...]], d: int) -> _Cover:
     block_bits = []
     for masks in blocks:
         bits = 0
@@ -623,25 +613,52 @@ def _prepare_cover(blocks: Sequence[tuple[int, ...]], d: int):
         for m in masks:
             if m:
                 blocks_by_point[m].append(i)
-    return block_bits, blocks_by_point, full
+    return _Cover(tuple(block_bits), blocks_by_point, full, d + 1)
 
 
-def _search_branch(args) -> tuple[list[tuple[int, ...]], bool]:
-    blocks, d, first, budget = args
-    block_bits, blocks_by_point, full = _prepare_cover(blocks, d)
-    deadline = time.monotonic() + budget if budget is not None else None
+def _cover_search(
+    cover: _Cover,
+    deadline: float | None,
+    covered: int,
+    chosen: tuple[int, ...],
+    solutions: list[tuple[int, ...]],
+) -> None:
+    if deadline is not None and time.monotonic() > deadline:
+        raise _Deadline
+    if covered == cover.full:
+        if len(chosen) == cover.want:
+            solutions.append(tuple(sorted(chosen)))
+        return
+    if len(chosen) >= cover.want:
+        return
+    block_bits, blocks_by_point = cover.block_bits, cover.blocks_by_point
+    remaining = cover.full & ~covered
+    best: list[int] | None = None
+    idx = 0
+    while remaining:
+        if remaining & 1:
+            cands = [i for i in blocks_by_point[idx] if not block_bits[i] & covered]
+            if not cands:
+                return
+            if best is None or len(cands) < len(best):
+                best = cands
+                if len(cands) == 1:
+                    break
+        remaining >>= 1
+        idx += 1
+    assert best is not None
+    for i in best:
+        _cover_search(cover, deadline, covered | block_bits[i], chosen + (i,), solutions)
+
+
+def _search_branch(
+    cover: _Cover, deadline: float | None, first: int
+) -> tuple[list[tuple[int, ...]], bool]:
+    """Every cover containing block ``first``, and whether the branch ran
+    to the end before the absolute ``time.monotonic()`` deadline."""
     solutions: list[tuple[int, ...]] = []
     try:
-        _cover_search(
-            block_bits,
-            blocks_by_point,
-            d + 1,
-            full,
-            deadline,
-            block_bits[first],
-            (first,),
-            solutions,
-        )
+        _cover_search(cover, deadline, cover.block_bits[first], (first,), solutions)
         return solutions, True
     except _Deadline:
         return solutions, False
@@ -653,9 +670,18 @@ def search_complete_sets(
     """All sets of d+1 extraordinary subgroups with pairwise trivial
     intersections, deduplicated, canonically ordered, and annotated with
     the matching construction type.  A time budget makes the result
-    best-effort; the ``exhaustive`` flag reports whether it was hit."""
-    start = time.monotonic()
-    deadline = start + time_budget if time_budget is not None else None
+    best-effort; the ``exhaustive`` flag reports whether it was hit.
+
+    The search branches on the blocks through the point with mask 1 (every
+    nonzero point lies in equally many extraordinary subgroups, so this is
+    the root choice of the fewest-candidates rule).  The branches run in
+    this process, or on a pool of min(workers, CPU count, branch count)
+    processes; all of them share one absolute deadline."""
+    if workers < 1:
+        raise ValueError(f"workers must be at least 1, got {workers}")
+    if time_budget is not None and not time_budget >= 0:
+        raise ValueError(f"time budget must be non-negative, got {time_budget}")
+    deadline = time.monotonic() + time_budget if time_budget is not None else None
     d = field.order
 
     blocks: list[tuple[int, ...]] = []
@@ -667,39 +693,28 @@ def search_complete_sets(
         if _is_extraordinary_masks(field, masks):
             blocks.append(masks)
 
+    cover = _prepare_cover(blocks, d)
+    first = cover.blocks_by_point[1]
+    branch = partial(_search_branch, cover, deadline)
+    pool_size = min(workers, os.cpu_count() or 1, len(first))
     solutions: list[tuple[int, ...]] = []
     search_complete = True
-    if workers <= 1:
-        block_bits, blocks_by_point, full = _prepare_cover(blocks, d)
-        try:
-            _cover_search(
-                block_bits, blocks_by_point, d + 1, full, deadline, solutions=solutions
-            )
-        except _Deadline:
-            search_complete = False
-    else:
-        block_bits, blocks_by_point, full = _prepare_cover(blocks, d)
-        first_cands = blocks_by_point.get(1, [])
-        remaining = None if deadline is None else max(deadline - time.monotonic(), 0.0)
-        tasks = [(blocks, d, i, remaining) for i in first_cands]
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            for sols, complete in pool.map(_search_branch, tasks):
-                solutions.extend(sols)
-                search_complete = search_complete and complete
+    with ProcessPoolExecutor(pool_size) if pool_size > 1 else nullcontext() as pool:
+        for sols, complete in (map if pool is None else pool.map)(branch, first):
+            solutions.extend(sols)
+            search_complete = search_complete and complete
 
     templates = complete_set_templates(field)
     sets = []
     for chosen in set(solutions):
         block_masks = sorted(blocks[i] for i in chosen)
-        match = templates.get(frozenset(block_masks))
+        set_type, v1, v2 = templates.get(
+            frozenset(block_masks), ("Unclassified", None, None)
+        )
         gens = sorted(
             (Subgroup.from_masks(field, masks) for masks in block_masks),
             key=lambda s: s.sort_key,
         )
-        if match is None:
-            sets.append(_set_from_generators("Unclassified", None, None, gens))
-        else:
-            set_type, v1, v2 = match
-            sets.append(_set_from_generators(set_type, v1, v2, gens))
+        sets.append(_set_from_generators(set_type, v1, v2, gens))
     sets.sort(key=lambda c: tuple(g.sort_key for g in c.generators))
     return SearchResult(tuple(sets), enum_complete and search_complete)

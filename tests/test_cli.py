@@ -2,8 +2,16 @@
 
 import json
 
+import pytest
+
+from mubkit import CompleteSet, Point, type_I_set, verify_complete_set
 from mubkit.cli import main
-from mubkit.serialize import dumps_canonical, square_to_json, squares_payload_from_json
+from mubkit.serialize import (
+    complete_set_to_json,
+    dumps_canonical,
+    square_to_json,
+    squares_payload_from_json,
+)
 
 
 def run(capsys, *argv):
@@ -103,6 +111,24 @@ def test_verify_rejects_malformed_json(capsys, tmp_path):
     assert code == 2
 
 
+def test_squares_verify_matches_library(capsys, tmp_path, f8, d4_type_ii_set, d8_type_ii_set):
+    d8_type_i = type_I_set(Point(f8.one, f8.zero), Point(f8.zero, f8.one))
+    ss = d8_type_ii_set.supersquares
+    repeated = CompleteSet("II", None, None, ss[:3] + (ss[1],) + ss[4:])
+    path = tmp_path / "set.json"
+    for cset, ok in ((d4_type_ii_set, True), (d8_type_i, True), (repeated, False)):
+        path.write_text(dumps_canonical(complete_set_to_json(cset)))
+        code, out, _ = run(capsys, "squares", "verify", str(path), "--format", "json")
+        report = verify_complete_set(cset)
+        assert report.passed is ok
+        assert code == (0 if ok else 1)
+        assert json.loads(out) == {
+            "checks": report.checks(),
+            "failures": list(report.failures),
+            "pass": ok,
+        }
+
+
 def test_classify_command(capsys, tmp_path):
     path = tmp_path / "set.json"
     run(capsys, "squares", "gen", "--d", "4", "--format", "json", "--out", str(path))
@@ -120,6 +146,33 @@ def test_search_census_and_worker_determinism(capsys):
     code, multi, _ = run(capsys, "squares", "search", "--d", "4", "--workers", "8")
     assert code == 0
     assert multi == single
+
+
+def test_search_output_independent_of_workers(capsys):
+    outputs = {
+        run(capsys, "squares", "search", "--d", "4", "--workers", w)[1] for w in ("1", "2")
+    }
+    assert len(outputs) == 1
+
+
+@pytest.mark.parametrize(
+    "flags", [("--workers", "0"), ("--workers", "-3"), ("--time-budget", "-1")]
+)
+def test_search_rejects_bad_settings(capsys, flags):
+    code, out, err = run(capsys, "squares", "search", "--d", "4", *flags)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ")
+
+
+def test_bad_worker_env_only_affects_search(capsys, monkeypatch):
+    monkeypatch.setenv("MUBKIT_WORKERS", "abc")
+    code, _, _ = run(capsys, "field-info", "--d", "4")
+    assert code == 0
+    code, out, err = run(capsys, "squares", "search", "--d", "4")
+    assert code == 2
+    assert out == ""
+    assert err == "error: MUBKIT_WORKERS must be an integer, got 'abc'\n"
 
 
 def test_search_env_worker_fallback(capsys, monkeypatch):

@@ -54,13 +54,6 @@ def test_gauss_gcd_and_divexact():
         gauss_divexact(GaussInt(1, 0), GaussInt(2, 0))
 
 
-def test_matrix_normalization():
-    two = GaussInt(2, 0)
-    m = GaussMatrix(((two, ZERO), (ZERO, two)), den_exp=1)
-    assert m.den_exp == 0
-    assert m == GaussMatrix.identity(2)
-
-
 # -- Pauli matrices ------------------------------------------------------------
 
 

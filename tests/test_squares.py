@@ -1,5 +1,8 @@
 """Supersquares, striations, orthogonality, classification, and search."""
 
+import time
+from dataclasses import replace
+
 import pytest
 
 from mubkit import (
@@ -10,6 +13,7 @@ from mubkit import (
     Subgroup,
     all_points,
     are_orthogonal,
+    build_mub_set,
     classify,
     enumerate_extraordinary_subgroups,
     is_extraordinary,
@@ -27,7 +31,8 @@ from mubkit import (
     type_IV_set_d8,
     verify_complete_set,
 )
-from mubkit.squares import CompleteSet
+from mubkit import squares as squares_module
+from mubkit.squares import CompleteSet, _prepare_cover, _search_branch
 
 import refdata
 from conftest import pair_with_det_in_k
@@ -239,6 +244,23 @@ def test_verify_complete_set_flags_failures(d4_type_ii_set):
     assert any("not orthogonal" in f for f in report.failures)
 
 
+def test_verify_complete_set_checks_generators_belong_to_squares(f8):
+    cset = type_I_set(Point(f8.one, f8.zero), Point(f8.zero, f8.one))
+    ss = list(cset.supersquares)
+    ss[1], ss[2] = (
+        replace(ss[1], generator=ss[2].generator),
+        replace(ss[2], generator=ss[1].generator),
+    )
+    swapped = CompleteSet("I", cset.v1, cset.v2, tuple(ss))
+    report = verify_complete_set(swapped)
+    assert not report.passed
+    assert not report.extraordinary_supersquares
+    assert report.orthogonality and report.trivial_intersections and report.striations
+    assert sum("not the quotient by its generator" in f for f in report.failures) == 2
+    with pytest.raises(ValueError):
+        build_mub_set(swapped)
+
+
 def test_render_ascii_matches_reference_layout(f4, d4_type_ii_set):
     text = render_ascii(d4_type_ii_set.squares[0])
     lines = text.splitlines()
@@ -268,6 +290,46 @@ def test_search_d4_deterministic_across_workers(f4):
     as_text = lambda r: dumps_canonical([complete_set_to_json(c) for c in r.sets])
     assert as_text(single) == as_text(multi)
     assert single.exhaustive and multi.exhaustive
+
+
+def test_search_branch_past_deadline_is_incomplete(f4):
+    blocks = [g.masks() for g in enumerate_extraordinary_subgroups(f4)]
+    cover = _prepare_cover(blocks, 4)
+    first = cover.blocks_by_point[1][0]
+    assert _search_branch(cover, time.monotonic() - 1.0, first) == ([], False)
+    sols, complete = _search_branch(cover, None, first)
+    assert complete and sols
+
+
+def test_search_pool_is_clamped(f4, monkeypatch):
+    sizes = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        map = staticmethod(map)
+
+    monkeypatch.setattr(squares_module, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(squares_module.os, "cpu_count", lambda: 8)
+    search_complete_sets(f4, workers=8)  # d = 4 has three branches
+    monkeypatch.setattr(squares_module.os, "cpu_count", lambda: 2)
+    search_complete_sets(f4, workers=8)
+    search_complete_sets(f4, workers=1)
+    assert sizes == [3, 2]
+
+
+def test_search_rejects_bad_settings(f4):
+    with pytest.raises(ValueError):
+        search_complete_sets(f4, workers=0)
+    with pytest.raises(ValueError):
+        search_complete_sets(f4, time_budget=-1.0)
 
 
 def test_search_budget_flags_partial(f8):
