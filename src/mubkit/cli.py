@@ -24,13 +24,21 @@ import sys
 from typing import Sequence
 
 from .gf2n import Field, FieldBasis, default_selfdual_basis, field_for_dimension, is_selfdual
-from .mub import MubSet, build_mub_set, certify_bases, classify_basis, structure, two_qubit_rank
+from .mub import (
+    EntanglementStructure,
+    MubSet,
+    build_mub_set,
+    certify_bases,
+    classify_basis,
+    two_qubit_rank,
+)
 from .phasespace import Point, trace_zero_subgroup
 from .serialize import (
     complete_set_to_json,
     dumps_canonical,
     mub_payload_from_json,
     mub_set_to_json,
+    search_result_to_json,
     square_to_json,
     squares_payload_from_json,
 )
@@ -223,14 +231,8 @@ def cmd_squares_search(args: argparse.Namespace) -> int:
             raise UsageError(f"MUBKIT_WORKERS must be an integer, got {env!r}") from None
     field = field_for_dimension(args.d)
     result = search_complete_sets(field, workers=workers, time_budget=args.time_budget)
-    payload = {
-        "d": args.d,
-        "exhaustive": result.exhaustive,
-        "census": result.census(),
-        "sets": [complete_set_to_json(c) for c in result.sets],
-    }
     if args.format == "json":
-        _emit(args, dumps_canonical(payload))
+        _emit(args, dumps_canonical(search_result_to_json(args.d, result)))
     else:
         lines = [f"d={args.d} complete sets: {len(result.sets)}"]
         for name, count in sorted(result.census().items()):
@@ -251,7 +253,8 @@ def _build_mubs(args: argparse.Namespace) -> MubSet:
 def cmd_mub_gen(args: argparse.Namespace) -> int:
     mubs = _build_mubs(args)
     field = mubs.source_set.field
-    triple = structure(mubs).astuple() if field.order == 8 else None
+    kinds = [classify_basis(b) for b in mubs.bases] if field.order == 8 else None
+    triple = EntanglementStructure.count(kinds).astuple() if kinds else None
     if args.format == "json":
         _emit(args, dumps_canonical(mub_set_to_json(mubs, triple)))
         return PASS
@@ -260,8 +263,8 @@ def cmd_mub_gen(args: argparse.Namespace) -> int:
         words = "; ".join(str(w) for w in b.operator_words)
         lines.append(f"basis {idx}: operators {words}")
         lines.append(f"  class->state: {list(b.class_of_state or ())}")
-        if field.order == 8:
-            lines.append(f"  entanglement: {classify_basis(b).value}")
+        if kinds:
+            lines.append(f"  entanglement: {kinds[idx - 1].value}")
         else:
             kind = "entangled" if two_qubit_rank(b.ray_state) == 2 else "product"
             lines.append(f"  entanglement: {kind}")
@@ -285,15 +288,13 @@ def cmd_mub_structure(args: argparse.Namespace) -> int:
     if args.d != 8:
         raise UsageError("entanglement structure is defined for d = 8")
     mubs = _build_mubs(args)
-    triple = structure(mubs).astuple()
+    kinds = [classify_basis(b) for b in mubs.bases]
+    triple = EntanglementStructure.count(kinds).astuple()
     if args.format == "json":
-        kinds = [classify_basis(b).value for b in mubs.bases]
-        _emit(args, dumps_canonical({"structure": list(triple), "bases": kinds}))
+        names = [k.value for k in kinds]
+        _emit(args, dumps_canonical({"structure": list(triple), "bases": names}))
     else:
-        lines = [
-            f"basis {i}: {classify_basis(b).value}"
-            for i, b in enumerate(mubs.bases, start=1)
-        ]
+        lines = [f"basis {i}: {k.value}" for i, k in enumerate(kinds, start=1)]
         lines.append(f"structure (n_f,n_b,n_ns): {triple}")
         _emit(args, "\n".join(lines) + "\n")
     return PASS

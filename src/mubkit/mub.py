@@ -303,7 +303,9 @@ def certify_bases(
         failures.append("some class->state map is not a bijection")
     if expected_structure is not None and d == 8:
         kinds = [separability(states) for states in bases]
-        recount = [0, 0, 0] if None in kinds else [kinds.count(k) for k in Separability]
+        recount = (
+            [0, 0, 0] if None in kinds else list(EntanglementStructure.count(kinds).astuple())
+        )
         checks["structure"] = recount == list(expected_structure)
         if not checks["structure"]:
             failures.append(f"structure mismatch: recomputed {recount}")
@@ -438,6 +440,11 @@ class EntanglementStructure:
     n_b: int
     n_ns: int
 
+    @classmethod
+    def count(cls, kinds: Sequence[Separability]) -> "EntanglementStructure":
+        """The structure of bases whose classes are ``kinds``."""
+        return cls(*(kinds.count(k) for k in Separability))
+
     def astuple(self) -> tuple[int, int, int]:
         return (self.n_f, self.n_b, self.n_ns)
 
@@ -449,5 +456,4 @@ def structure(m: MubSet) -> EntanglementStructure:
     """Counts of factorized, biseparable, and nonseparable bases."""
     if m.d != 8:
         raise ValueError("entanglement structure is defined for d = 8")
-    kinds = [classify_basis(basis) for basis in m.bases]
-    return EntanglementStructure(*(kinds.count(k) for k in Separability))
+    return EntanglementStructure.count([classify_basis(basis) for basis in m.bases])

@@ -9,18 +9,100 @@ dimension.
 
 from __future__ import annotations
 
-import json
-from typing import Any
+from json.encoder import encode_basestring_ascii
+from typing import Any, Callable
 
 from .gf2n import Field, field_for_dimension
 from .mub import MubBasis, MubSet, UnnormalizedState
 from .pauli import GaussInt
 from .phasespace import Point, Subgroup
-from .squares import CompleteSet, Square
+from .squares import CompleteSet, SearchResult, Square
 
 
 def dumps_canonical(obj: Any) -> str:
-    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    """Canonical JSON text plus a newline: byte for byte what the standard
+    library's encoder writes with sorted keys, a two-space indent and ASCII
+    escaping, for values built from dicts with string keys, lists, tuples,
+    strings, ints, bools and None.
+
+    The text is gathered as pieces and joined once.  A container that
+    holds containers is encoded once per depth: met again, it reuses its
+    first pieces, joined into one string on the second use.  The memo is
+    keyed by id and depth, which is sound because obj keeps every
+    container alive for the call.  Containers of scalars alone are not
+    memoized: encoding one again costs no more than a memo entry."""
+    out: list[str] = []
+    # (start, end) of a container's pieces in out; its text once reused
+    memo: dict[tuple[int, int], tuple[int, int] | str] = {}
+    # per depth k: the separator before an item at depth k + 1, and the
+    # openers and closers of a list and a dict at depth k
+    punctuation: list[tuple[str, str, str, str, str]] = []
+
+    def container(o: dict | list | tuple, depth: int) -> None:
+        key = (id(o), depth)
+        seen = memo.get(key)
+        if seen is not None:
+            if not isinstance(seen, str):
+                seen = memo[key] = "".join(out[seen[0] : seen[1]])
+            out.append(seen)
+            return
+        if not o:
+            out.append("{}" if isinstance(o, dict) else "[]")
+            return
+        while len(punctuation) <= depth:
+            k = len(punctuation)
+            inner, outer = "\n" + "  " * (k + 1), "\n" + "  " * k
+            punctuation.append(("," + inner, "[" + inner, "{" + inner, outer + "]", outer + "}"))
+        sep, open_list, open_dict, close_list, close_dict = punctuation[depth]
+        if isinstance(o, dict):
+            pairs = sorted(o.items())  # a key that is no str raises TypeError
+            labels = [encode_basestring_ascii(k) + ": " for k, _ in pairs]
+            values = [v for _, v in pairs]
+            prefix, close = open_dict, close_dict
+        else:
+            labels, values = None, o
+            prefix, close = open_list, close_list
+        start = len(out)
+        nested = False
+        for i, v in enumerate(values):
+            if labels:
+                prefix += labels[i]
+            text = _scalar_json(v)
+            if text is None:
+                out.append(prefix)
+                container(v, depth + 1)
+                nested = True
+            else:
+                out.append(prefix + text)
+            prefix = sep
+        out.append(close)
+        if nested:
+            memo[key] = (start, len(out))
+
+    top = _scalar_json(obj)
+    if top is None:
+        container(obj, 0)
+    else:
+        out.append(top)
+    out.append("\n")
+    return "".join(out)
+
+
+def _scalar_json(o: Any) -> str | None:
+    """The JSON text of a scalar; None for a container."""
+    if isinstance(o, str):
+        return encode_basestring_ascii(o)
+    if o is None:
+        return "null"
+    if o is True:
+        return "true"
+    if o is False:
+        return "false"
+    if isinstance(o, int):
+        return int.__repr__(o)
+    if isinstance(o, (dict, list, tuple)):
+        return None
+    raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
 
 
 # The *_from_json parsers raise ValueError on any document of the wrong
@@ -82,11 +164,34 @@ def square_from_json(data: Any) -> Square:
 
 
 def complete_set_to_json(c: CompleteSet) -> dict:
+    return _complete_set_json(c, square_to_json)
+
+
+def _complete_set_json(c: CompleteSet, encode_square: Callable[[Square], dict]) -> dict:
     return {
         "type": c.set_type,
         "v1": None if c.v1 is None else point_to_json(c.v1),
         "v2": None if c.v2 is None else point_to_json(c.v2),
-        "squares": [square_to_json(sq) for sq in c.squares],
+        "squares": [encode_square(sq) for sq in c.squares],
+    }
+
+
+def search_result_to_json(d: int, result: SearchResult) -> dict:
+    """The `squares search` document.  Sets that share a Square object
+    share its one square_to_json dict, so dumps_canonical encodes it once."""
+    shared: dict[int, dict] = {}  # id(square) -> its dict; result keeps the squares alive
+
+    def encode_square(sq: Square) -> dict:
+        doc = shared.get(id(sq))
+        if doc is None:
+            doc = shared[id(sq)] = square_to_json(sq)
+        return doc
+
+    return {
+        "d": d,
+        "exhaustive": result.exhaustive,
+        "census": result.census(),
+        "sets": [_complete_set_json(c, encode_square) for c in result.sets],
     }
 
 

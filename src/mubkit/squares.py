@@ -31,7 +31,7 @@ from functools import partial
 from itertools import combinations
 from typing import Iterable, Sequence
 
-from .gf2n import Field, FieldElement
+from .gf2n import Field
 from .phasespace import (
     Point,
     Subgroup,
@@ -42,8 +42,6 @@ from .phasespace import (
     iter_subgroup_masks,
     point_table,
     point_to_mask,
-    scale_set,
-    trace_zero_subgroup,
     zero_point,
 )
 
@@ -232,86 +230,96 @@ class CompleteSet:
         return tuple(ss.square for ss in self.supersquares)
 
 
-def _set_from_generators(
-    set_type: str, v1: Point | None, v2: Point | None, gens: Sequence[Subgroup]
-) -> CompleteSet:
-    return CompleteSet(
-        set_type, v1, v2, tuple(supersquare_from_subgroup(g) for g in gens)
-    )
-
-
 def type_I_set(v1: Point, v2: Point) -> CompleteSet:
     """The d+1 scalar lines F_d(v1 + lambda*v2), lambda sweeping F_d, plus
     F_d*v2.  Any basis of the plane over F_d is accepted."""
     if det(v1, v2).is_zero:
         raise ValueError("type I needs an F_d-basis: det(v1, v2) must be nonzero")
-    recipes = [("line", v1 + v2.scale(lam)) for lam in v1.field.in_dlog_order()]
-    recipes.append(("line", v2))
+    field = v1.field
+    a, b = point_to_mask(v1), point_to_mask(v2)
+    recipes = [("line", a ^ _scale(field, b, lam)) for lam in (0,) + field._exp]
+    recipes.append(("line", b))
     return _set_from_recipes("I", v1, v2, recipes)
 
 
-# Generator tables are expressed as recipes -- ("line", u) for F_d*u and
-# ("span", a, b, scalars) for Z2*a + scalars*b -- evaluated to point masks
-# by _recipe_masks, for the constructors and for the template index alike.
+# Generator tables are expressed as recipes over packed point masks --
+# ("line", u) for F_d*u and ("span", a, b, scalars) for Z2*a + scalars*b,
+# scalars being element masks -- evaluated to point masks by _recipe_masks,
+# for the constructors and for the template index alike.
 
 _Recipe = tuple
 
 
-def _type_II_recipes_d4(v1: Point, v2: Point) -> list[_Recipe]:
-    field = v1.field
-    mu = field.mu
-    mu2 = mu * mu
-    z2 = (field.zero, field.one)
+def _scale(field: Field, p: int, c: int) -> int:
+    """The packed point p scaled by the element mask c."""
+    mul = field._mul_mask
+    return mul(p & (field.order - 1), c) | mul(p >> field.n, c) << field.n
+
+
+def _det(field: Field, p: int, q: int) -> int:
+    """det of two packed points, as an element mask."""
+    lo, n, mul = field.order - 1, field.n, field._mul_mask
+    return mul(p & lo, q >> n) ^ mul(q & lo, p >> n)
+
+
+def _type_II_recipes_d4(field: Field, v1: int, v2: int) -> list[_Recipe]:
+    mu, mu2 = field._exp[1], field._exp[2]
+    s = partial(_scale, field)
+    z2 = (0, 1)
     return [
         ("line", v1),
-        ("span", v2, v1 + v2.scale(mu), z2),
-        ("span", v2.scale(mu), (v1 + v2).scale(mu2), z2),
-        ("span", v2.scale(mu2), (v1 + v2).scale(mu), z2),
-        ("span", v1 + v2, v1.scale(mu) + v2.scale(mu2), z2),
+        ("span", v2, v1 ^ s(v2, mu), z2),
+        ("span", s(v2, mu), s(v1 ^ v2, mu2), z2),
+        ("span", s(v2, mu2), s(v1 ^ v2, mu), z2),
+        ("span", v1 ^ v2, s(v1, mu) ^ s(v2, mu2), z2),
     ]
 
 
-def _d8_recipes(set_type: str, v1: Point, v2: Point, k: FieldElement) -> list[_Recipe]:
-    field = v1.field
-    kp = [k**j for j in range(7)]
+def _d8_recipes(
+    field: Field, set_type: str, v1: int, v2: int, k: int
+) -> list[_Recipe]:
+    exp, log = field._exp, field._log
+    kp = [exp[log[k] * j % 7] for j in range(7)]
+    kinv = exp[-log[k] % 7]
     ktilde = tuple(
-        sorted(scale_set(trace_zero_subgroup(field), k.inv()), key=lambda e: e.mask)
+        sorted(field._mul_mask(t, kinv) for t in range(8) if not field._trace[t])
     )
+    s = partial(_scale, field)
     if set_type == "II":
         return [
-            ("span", v2 + v1.scale(kp[4]), v1, ktilde),
-            ("span", v1.scale(kp[2]), v2.scale(kp[5]) + v1.scale(kp[2]), ktilde),
-            ("span", v1.scale(kp[4]), v2.scale(kp[3]) + v1.scale(kp[6]), ktilde),
-            ("span", v1.scale(kp[5]), v2.scale(kp[2]) + v1.scale(kp[4]), ktilde),
-            ("span", v1.scale(kp[6]), v2.scale(kp[1]) + v1, ktilde),
-            ("span", (v1 + v2).scale(kp[1]), v2.scale(kp[6]), ktilde),
-            ("span", v2.scale(kp[1]), (v1 + v2).scale(kp[6]), ktilde),
-            ("span", v2.scale(kp[4]), v1.scale(kp[3]) + v2.scale(kp[5]), ktilde),
-            ("span", v1.scale(kp[2]) + v2.scale(kp[3]), v1 + v2.scale(kp[6]), ktilde),
+            ("span", v2 ^ s(v1, kp[4]), v1, ktilde),
+            ("span", s(v1, kp[2]), s(v2, kp[5]) ^ s(v1, kp[2]), ktilde),
+            ("span", s(v1, kp[4]), s(v2, kp[3]) ^ s(v1, kp[6]), ktilde),
+            ("span", s(v1, kp[5]), s(v2, kp[2]) ^ s(v1, kp[4]), ktilde),
+            ("span", s(v1, kp[6]), s(v2, kp[1]) ^ v1, ktilde),
+            ("span", s(v1 ^ v2, kp[1]), s(v2, kp[6]), ktilde),
+            ("span", s(v2, kp[1]), s(v1 ^ v2, kp[6]), ktilde),
+            ("span", s(v2, kp[4]), s(v1, kp[3]) ^ s(v2, kp[5]), ktilde),
+            ("span", s(v1, kp[2]) ^ s(v2, kp[3]), v1 ^ s(v2, kp[6]), ktilde),
         ]
     if set_type == "III":
         return [
             ("line", v2),
-            ("line", v1 + v2),
-            ("line", v1.scale(k) + v2),
-            ("span", v2 + v1.scale(kp[2]), v1, ktilde),
-            ("span", v1.scale(kp[2]), v2.scale(kp[5]) + v1.scale(kp[4]), ktilde),
-            ("span", v1.scale(kp[4]), v2.scale(kp[3]) + v1.scale(kp[5]), ktilde),
-            ("span", v1.scale(kp[5]), v2.scale(kp[2]) + v1, ktilde),
-            ("span", v1.scale(kp[6]), v2.scale(kp[1]) + v1.scale(kp[4]), ktilde),
-            ("span", v1 + v2.scale(kp[5]), v1.scale(kp[5]) + v2.scale(kp[1]), ktilde),
+            ("line", v1 ^ v2),
+            ("line", s(v1, k) ^ v2),
+            ("span", v2 ^ s(v1, kp[2]), v1, ktilde),
+            ("span", s(v1, kp[2]), s(v2, kp[5]) ^ s(v1, kp[4]), ktilde),
+            ("span", s(v1, kp[4]), s(v2, kp[3]) ^ s(v1, kp[5]), ktilde),
+            ("span", s(v1, kp[5]), s(v2, kp[2]) ^ v1, ktilde),
+            ("span", s(v1, kp[6]), s(v2, kp[1]) ^ s(v1, kp[4]), ktilde),
+            ("span", v1 ^ s(v2, kp[5]), s(v1, kp[5]) ^ s(v2, kp[1]), ktilde),
         ]
     if set_type == "IV":
         return [
             ("line", v2),
-            ("span", v2 + v1.scale(kp[2]), v1, ktilde),
-            ("span", v1.scale(kp[2]), v2.scale(kp[5]) + v1, ktilde),
-            ("span", v1.scale(kp[4]), v2.scale(kp[3]) + v1, ktilde),
-            ("span", v1.scale(kp[5]), v2.scale(kp[2]) + v1, ktilde),
-            ("span", v1.scale(kp[6]), v2.scale(kp[1]) + v1, ktilde),
-            ("span", v1.scale(kp[2]) + v2.scale(kp[6]), v1 + v2, ktilde),
-            ("span", (v1 + v2).scale(kp[2]), v1 + v2.scale(kp[4]), ktilde),
-            ("span", (v1 + v2).scale(kp[5]), v1 + v2.scale(kp[6]), ktilde),
+            ("span", v2 ^ s(v1, kp[2]), v1, ktilde),
+            ("span", s(v1, kp[2]), s(v2, kp[5]) ^ v1, ktilde),
+            ("span", s(v1, kp[4]), s(v2, kp[3]) ^ v1, ktilde),
+            ("span", s(v1, kp[5]), s(v2, kp[2]) ^ v1, ktilde),
+            ("span", s(v1, kp[6]), s(v2, kp[1]) ^ v1, ktilde),
+            ("span", s(v1, kp[2]) ^ s(v2, kp[6]), v1 ^ v2, ktilde),
+            ("span", s(v1 ^ v2, kp[2]), v1 ^ s(v2, kp[4]), ktilde),
+            ("span", s(v1 ^ v2, kp[5]), v1 ^ s(v2, kp[6]), ktilde),
         ]
     raise ValueError(f"unknown set type {set_type!r}")
 
@@ -319,21 +327,15 @@ def _d8_recipes(set_type: str, v1: Point, v2: Point, k: FieldElement) -> list[_R
 def _recipe_masks(field: Field, recipe: _Recipe) -> tuple[int, ...]:
     """The sorted point masks a recipe spans, unvalidated: Subgroup checks
     closure and supersquare_from_subgroup the order."""
-    n = field.n
-    mul = field._mul_mask
     if recipe[0] == "line":
         u = recipe[1]
-        ux, uy = u.x.mask, u.y.mask
-        masks = {mul(ux, c) | mul(uy, c) << n for c in range(field.order)}
-    else:
-        _, a, b, scalars = recipe
-        am = point_to_mask(a)
-        bx, by = b.x.mask, b.y.mask
-        masks = set()
-        for s in scalars:
-            tm = mul(bx, s.mask) | mul(by, s.mask) << n
-            masks.add(tm)
-            masks.add(tm ^ am)
+        return tuple(sorted({_scale(field, u, c) for c in range(field.order)}))
+    _, a, b, scalars = recipe
+    masks = set()
+    for c in scalars:
+        t = _scale(field, b, c)
+        masks.add(t)
+        masks.add(t ^ a)
     return tuple(sorted(masks))
 
 
@@ -341,8 +343,11 @@ def _set_from_recipes(
     set_type: str, v1: Point, v2: Point, recipes: list[_Recipe]
 ) -> CompleteSet:
     field = v1.field
-    gens = [Subgroup.from_masks(field, _recipe_masks(field, r)) for r in recipes]
-    return _set_from_generators(set_type, v1, v2, gens)
+    supersquares = tuple(
+        supersquare_from_subgroup(Subgroup.from_masks(field, _recipe_masks(field, r)))
+        for r in recipes
+    )
+    return CompleteSet(set_type, v1, v2, supersquares)
 
 
 def type_II_set_d4(v1: Point, v2: Point) -> CompleteSet:
@@ -352,7 +357,8 @@ def type_II_set_d4(v1: Point, v2: Point) -> CompleteSet:
         raise ValueError("this constructor is specific to d = 4")
     if det(v1, v2) != field.one:
         raise ValueError("type II at d=4 needs det(v1, v2) = 1")
-    return _set_from_recipes("II", v1, v2, _type_II_recipes_d4(v1, v2))
+    recipes = _type_II_recipes_d4(field, point_to_mask(v1), point_to_mask(v2))
+    return _set_from_recipes("II", v1, v2, recipes)
 
 
 def _d8_set(set_type: str, v1: Point, v2: Point) -> CompleteSet:
@@ -362,7 +368,8 @@ def _d8_set(set_type: str, v1: Point, v2: Point) -> CompleteSet:
     k = det(v1, v2)
     if k.is_zero or not field.trace(k).is_zero:
         raise ValueError("det(v1,v2) not in K\\{0}")
-    return _set_from_recipes(set_type, v1, v2, _d8_recipes(set_type, v1, v2, k))
+    recipes = _d8_recipes(field, set_type, point_to_mask(v1), point_to_mask(v2), k.mask)
+    return _set_from_recipes(set_type, v1, v2, recipes)
 
 
 def type_II_set_d8(v1: Point, v2: Point) -> CompleteSet:
@@ -546,38 +553,43 @@ class SearchResult:
         return counts
 
 
-def _template_key(field: Field, recipes: list[_Recipe]) -> frozenset[tuple[int, ...]]:
-    return frozenset(_recipe_masks(field, r) for r in recipes)
-
-
 def complete_set_templates(
     field: Field,
 ) -> dict[frozenset[tuple[int, ...]], tuple[str, Point, Point]]:
     """Generator-set templates keyed by frozensets of sorted subgroup
     point-mask tuples; first match wins, scanning types in order I, II,
     III, IV over all valid (v1, v2) pairs in canonical point order."""
-    templates: dict[frozenset[tuple[int, ...]], tuple[str, Point, Point]] = {}
-    points = [p for p in all_points(field) if not p.is_zero]
-    e1 = Point(field.one, field.zero)
-    e2 = Point(field.zero, field.one)
-    templates[_template_key(field, [("line", u) for u in points])] = ("I", e1, e2)
+    d, n = field.order, field.n
+    table = point_table(field)
+    # nonzero packed points in canonical (x mask, y mask) order
+    points = [x | y << n for x in range(d) for y in range(d)][1:]
+    # the pairs share most recipes: 1,575 distinct among 40,824 at d = 8
+    masks_of: dict[_Recipe, tuple[int, ...]] = {}
 
-    if field.order == 4:
+    def key(recipes: list[_Recipe]) -> frozenset[tuple[int, ...]]:
+        out = []
+        for r in recipes:
+            masks = masks_of.get(r)
+            if masks is None:
+                masks = masks_of[r] = _recipe_masks(field, r)
+            out.append(masks)
+        return frozenset(out)
+
+    templates = {key([("line", u) for u in points]): ("I", table[1], table[1 << n])}
+    if d == 4:
         for v1 in points:
             for v2 in points:
-                if det(v1, v2) != field.one:
-                    continue
-                key = _template_key(field, _type_II_recipes_d4(v1, v2))
-                templates.setdefault(key, ("II", v1, v2))
-    elif field.order == 8:
+                if _det(field, v1, v2) == 1:
+                    k = key(_type_II_recipes_d4(field, v1, v2))
+                    templates.setdefault(k, ("II", table[v1], table[v2]))
+    elif d == 8:
         for set_type in ("II", "III", "IV"):
             for v1 in points:
                 for v2 in points:
-                    k = det(v1, v2)
-                    if k.is_zero or not field.trace(k).is_zero:
-                        continue
-                    key = _template_key(field, _d8_recipes(set_type, v1, v2, k))
-                    templates.setdefault(key, (set_type, v1, v2))
+                    det_mask = _det(field, v1, v2)
+                    if det_mask and not field._trace[det_mask]:
+                        k = key(_d8_recipes(field, set_type, v1, v2, det_mask))
+                        templates.setdefault(k, (set_type, table[v1], table[v2]))
     return templates
 
 
@@ -676,7 +688,8 @@ def search_complete_sets(
     nonzero point lies in equally many extraordinary subgroups, so this is
     the root choice of the fewest-candidates rule).  The branches run in
     this process, or on a pool of min(workers, CPU count, branch count)
-    processes; all of them share one absolute deadline."""
+    processes; all of them share one absolute deadline.  Sets that use the
+    same subgroup share one Supersquare object."""
     if workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")
     if time_budget is not None and not time_budget >= 0:
@@ -704,17 +717,19 @@ def search_complete_sets(
             solutions.extend(sols)
             search_complete = search_complete and complete
 
+    built: dict[int, tuple[tuple[tuple[int, int], ...], Supersquare]] = {}
     templates = complete_set_templates(field)
-    sets = []
+    keyed = []
     for chosen in set(solutions):
-        block_masks = sorted(blocks[i] for i in chosen)
+        for i in chosen:
+            if i not in built:
+                ss = supersquare_from_subgroup(Subgroup.from_masks(field, blocks[i]))
+                built[i] = (ss.generator.sort_key, ss)
+        members = sorted((built[i] for i in chosen), key=lambda item: item[0])
         set_type, v1, v2 = templates.get(
-            frozenset(block_masks), ("Unclassified", None, None)
+            frozenset(blocks[i] for i in chosen), ("Unclassified", None, None)
         )
-        gens = sorted(
-            (Subgroup.from_masks(field, masks) for masks in block_masks),
-            key=lambda s: s.sort_key,
-        )
-        sets.append(_set_from_generators(set_type, v1, v2, gens))
-    sets.sort(key=lambda c: tuple(g.sort_key for g in c.generators))
-    return SearchResult(tuple(sets), enum_complete and search_complete)
+        sort_key = tuple(k for k, _ in members)
+        keyed.append((sort_key, CompleteSet(set_type, v1, v2, tuple(ss for _, ss in members))))
+    keyed.sort(key=lambda item: item[0])
+    return SearchResult(tuple(c for _, c in keyed), enum_complete and search_complete)

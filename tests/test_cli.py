@@ -247,3 +247,29 @@ def test_mub_gen_rejects_non_selfdual_basis(capsys):
     )
     assert code == 2
     assert "not selfdual" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("mub", "structure", "--d", "8", "--format", "json"),
+        ("mub", "structure", "--d", "8"),
+        ("mub", "gen", "--d", "8"),
+        ("mub", "gen", "--d", "8", "--format", "json"),
+    ],
+)
+def test_d8_mub_commands_classify_each_basis_once(capsys, monkeypatch, argv):
+    from mubkit import mub
+
+    calls = []
+    real = mub.separability
+
+    def counting(states):
+        calls.append(len(states))
+        return real(states)
+
+    monkeypatch.setattr(mub, "separability", counting)
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert "(0, 9, 0)" in out or "[\n    0,\n    9,\n    0\n  ]" in out
+    assert calls == [8] * 9

@@ -1,0 +1,67 @@
+"""Golden CLI outputs and the shared supersquares of the d = 8 census.
+
+The six CLI commands recorded in perfbench/golden.json run through
+cli.main and must reproduce the recorded sha256 digest and byte count;
+the file is only read.  The d = 8 search builds one Supersquare per
+distinct extraordinary subgroup and shares it between the sets.
+"""
+
+import hashlib
+import json
+from pathlib import Path
+
+import pytest
+
+from mubkit import (
+    Field,
+    search_complete_sets,
+    supersquare_from_subgroup,
+    verify_complete_set,
+)
+from mubkit.cli import main
+
+GOLDEN = json.loads(
+    (Path(__file__).resolve().parents[1] / "perfbench" / "golden.json").read_text()
+)["outputs"]
+CLI_COMMANDS = sorted(cmd for cmd in GOLDEN if not cmd.startswith("lib "))
+
+
+def test_golden_covers_six_cli_commands():
+    assert len(CLI_COMMANDS) == 6
+
+
+@pytest.mark.parametrize("command", CLI_COMMANDS)
+def test_cli_output_matches_golden(tmp_path, command):
+    out = tmp_path / "out.json"
+    assert main([*command.split(), "--out", str(out)]) == 0
+    data = out.read_bytes()
+    assert len(data) == GOLDEN[command]["bytes"]
+    assert hashlib.sha256(data).hexdigest() == GOLDEN[command]["sha256"]
+    if "census" in GOLDEN[command]:
+        assert json.loads(data)["census"] == GOLDEN[command]["census"]
+
+
+@pytest.fixture(scope="module")
+def census_d8():
+    return search_complete_sets(Field(3))
+
+
+def test_d8_sets_share_135_supersquares(census_d8):
+    assert len(census_d8.sets) == 960
+    shared = {id(ss): ss for c in census_d8.sets for ss in c.supersquares}
+    assert len(shared) == 135
+    assert len({ss.generator for ss in shared.values()}) == 135
+    for ss in shared.values():
+        assert ss == supersquare_from_subgroup(ss.generator)
+
+
+def test_d8_sets_of_every_type_verify(census_d8):
+    by_type = {}
+    for c in census_d8.sets:
+        by_type.setdefault(c.set_type, []).append(c)
+    picked = [by_type[t][0] for t in ("I", "II", "III", "IV")]
+    unclassified = by_type["Unclassified"]
+    picked += unclassified[:: len(unclassified) // 5][:5]
+    assert len(picked) == 9
+    for c in picked:
+        assert verify_complete_set(c).passed
