@@ -7,11 +7,14 @@ integer entries plus the squared norm; the physical vector is
 entries / sqrt(norm_sq), so orthogonality and unbiasedness reduce to
 integer identities (d * |<u,v>|^2 = N_u * N_v for unbiasedness).
 
-Eigenbases come from exact rank-one projectors: for generators g_1..g_n
-of an extraordinary subgroup and an eigenvalue choice lambda_j per
-generator, the fraction-free product of the factors (1 + conj(lambda_j)
-T_(g_j)) has trace 2^n exactly, and any nonzero column is the (content-
-reduced) common eigenvector.
+Each basis takes one exact rank-one projector: for generators g_1..g_n of
+an extraordinary subgroup at their principal eigenvalues lambda_j, the
+fraction-free product of the factors (1 + conj(lambda_j) T_(g_j)) has
+trace 2^n exactly, and its first nonzero column, content-reduced, is the
+ray state.  The other d - 1 states are the ray state translated by the
+coset representatives of the supersquare: T_r negates the eigenvalue of
+every generator it anticommutes with, so the representative's flip
+signature is both the state's eigenvalue assignment and its class.
 """
 
 from __future__ import annotations
@@ -33,10 +36,11 @@ from .pauli import (
     gauss_divexact,
     gauss_gcd,
     square_sign,
+    trace_condition,
     translation_operator,
 )
 from .phasespace import Point, Subgroup, is_extraordinary
-from .squares import CompleteSet, Supersquare, verify_complete_set
+from .squares import CompleteSet, Supersquare, supersquare_from_subgroup, verify_complete_set
 
 
 class ConstructionError(RuntimeError):
@@ -117,21 +121,13 @@ def is_unbiased_pair(u: UnnormalizedState, v: UnnormalizedState, d: int) -> bool
 
 
 @dataclass(frozen=True)
-class EigenvalueAssignment:
-    generators: tuple[Point, ...]
-    lambdas: tuple[GaussInt, ...]
-
-    @property
-    def is_principal(self) -> bool:
-        return all(lam in (ONE, I_UNIT) for lam in self.lambdas)
-
-
-@dataclass(frozen=True)
 class MubBasis:
+    """State s carries, for generator j of ``source.basis()``, the principal
+    eigenvalue negated when bit j of s is set; state 0 is the ray state."""
+
     source: Subgroup
     expansion_basis: FieldBasis
     states: tuple[UnnormalizedState, ...]
-    assignments: tuple[EigenvalueAssignment, ...]
     operator_words: tuple[PauliWord, ...]
     class_of_state: tuple[int, ...] | None = None
 
@@ -140,33 +136,27 @@ class MubBasis:
         return self.source.order
 
     @property
-    def ray_index(self) -> int:
-        return next(
-            i for i, a in enumerate(self.assignments) if a.is_principal
-        )
-
-    @property
     def ray_state(self) -> UnnormalizedState:
-        return self.states[self.ray_index]
+        return self.states[0]
 
 
-def common_eigenbasis(
-    a1: Subgroup, expansion_basis: FieldBasis, column: int | None = None
-) -> MubBasis:
-    """The d common eigenvectors of the translation operators of a1,
-    one per eigenvalue assignment over canonical generators.
+def _flip_signature(gens: Sequence[Point], rep: Point) -> int:
+    """Bit j set iff T_rep anticommutes with the translation of gens[j]."""
+    return sum(1 << j for j, g in enumerate(gens) if not trace_condition(g, rep))
 
-    Each eigenvector is extracted from the exact rank-one projector for
-    its assignment; ``column`` overrides which projector column is taken
-    (falling back to the first nonzero one), which only changes the
-    extracted representative by a scalar.  Every state is checked to be a
-    common eigenvector.  Distinct eigenvalue assignments make the states
-    pairwise orthogonal; certify_bases, which build_mub_set runs, checks
-    that exactly.
+
+def common_eigenbasis(a1: Subgroup, expansion_basis: FieldBasis) -> MubBasis:
+    """The d common eigenvectors of the translation operators of a1.
+
+    The ray state is a column of the exact rank-one projector for the
+    all-principal assignment; state s is the ray state translated by the
+    coset representative whose flip signature is s.  Every state is
+    checked to be a common eigenvector with its assignment's eigenvalues.
+    Distinct assignments make the states pairwise orthogonal;
+    certify_bases, which build_mub_set runs, checks that exactly.
     """
     field = a1.field
     d = field.order
-    n = field.n
     if a1.order != d:
         raise ValueError(f"need an order-{d} subgroup")
     if not is_extraordinary(a1):
@@ -175,43 +165,33 @@ def common_eigenbasis(
     ops = [translation_operator(g, expansion_basis) for g in gens]
     principals = [I_UNIT if square_sign(op) < 0 else ONE for op in ops]
     ident = GaussMatrix.identity(d)
-    target_trace = GaussInt(1 << n, 0)
-
-    states: list[UnnormalizedState] = []
-    assignments: list[EigenvalueAssignment] = []
-    for s in range(d):
-        lambdas = tuple(
-            -principals[j] if s >> j & 1 else principals[j] for j in range(n)
+    proj = ident
+    for op, lam in zip(ops, principals):
+        proj = proj @ (ident + op.matrix.scale(lam.conj()))
+    if proj.trace() != GaussInt(d, 0):
+        raise ConstructionError(
+            f"ray projector has rank != 1; generators of {a1!r} do not commute"
         )
-        num = ident
-        for op, lam in zip(ops, lambdas):
-            num = num @ (ident + op.matrix.scale(lam.conj()))
-        if num.trace() != target_trace:
-            raise ConstructionError(
-                f"projector for assignment {s} has rank != 1; "
-                f"generators of {a1!r} do not commute"
-            )
-        col = None
-        if column is not None:
-            cand = num.column(column)
-            if any(not e.is_zero for e in cand):
-                col = cand
-        if col is None:
-            col = next(
-                num.column(j)
-                for j in range(d)
-                if any(not e.is_zero for e in num.column(j))
-            )
-        state = UnnormalizedState.from_raw(col)
-        for op, lam in zip(ops, lambdas):
-            lhs = op.matrix.times_vector(state.entries)
-            rhs = tuple(lam * e for e in state.entries)
-            if lhs != rhs:
+    ray = UnnormalizedState.from_raw(
+        next(c for c in map(proj.column, range(d)) if any(not e.is_zero for e in c))
+    )
+    reps = supersquare_from_subgroup(a1).coset_reps
+    slots = [0] + [_flip_signature(gens, rep) for rep in reps]
+    if sorted(slots) != list(range(d)):
+        raise ConstructionError(
+            f"flip signatures {slots} do not fill the {d} assignments once each"
+        )
+    states: list[UnnormalizedState] = [ray] * d
+    for s, rep in zip(slots[1:], reps):
+        op = translation_operator(rep, expansion_basis)
+        states[s] = UnnormalizedState.from_raw(op.matrix.times_vector(ray.entries))
+    for s, state in enumerate(states):
+        for j, (op, lam) in enumerate(zip(ops, principals)):
+            lam = -lam if s >> j & 1 else lam
+            if op.matrix.times_vector(state.entries) != tuple(lam * e for e in state.entries):
                 raise ConstructionError(
-                    f"extracted column is not a common eigenvector for {op.point}"
+                    f"state {s} is not a common eigenvector for {op.point}"
                 )
-        states.append(state)
-        assignments.append(EigenvalueAssignment(gens, lambdas))
 
     words = tuple(
         translation_operator(p, expansion_basis).word for p in a1.nonzero_points()
@@ -220,33 +200,22 @@ def common_eigenbasis(
         source=a1,
         expansion_basis=expansion_basis,
         states=tuple(states),
-        assignments=tuple(assignments),
         operator_words=words,
     )
 
 
 def apply_correspondence(basis: MubBasis, ss: Supersquare) -> MubBasis:
-    """Fix the class-state map: the all-principal eigenvector is the ray
-    state of class 1, and class k maps to the state its canonical
-    representative translates the ray state onto.  certify_bases checks
-    that the map is a bijection."""
+    """Fix the class-state map: class 1 holds the ray state, and class k
+    the state its canonical representative translates the ray state onto,
+    which is the state indexed by that representative's flip signature.
+    certify_bases checks that the map is a bijection."""
     if ss.generator != basis.source:
         raise ValueError("supersquare generator differs from the basis source")
-    ray_idx = basis.ray_index
-    ray = basis.states[ray_idx]
-    mapping = [ray_idx]
-    for rep in ss.coset_reps:
-        op = translation_operator(rep, basis.expansion_basis)
-        translated = UnnormalizedState.from_raw(op.matrix.times_vector(ray.entries))
-        matches = [
-            i for i, st in enumerate(basis.states) if st.proportional_to(translated)
-        ]
-        if len(matches) != 1:
-            raise ConstructionError(
-                f"translating the ray state by {rep} matches {len(matches)} states"
-            )
-        mapping.append(matches[0])
-    return replace(basis, class_of_state=tuple(mapping))
+    gens = basis.source.basis()
+    return replace(
+        basis,
+        class_of_state=(0,) + tuple(_flip_signature(gens, rep) for rep in ss.coset_reps),
+    )
 
 
 @dataclass(frozen=True)
@@ -265,16 +234,20 @@ def certify_bases(
     class_maps: Sequence[Sequence[int] | None],
     expected_structure: Sequence[int] | None = None,
 ) -> tuple[dict[str, bool], list[str]]:
-    """The exact MUB certificate: d+1 bases; each norm_sq equal to the
-    recomputed, nonzero squared norm; states orthogonal within each basis;
-    d * |<u,v>|^2 = N_u * N_v across bases; every class map a bijection
-    onto the d states.  With ``expected_structure`` and d = 8, the
+    """The exact MUB certificate: d+1 bases of d states each; each norm_sq
+    equal to the recomputed, nonzero squared norm; states orthogonal within
+    each basis; d * |<u,v>|^2 = N_u * N_v across bases; every class map a
+    bijection onto the d states.  With ``expected_structure`` and d = 8, the
     entanglement structure recounted from the states must equal it.
     Returns the checks and every failure."""
     failures: list[str] = []
     checks = {"cardinality": len(bases) == d + 1}
     if not checks["cardinality"]:
         failures.append(f"expected {d + 1} bases, got {len(bases)}")
+    for bi, states in enumerate(bases, start=1):
+        if len(states) != d:
+            checks["cardinality"] = False
+            failures.append(f"basis {bi} has {len(states)} states, expected {d}")
     checks["norms"] = True
     for bi, states in enumerate(bases, start=1):
         for si, st in enumerate(states):

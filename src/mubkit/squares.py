@@ -24,7 +24,6 @@ import enum
 import os
 import random
 import time
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, replace
 from functools import partial
@@ -712,6 +711,8 @@ def search_complete_sets(
     pool_size = min(workers, os.cpu_count() or 1, len(first))
     solutions: list[tuple[int, ...]] = []
     search_complete = True
+    if pool_size > 1:  # the pool modules load only when a pool is used
+        from concurrent.futures import ProcessPoolExecutor
     with ProcessPoolExecutor(pool_size) if pool_size > 1 else nullcontext() as pool:
         for sols, complete in (map if pool is None else pool.map)(branch, first):
             solutions.extend(sols)

@@ -1,9 +1,14 @@
 """Command-line surface: exit codes, emission formats, and round trips."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import mubkit
 from mubkit import CompleteSet, Point, type_I_set, verify_complete_set
 from mubkit.cli import main
 from mubkit.serialize import (
@@ -235,6 +240,21 @@ def test_mub_verify_detects_bias(capsys, tmp_path):
     assert "unbiasedness: FAIL" in out
 
 
+@pytest.mark.parametrize("kept", [1, 3])
+def test_mub_verify_rejects_missing_states(capsys, tmp_path, kept):
+    path = tmp_path / "mubs.json"
+    run(capsys, "mub", "gen", "--d", "4", "--format", "json", "--out", str(path))
+    data = json.loads(path.read_text())
+    for basis in data["bases"]:
+        basis["states"] = basis["states"][:kept]
+    path.write_text(json.dumps(data))
+    code, out, _ = run(capsys, "mub", "verify", str(path))
+    assert code == 1
+    assert "cardinality: FAIL" in out
+    for bi in range(1, 6):
+        assert f"basis {bi} has {kept} states, expected 4" in out
+
+
 def test_mub_structure_command(capsys):
     code, out, _ = run(capsys, "mub", "structure", "--type", "IV")
     assert code == 0
@@ -273,3 +293,17 @@ def test_d8_mub_commands_classify_each_basis_once(capsys, monkeypatch, argv):
     assert code == 0
     assert "(0, 9, 0)" in out or "[\n    0,\n    9,\n    0\n  ]" in out
     assert calls == [8] * 9
+
+
+def test_cli_import_leaves_pool_modules_unloaded():
+    # only a search on more than one process needs the pool machinery
+    probe = (
+        "import sys, mubkit.cli; "
+        "print(sorted({'concurrent.futures.process', 'multiprocessing'} & set(sys.modules)))"
+    )
+    src = str(Path(mubkit.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    out = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, check=True, env=env
+    ).stdout
+    assert out.strip() == "[]"

@@ -210,18 +210,6 @@ def test_correspondence_requires_matching_generator(f4, d4_type_ii_set):
         apply_correspondence(basis, d4_type_ii_set.supersquares[1])
 
 
-def test_column_choice_does_not_change_bijection(f4, d4_type_ii_set):
-    basis_e = default_selfdual_basis(f4)
-    for ss in d4_type_ii_set.supersquares:
-        default = apply_correspondence(common_eigenbasis(ss.generator, basis_e), ss)
-        alt = apply_correspondence(
-            common_eigenbasis(ss.generator, basis_e, column=3), ss
-        )
-        assert default.class_of_state == alt.class_of_state
-        for a, b in zip(default.states, alt.states):
-            assert a.proportional_to(b)
-
-
 # -- full sets ---------------------------------------------------------------------
 
 

@@ -1,5 +1,6 @@
 """Supersquares, striations, orthogonality, classification, and search."""
 
+import concurrent.futures
 import time
 from dataclasses import replace
 
@@ -316,7 +317,7 @@ def test_search_pool_is_clamped(f4, monkeypatch):
 
         map = staticmethod(map)
 
-    monkeypatch.setattr(squares_module, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     monkeypatch.setattr(squares_module.os, "cpu_count", lambda: 8)
     search_complete_sets(f4, workers=8)  # d = 4 has three branches
     monkeypatch.setattr(squares_module.os, "cpu_count", lambda: 2)
