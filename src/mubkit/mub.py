@@ -24,7 +24,7 @@ from dataclasses import dataclass, replace
 from itertools import combinations
 from typing import Sequence
 
-from .gf2n import FieldBasis, default_selfdual_basis
+from .gf2n import FieldBasis, default_selfdual_basis, dual_basis
 from .pauli import (
     GaussInt,
     GaussMatrix,
@@ -33,6 +33,7 @@ from .pauli import (
     PauliWord,
     UNITS,
     ZERO,
+    expansion_bits,
     gauss_divexact,
     gauss_gcd,
     square_sign,
@@ -193,8 +194,10 @@ def common_eigenbasis(a1: Subgroup, expansion_basis: FieldBasis) -> MubBasis:
                     f"state {s} is not a common eigenvector for {op.point}"
                 )
 
+    basis_f = dual_basis(expansion_basis)
     words = tuple(
-        translation_operator(p, expansion_basis).word for p in a1.nonzero_points()
+        PauliWord.from_bits(*expansion_bits(p, expansion_basis, basis_f))
+        for p in a1.nonzero_points()
     )
     return MubBasis(
         source=a1,
@@ -234,12 +237,14 @@ def certify_bases(
     class_maps: Sequence[Sequence[int] | None],
     expected_structure: Sequence[int] | None = None,
 ) -> tuple[dict[str, bool], list[str]]:
-    """The exact MUB certificate: d+1 bases of d states each; each norm_sq
-    equal to the recomputed, nonzero squared norm; states orthogonal within
-    each basis; d * |<u,v>|^2 = N_u * N_v across bases; every class map a
-    bijection onto the d states.  With ``expected_structure`` and d = 8, the
-    entanglement structure recounted from the states must equal it.
-    Returns the checks and every failure."""
+    """The exact MUB certificate: d+1 bases of d states of d entries each;
+    each norm_sq equal to the recomputed, nonzero squared norm; states
+    orthogonal within each basis; d * |<u,v>|^2 = N_u * N_v across bases;
+    every class map a bijection onto the d states.  With
+    ``expected_structure`` and d = 8, the entanglement structure recounted
+    from the states must equal it.  A state without d entries fails the
+    cardinality check and is left out of the pair checks.  Returns the
+    checks and every failure."""
     failures: list[str] = []
     checks = {"cardinality": len(bases) == d + 1}
     if not checks["cardinality"]:
@@ -248,6 +253,10 @@ def certify_bases(
         if len(states) != d:
             checks["cardinality"] = False
             failures.append(f"basis {bi} has {len(states)} states, expected {d}")
+        for si, st in enumerate(states):
+            if st.dim != d:
+                checks["cardinality"] = False
+                failures.append(f"basis {bi} state {si} has {st.dim} entries, expected {d}")
     checks["norms"] = True
     for bi, states in enumerate(bases, start=1):
         for si, st in enumerate(states):
@@ -255,27 +264,29 @@ def certify_bases(
             if st.norm_sq != recomputed or recomputed == 0:
                 checks["norms"] = False
                 failures.append(f"basis {bi} state {si} has a bad norm_sq")
+    # (index, state) pairs of the states the pair checks take
+    sized = [[(i, st) for i, st in enumerate(states) if st.dim == d] for states in bases]
     checks["orthogonality"] = True
-    for bi, states in enumerate(bases, start=1):
-        for (i, u), (j, v) in combinations(enumerate(states), 2):
+    for bi, states in enumerate(sized, start=1):
+        for (i, u), (j, v) in combinations(states, 2):
             if not u.inner(v).is_zero:
                 checks["orthogonality"] = False
                 failures.append(f"basis {bi} states {i},{j} not orthogonal")
     checks["unbiasedness"] = True
-    for (bi, us), (bj, vs) in combinations(enumerate(bases, start=1), 2):
-        for i, u in enumerate(us):
-            for j, v in enumerate(vs):
+    for (bi, us), (bj, vs) in combinations(enumerate(sized, start=1), 2):
+        for i, u in us:
+            for j, v in vs:
                 if not is_unbiased_pair(u, v, d):
                     checks["unbiasedness"] = False
                     failures.append(f"bases {bi},{bj} biased at states ({i},{j})")
-    checks["class_maps"] = all(
-        m is not None and len(m) == d and sorted(m) == list(range(d))
-        for m in class_maps
-    )
-    if not checks["class_maps"]:
-        failures.append("some class->state map is not a bijection")
+    checks["class_maps"] = True
+    for bi, m in enumerate(class_maps, start=1):
+        fault = _class_map_fault(m, d)
+        if fault:
+            checks["class_maps"] = False
+            failures.append(f"basis {bi} {fault}")
     if expected_structure is not None and d == 8:
-        kinds = [separability(states) for states in bases]
+        kinds = [separability([st for _, st in states]) for states in sized]
         recount = (
             [0, 0, 0] if None in kinds else list(EntanglementStructure.count(kinds).astuple())
         )
@@ -283,6 +294,19 @@ def certify_bases(
         if not checks["structure"]:
             failures.append(f"structure mismatch: recomputed {recount}")
     return checks, failures
+
+
+def _class_map_fault(m: Sequence[int] | None, d: int) -> str | None:
+    """Why the class->state map m is no bijection onto the d states, naming
+    the states at fault; None when it is one."""
+    if m is None:
+        return "has no class->state map"
+    if len(m) != d:
+        return f"class->state map has {len(m)} entries, expected {d}"
+    faults = [f"state {s} out of range" for s in sorted(set(m) - set(range(d)))]
+    faults += [f"state {s} repeated" for s in sorted({s for s in m if m.count(s) > 1})]
+    faults += [f"state {s} missing" for s in range(d) if s not in m]
+    return "class->state map is not a bijection: " + ", ".join(faults) if faults else None
 
 
 def build_mub_set(

@@ -213,11 +213,6 @@ def pauli_matrix(letter: str) -> GaussMatrix:
         raise ValueError(f"unknown Pauli letter {letter!r}") from None
 
 
-def tensor(a: GaussMatrix, b: GaussMatrix) -> GaussMatrix:
-    """Kronecker product; dimensions multiply."""
-    return a.kron(b)
-
-
 # Raw per-qubit factor X^x Z^y and the phase-free letter naming it.
 _LETTER_BY_BITS = {(0, 0): "I", (1, 0): "X", (0, 1): "Z", (1, 1): "Y"}
 _FACTOR_BY_BITS = {
@@ -270,19 +265,21 @@ def translation_operator(
         basis_f = dual_basis(basis_e)
     elif not is_dual_pair(basis_e, basis_f):
         raise ValueError("basis_f is not dual to basis_e")
-    x_bits = tuple(field.trace(p.x * f).mask for f in basis_f)
-    y_bits = tuple(field.trace(p.y * e).mask for e in basis_e)
+    x_bits, y_bits = expansion_bits(p, basis_e, basis_f)
     factors = [_FACTOR_BY_BITS[(x, y)] for x, y in zip(x_bits, y_bits)]
     matrix = reduce(GaussMatrix.kron, factors)
     word = PauliWord.from_bits(x_bits, y_bits)
     return TranslationOp(p, basis_e, basis_f, x_bits, y_bits, matrix, word)
 
 
-def commutes(t1: TranslationOp, t2: TranslationOp) -> bool:
-    """Exact matrix test: T1 T2 - T2 T1 = 0."""
-    if t1.matrix.dim != t2.matrix.dim:
-        raise ValueError("dimension mismatch")
-    return (t1.matrix @ t2.matrix).rows == (t2.matrix @ t1.matrix).rows
+def expansion_bits(
+    p: Point, basis_e: FieldBasis, basis_f: FieldBasis
+) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The bits x_i = tr(x f_i) and y_i = tr(y e_i) of p = (x, y)."""
+    field = p.field
+    x_bits = tuple(field.trace(p.x * f).mask for f in basis_f)
+    y_bits = tuple(field.trace(p.y * e).mask for e in basis_e)
+    return x_bits, y_bits
 
 
 def trace_condition(p1: Point, p2: Point) -> bool:
@@ -298,26 +295,3 @@ def square_sign(t: TranslationOp) -> int:
     x and y bits are both set (each XZ factor squares to -I)."""
     odd = sum(x & y for x, y in zip(t.x_bits, t.y_bits)) & 1
     return -1 if odd else 1
-
-
-def unit_multiple(m1: GaussMatrix, m2: GaussMatrix) -> GaussInt | None:
-    """The Gaussian unit phi with m1 = phi * m2, if one exists."""
-    if m1.dim != m2.dim:
-        return None
-    first = next(
-        ((i, j) for i in range(m2.dim) for j in range(m2.dim) if not m2.rows[i][j].is_zero),
-        None,
-    )
-    if first is None:
-        return ONE if m1.is_zero else None
-    i, j = first
-    for phi in UNITS:
-        if m1.rows[i][j] == phi * m2.rows[i][j]:
-            break
-    else:
-        return None
-    for ra, rb in zip(m1.rows, m2.rows):
-        for a, b in zip(ra, rb):
-            if a != phi * b:
-                return None
-    return phi

@@ -6,16 +6,18 @@ those on which the determinant form det((x1,y1),(x2,y2)) = x1*y2 + x2*y1
 has zero trace for every pair of elements -- are exactly the rays whose
 translation operators pairwise commute.
 
-Points are packed into integer masks (x bits low, y bits high) wherever
-subgroups are enumerated in bulk.
+Subgroups hold points packed into integer masks (x bits low, y bits
+high); Point objects are built from one table per field.  The trace of the
+determinant form is a symplectic form on F_2^2n, so the extraordinary
+subgroups are its Lagrangian subspaces, enumerated by isotropic extension.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+from functools import cache
 from itertools import combinations
 from typing import Iterable, Iterator
-
-from dataclasses import dataclass
 
 from .gf2n import Field, FieldElement
 
@@ -55,17 +57,18 @@ def zero_point(field: Field) -> Point:
     return point_table(field)[0]
 
 
-_POINT_TABLES: dict[Field, tuple[Point, ...]] = {}
-
-
+@cache
 def point_table(field: Field) -> tuple[Point, ...]:
     """Canonical Point objects indexed by packed mask x | y << n."""
-    table = _POINT_TABLES.get(field)
-    if table is None:
-        els = field.elements()
-        table = tuple(Point(x, y) for y in els for x in els)
-        _POINT_TABLES[field] = table
-    return table
+    els = field.elements()
+    return tuple(Point(x, y) for y in els for x in els)
+
+
+@cache
+def _point_rank(field: Field) -> tuple[int, ...]:
+    """The position of each packed mask in canonical (x, y) point order."""
+    n, lo = field.n, field.order - 1
+    return tuple((m & lo) << n | m >> n for m in range(field.order * field.order))
 
 
 def all_points(field: Field) -> list[Point]:
@@ -77,12 +80,6 @@ def all_points(field: Field) -> list[Point]:
 
 def point_to_mask(p: Point) -> int:
     return p.x.mask | p.y.mask << p.field.n
-
-
-def point_from_mask(field: Field, mask: int) -> Point:
-    if not 0 <= mask < field.order * field.order:
-        raise ValueError(f"packed point mask {mask} out of range")
-    return point_table(field)[mask]
 
 
 def det(v1: Point, v2: Point) -> FieldElement:
@@ -97,36 +94,39 @@ def trace_zero_subgroup(field: Field) -> frozenset[FieldElement]:
     return frozenset(a for a in field.elements() if field._trace[a.mask] == 0)
 
 
-def scale_set(elements: Iterable[FieldElement], c: FieldElement) -> frozenset[FieldElement]:
-    if c.is_zero:
-        raise ValueError("cannot scale a set by zero")
-    return frozenset(s * c for s in elements)
-
-
 class Subgroup:
-    """An additively closed subset of F_d x F_d containing the origin."""
+    """An additively closed subset of F_d x F_d containing the origin, held
+    as packed point masks in canonical point order."""
 
-    __slots__ = ("field", "points", "_set")
+    __slots__ = ("field", "_masks", "_set")
 
     def __init__(self, points: Iterable[Point]) -> None:
-        pts = sorted(set(points), key=lambda p: p.sort_key)
+        pts = list(points)
         if not pts:
             raise ValueError("subgroup cannot be empty")
         field = pts[0].field
         if any(p.field != field for p in pts):
             raise ValueError("subgroup points must share one field")
-        if pts[0].sort_key != (0, 0):
+        self._setup(field, {point_to_mask(p) for p in pts})
+
+    def _setup(self, field: Field, masks: set[int]) -> None:
+        rank = _point_rank(field)
+        ms = sorted(masks, key=rank.__getitem__)
+        if not ms:
+            raise ValueError("subgroup cannot be empty")
+        if ms[0] != 0:
             raise ValueError("subgroup must contain the origin")
-        if len(pts) & (len(pts) - 1):
-            raise ValueError(f"subgroup cardinality {len(pts)} is not a power of 2")
-        pset = frozenset(pts)
-        for g in pts:
-            for h in pts:
-                if g + h not in pset:
-                    raise ValueError(f"set is not closed under addition: {g} + {h}")
+        if len(ms) & (len(ms) - 1):
+            raise ValueError(f"subgroup cardinality {len(ms)} is not a power of 2")
+        mset = frozenset(ms)
+        # 2^k points span 2^k points exactly when they are closed
+        if 1 << len(_independent(ms)) != len(ms):
+            table = point_table(field)
+            g, h = next((g, h) for g in ms for h in ms if g ^ h not in mset)
+            raise ValueError(f"set is not closed under addition: {table[g]} + {table[h]}")
         self.field = field
-        self.points = tuple(pts)
-        self._set = pset
+        self._masks = tuple(ms)
+        self._set = mset
 
     @classmethod
     def span(cls, generators: Iterable[Point]) -> "Subgroup":
@@ -134,66 +134,86 @@ class Subgroup:
         if not gens:
             raise ValueError("span needs at least one generator")
         field = gens[0].field
-        closure = {zero_point(field)}
-        for g in gens:
-            closure |= {p + g for p in closure}
-        return cls(closure)
+        if any(g.field != field for g in gens):
+            raise ValueError("subgroup points must share one field")
+        closure = {0}
+        for m in map(point_to_mask, gens):
+            closure |= {p ^ m for p in closure}
+        return cls.from_masks(field, closure)
 
     @classmethod
     def from_masks(cls, field: Field, masks: Iterable[int]) -> "Subgroup":
-        return cls(point_from_mask(field, m) for m in masks)
+        ms = set(masks)
+        bad = next((m for m in ms if not 0 <= m < field.order * field.order), None)
+        if bad is not None:
+            raise ValueError(f"packed point mask {bad} out of range")
+        g = cls.__new__(cls)
+        g._setup(field, ms)
+        return g
 
     def masks(self) -> tuple[int, ...]:
-        return tuple(point_to_mask(p) for p in self.points)
+        return self._masks
+
+    @property
+    def points(self) -> tuple[Point, ...]:
+        table = point_table(self.field)
+        return tuple(table[m] for m in self._masks)
 
     @property
     def order(self) -> int:
-        return len(self.points)
+        return len(self._masks)
 
     def nonzero_points(self) -> tuple[Point, ...]:
         return self.points[1:]
 
     def basis(self) -> tuple[Point, ...]:
         """Greedy F_2-independent generators, in canonical point order."""
-        pivots: list[int] = []
-        gens: list[Point] = []
-        for p in self.nonzero_points():
-            m = point_to_mask(p)
-            for piv in pivots:
-                m = min(m, m ^ piv)
-            if m:
-                pivots.append(m)
-                gens.append(p)
-        return tuple(gens)
+        table = point_table(self.field)
+        return tuple(table[m] for m in _independent(self._masks))
 
     def intersects_trivially(self, other: "Subgroup") -> bool:
         return len(self._set & other._set) == 1
 
     def __contains__(self, p: Point) -> bool:
-        return p in self._set
+        return p.field == self.field and point_to_mask(p) in self._set
 
     def __iter__(self) -> Iterator[Point]:
         return iter(self.points)
 
     def __len__(self) -> int:
-        return len(self.points)
+        return len(self._masks)
 
     @property
     def sort_key(self) -> tuple[tuple[int, int], ...]:
-        return tuple(p.sort_key for p in self.points)
+        lo, n = self.field.order - 1, self.field.n
+        return tuple((m & lo, m >> n) for m in self._masks)
 
     def __eq__(self, other: object) -> bool:
         return (
             isinstance(other, Subgroup)
             and self.field == other.field
-            and self.points == other.points
+            and self._masks == other._masks
         )
 
     def __hash__(self) -> int:
-        return hash((self.field, self.points))
+        return hash((self.field, self._masks))
 
     def __repr__(self) -> str:
         return "{" + ", ".join(str(p) for p in self.points) + "}"
+
+
+def _independent(masks: Iterable[int]) -> list[int]:
+    """The masks independent over F_2 of the masks before them, in order."""
+    pivots: list[int] = []
+    gens: list[int] = []
+    for m in masks:
+        r = m
+        for piv in pivots:
+            r = min(r, r ^ piv)
+        if r:
+            pivots.append(r)
+            gens.append(m)
+    return gens
 
 
 def line(u: Point) -> Subgroup:
@@ -203,114 +223,70 @@ def line(u: Point) -> Subgroup:
     return Subgroup(u.scale(c) for c in u.field.elements())
 
 
-def affine_span(
-    a: Point,
-    b: Point,
-    scalars_a: Iterable[FieldElement],
-    scalars_b: Iterable[FieldElement],
-) -> Subgroup:
-    """{s*a + t*b : s in scalars_a, t in scalars_b}, validated to be a
-    direct, additively closed span."""
-    sa = sorted(set(scalars_a), key=lambda e: e.mask)
-    sb = sorted(set(scalars_b), key=lambda e: e.mask)
-    pts = {a.scale(s) + b.scale(t) for s in sa for t in sb}
-    if len(pts) != len(sa) * len(sb):
-        raise ValueError("span is not direct: generated fewer points than expected")
-    return Subgroup(pts)
+@cache
+def _polars(field: Field) -> tuple[int, ...]:
+    """polars[p]: the mask of the points q whose form tr(x_p*y_q + x_q*y_p)
+    with the packed point p is 1.  The form is bilinear, so the form of p
+    and q is the parity of polars[p] & q, and polars[p ^ q] is polars[p] ^
+    polars[q]."""
+    n, mul, tr = field.n, field._mul_mask, field._trace
+    polars = [0]
+    for i in range(2 * n):
+        # (a, 0) pairs with the y bits of the other point, (0, a) with its x bits
+        a = 1 << i % n
+        half = sum(tr[mul(a, 1 << j)] << j for j in range(n))
+        row = half << n if i < n else half
+        polars += [q ^ row for q in polars]
+    return tuple(polars)
 
 
 def is_extraordinary(g: Subgroup) -> bool:
-    """True iff det(g1, g2) has trace zero for every pair of elements."""
-    field = g.field
-    pts = g.points
-    for i in range(1, len(pts)):
-        xi, yi = pts[i].x.mask, pts[i].y.mask
-        for j in range(i + 1, len(pts)):
-            d = field._mul_mask(xi, pts[j].y.mask) ^ field._mul_mask(pts[j].x.mask, yi)
-            if field._trace[d]:
-                return False
-    return True
+    """True iff det(g1, g2) has trace zero for every pair of elements.  The
+    trace of det is a bilinear form, so the pairs of a basis decide it."""
+    polars = _polars(g.field)
+    basis = _independent(g.masks())
+    return not any(
+        (polars[p] & q).bit_count() & 1 for i, p in enumerate(basis) for q in basis[i + 1 :]
+    )
 
 
-def _is_extraordinary_masks(field: Field, masks: Iterable[int]) -> bool:
-    lo = field.order - 1
+def iter_lagrangian_masks(field: Field) -> Iterator[tuple[int, ...]]:
+    """Sorted point masks of every extraordinary order-d subgroup, i.e.
+    every Lagrangian subspace of F_2^2n under the form tr(det).
+
+    Each n-dimensional subspace has one reduced-row-echelon basis: row i
+    has its lowest bit at pivot i and zeros at the other pivots.  The rows
+    are chosen one at a time, fewest candidates first, and a row is kept
+    only if the form vanishes against every row already chosen; the form
+    being bilinear and alternating, that makes the whole span isotropic."""
     n = field.n
-    mul = field._mul_mask
-    tr = field._trace
-    ms = [m for m in masks if m]
-    for i in range(len(ms)):
-        xi, yi = ms[i] & lo, ms[i] >> n
-        for j in range(i + 1, len(ms)):
-            if tr[mul(xi, ms[j] >> n) ^ mul(ms[j] & lo, yi)]:
-                return False
-    return True
+    m = 2 * n
+    polars = _polars(field)
+    for pivots in combinations(range(m), n):
+        taken = set(pivots)
+        choices = []
+        for p in reversed(pivots):
+            rows = [1 << p]
+            for j in range(p + 1, m):
+                if j not in taken:
+                    rows += [r | 1 << j for r in rows]
+            choices.append(rows)
+        found: list[tuple[int, ...]] = []
 
+        def extend(i: int, points: list[int], chosen: list[int]) -> None:
+            if i == n:
+                found.append(tuple(sorted(points)))
+                return
+            for r in choices[i]:
+                if not any((polars[q] & r).bit_count() & 1 for q in chosen):
+                    extend(i + 1, points + [p ^ r for p in points], chosen + [r])
 
-def _iter_subspace_rows(m: int, k: int) -> Iterator[list[int]]:
-    """Reduced-row-echelon bases of all k-dimensional subspaces of F_2^m."""
-    for pivots in combinations(range(m), k):
-        pivot_set = set(pivots)
-        free = [
-            (i, j)
-            for i in range(k)
-            for j in range(m)
-            if j > pivots[i] and j not in pivot_set
-        ]
-        for bits in range(1 << len(free)):
-            rows = [1 << pivots[i] for i in range(k)]
-            for idx, (i, j) in enumerate(free):
-                if bits >> idx & 1:
-                    rows[i] |= 1 << j
-            yield rows
-
-
-def iter_subgroup_masks(field: Field) -> Iterator[tuple[int, ...]]:
-    """Point-mask tuples of every order-d subgroup, one per subgroup."""
-    n = field.n
-    for rows in _iter_subspace_rows(2 * n, n):
-        pts = [0]
-        for r in rows:
-            pts += [p ^ r for p in pts]
-        yield tuple(sorted(pts))
-
-
-def enumerate_subgroups(field: Field, order: int | None = None) -> list[Subgroup]:
-    """All F_2-subspaces of dimension n of F_d x F_d, canonically sorted."""
-    if order is None:
-        order = field.order
-    if order != field.order:
-        raise ValueError(f"only order-{field.order} subgroups are supported here")
-    subs = [Subgroup.from_masks(field, masks) for masks in iter_subgroup_masks(field)]
-    subs.sort(key=lambda s: s.sort_key)
-    return subs
+        extend(0, [0], [])
+        yield from found
 
 
 def enumerate_extraordinary_subgroups(field: Field) -> list[Subgroup]:
-    """The order-d subgroups passing the zero-trace determinant test."""
-    out = [
-        Subgroup.from_masks(field, masks)
-        for masks in iter_subgroup_masks(field)
-        if _is_extraordinary_masks(field, masks)
-    ]
+    """The order-d subgroups on which tr(det) vanishes, canonically sorted."""
+    out = [Subgroup.from_masks(field, masks) for masks in iter_lagrangian_masks(field)]
     out.sort(key=lambda s: s.sort_key)
-    return out
-
-
-def extraordinary_subgroups_from_forms(field: Field) -> set[Subgroup]:
-    """The order-d extraordinary subgroups built from their two closed
-    forms: scalar lines F_d*u and spans Z2*v1 + (K*k^-1)*v2 taken over all
-    pairs with det(v1, v2) = k a nonzero trace-zero element."""
-    out: set[Subgroup] = set()
-    points = [p for p in all_points(field) if not p.is_zero]
-    for u in points:
-        out.add(line(u))
-    kset = trace_zero_subgroup(field)
-    z2 = (field.zero, field.one)
-    for v1 in points:
-        for v2 in points:
-            k = det(v1, v2)
-            if k.is_zero or field._trace[k.mask]:
-                continue
-            ktilde = scale_set(kset, k.inv())
-            out.add(affine_span(v1, v2, z2, ktilde))
     return out

@@ -34,54 +34,54 @@ from .gf2n import Field
 from .phasespace import (
     Point,
     Subgroup,
-    all_points,
     det,
     is_extraordinary,
-    _is_extraordinary_masks,
-    iter_subgroup_masks,
+    iter_lagrangian_masks,
     point_table,
     point_to_mask,
-    zero_point,
 )
 
 
 class Square:
-    """A partition of F_d x F_d into d classes of d points each."""
+    """A partition of F_d x F_d into d classes of d points each, with the
+    label of every packed point mask."""
 
-    __slots__ = ("field", "classes", "_label_by_point")
+    __slots__ = ("field", "classes", "_labels")
 
     def __init__(self, field: Field, classes: Iterable[Iterable[Point]]) -> None:
         classes = tuple(frozenset(c) for c in classes)
         d = field.order
         if len(classes) != d:
             raise ValueError(f"square of order {d} needs {d} classes, got {len(classes)}")
-        label_by_point: dict[Point, int] = {}
+        labels = [0] * (d * d)
         for idx, cls in enumerate(classes):
             if len(cls) != d:
                 raise ValueError(f"class {idx + 1} has {len(cls)} points, expected {d}")
             for p in cls:
                 if p.field != field:
                     raise ValueError("square points must share the square's field")
-                if p in label_by_point:
+                m = point_to_mask(p)
+                if labels[m]:
                     raise ValueError(f"classes overlap at {p}")
-                label_by_point[p] = idx + 1
-        if len(label_by_point) != d * d:
-            raise ValueError("classes do not cover the plane")
+                labels[m] = idx + 1
         self.field = field
         self.classes = classes
-        self._label_by_point = label_by_point
+        self._labels = tuple(labels)
 
     @property
     def d(self) -> int:
         return self.field.order
 
     def label_of(self, p: Point) -> int:
-        return self._label_by_point[p]
+        if p.field != self.field:
+            raise KeyError(p)
+        return self._labels[point_to_mask(p)]
 
     def grid(self) -> list[list[int]]:
         """grid[r][c]: r indexes x2 bottom-up, c indexes x1 left-right."""
-        order = self.field.in_dlog_order()
-        return [[self._label_by_point[Point(x1, x2)] for x1 in order] for x2 in order]
+        n, labels = self.field.n, self._labels
+        order = [e.mask for e in self.field.in_dlog_order()]
+        return [[labels[x1 | x2 << n] for x1 in order] for x2 in order]
 
     def same_partition(self, other: "Square") -> bool:
         """Partition equality up to renaming of labels 2..d; class 1 must
@@ -95,11 +95,11 @@ class Square:
         return (
             isinstance(other, Square)
             and self.field == other.field
-            and self.classes == other.classes
+            and self._labels == other._labels
         )
 
     def __hash__(self) -> int:
-        return hash((self.field, self.classes))
+        return hash((self.field, self._labels))
 
     def __repr__(self) -> str:
         return f"Square(d={self.d})"
@@ -120,29 +120,33 @@ class Supersquare:
         return self.generator.field.order
 
 
+def _quotient(a1: Subgroup) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The label of every packed point and the coset representatives of
+    the quotient of the plane by an order-d subgroup a1."""
+    d, n = a1.field.order, a1.field.n
+    labels = [0] * (d * d)
+    reps: list[int] = []
+    for pm in (x | y << n for x in range(d) for y in range(d)):  # canonical order
+        if not labels[pm]:
+            reps.append(pm)
+            for g in a1.masks():
+                labels[pm ^ g] = len(reps)
+    return tuple(labels), tuple(reps[1:])
+
+
 def supersquare_from_subgroup(a1: Subgroup) -> Supersquare:
     """The quotient of the plane by a1: class 1 is a1; cosets get labels
     2..d in order of their minimal representatives."""
     field = a1.field
     d = field.order
-    n = field.n
     if a1.order != d:
         raise ValueError(f"generating subgroup must have {d} elements")
     table = point_table(field)
-    gen_masks = a1.masks()
-    classes: list[frozenset[Point]] = [frozenset(a1.points)]
-    reps: list[Point] = []
-    seen = set(gen_masks)
-    for xm in range(d):
-        for ym in range(d):
-            pm = xm | ym << n
-            if pm in seen:
-                continue
-            coset_masks = [pm ^ g for g in gen_masks]
-            seen.update(coset_masks)
-            reps.append(table[pm])
-            classes.append(frozenset(table[m] for m in coset_masks))
-    return Supersquare(a1, tuple(reps), Square(field, classes))
+    labels, reps = _quotient(a1)
+    classes: list[list[Point]] = [[] for _ in range(d)]
+    for m, label in enumerate(labels):
+        classes[label - 1].append(table[m])
+    return Supersquare(a1, tuple(table[r] for r in reps), Square(field, classes))
 
 
 def is_supersquare(square: Square) -> bool:
@@ -161,9 +165,7 @@ def are_orthogonal(s: Square, t: Square) -> bool:
     """True iff the d^2 label pairs over all points are pairwise distinct."""
     if s.field != t.field:
         raise ValueError("squares must share one field")
-    d = s.d
-    pairs = {(s.label_of(p), t.label_of(p)) for p in all_points(s.field)}
-    return len(pairs) == d * d
+    return len(set(zip(s._labels, t._labels))) == s.d * s.d
 
 
 class SquareKind(enum.Enum):
@@ -408,24 +410,28 @@ def verify_square(square: Square) -> SquareReport:
     """Is the class through the origin an extraordinary subgroup, are the
     other classes its cosets, and do its translations fix every class?"""
     failures: list[str] = []
+    labels = square._labels
+    members: list[list[int]] = [[] for _ in range(square.d)]
+    for m, label in enumerate(labels):
+        members[label - 1].append(m)
     try:
-        sub = Subgroup(square.classes[square.label_of(zero_point(square.field)) - 1])
+        sub = Subgroup.from_masks(square.field, members[labels[0] - 1])
     except ValueError as exc:
         sub = None
         failures.append(f"origin class is not a subgroup: {exc}")
     extraordinary = sub is not None and is_extraordinary(sub)
     if sub is not None and not extraordinary:
         failures.append("origin class is not extraordinary")
+    gens = () if sub is None else sub.masks()
+    # a class of d points is a coset of the order-d subgroup iff one of
+    # its points, translated by the subgroup, stays in the class
     supersquare = sub is not None and all(
-        frozenset(min(cls, key=lambda p: p.sort_key) + g for g in sub) == cls
-        for cls in square.classes
+        labels[cls[0] ^ g] == labels[cls[0]] for cls in members for g in gens
     )
     if not supersquare:
         failures.append("square is not a supersquare")
     striation = extraordinary and all(
-        frozenset(p + a for p in cls) == cls
-        for a in sub.nonzero_points()
-        for cls in square.classes
+        labels[m ^ a] == label for a in gens[1:] for m, label in enumerate(labels)
     )
     if not striation:
         failures.append("square is not a physical striation")
@@ -490,10 +496,12 @@ def verify_squares(squares: Sequence[Square]) -> CompleteSetReport:
 
 
 def _is_quotient_by_generator(ss: Supersquare) -> bool:
-    try:
-        return ss == supersquare_from_subgroup(ss.generator)
-    except ValueError:
+    a1 = ss.generator
+    if a1.order != a1.field.order or ss.square.field != a1.field:
         return False
+    labels, reps = _quotient(a1)
+    table = point_table(a1.field)
+    return ss.square._labels == labels and ss.coset_reps == tuple(table[r] for r in reps)
 
 
 def verify_complete_set(c: CompleteSet) -> CompleteSetReport:
@@ -698,12 +706,11 @@ def search_complete_sets(
 
     blocks: list[tuple[int, ...]] = []
     enum_complete = True
-    for masks in iter_subgroup_masks(field):
+    for masks in iter_lagrangian_masks(field):
         if deadline is not None and time.monotonic() > deadline:
             enum_complete = False
             break
-        if _is_extraordinary_masks(field, masks):
-            blocks.append(masks)
+        blocks.append(masks)
 
     cover = _prepare_cover(blocks, d)
     first = cover.blocks_by_point[1]

@@ -17,10 +17,8 @@ from mubkit import (
     build_mub_set,
     classify,
     classify_basis,
-    commutes,
     default_selfdual_basis,
     enumerate_extraordinary_subgroups,
-    enumerate_subgroups,
     is_physical_striation,
     is_supersquare,
     is_unbiased_pair,
@@ -43,6 +41,7 @@ from mubkit.pauli import GaussInt
 
 import refdata
 from conftest import pair_with_det_in_k
+from oracles import commutes, enumerate_subgroups
 
 
 @contextmanager

@@ -255,6 +255,42 @@ def test_mub_verify_rejects_missing_states(capsys, tmp_path, kept):
         assert f"basis {bi} has {kept} states, expected 4" in out
 
 
+def test_mub_verify_names_a_short_state(capsys, tmp_path):
+    path = tmp_path / "mubs.json"
+    run(capsys, "mub", "gen", "--d", "4", "--format", "json", "--out", str(path))
+    data = json.loads(path.read_text())
+    data["bases"][0]["states"][0]["num"] = data["bases"][0]["states"][0]["num"][:3]
+    path.write_text(json.dumps(data))
+    code, out, err = run(capsys, "mub", "verify", str(path))
+    assert (code, err) == (1, "")
+    assert "cardinality: FAIL" in out
+    assert "  - basis 1 state 0 has 3 entries, expected 4" in out.splitlines()
+    assert "unbiasedness: PASS" in out and "orthogonality: PASS" in out
+
+
+@pytest.mark.parametrize(
+    "cmap, line",
+    [
+        ([0, 1, 2, 2], "basis 2 class->state map is not a bijection: state 2 repeated, state 3 missing"),
+        ([0, 1, 2, 3, 4], "basis 2 class->state map has 5 entries, expected 4"),
+        ([0, 1, 7, 3], "basis 2 class->state map is not a bijection: state 7 out of range, state 2 missing"),
+        (None, "basis 2 has no class->state map"),
+    ],
+    ids=["repeated", "too-long", "out-of-range", "absent"],
+)
+def test_mub_verify_names_the_bad_class_map(capsys, tmp_path, cmap, line):
+    path = tmp_path / "mubs.json"
+    run(capsys, "mub", "gen", "--d", "4", "--format", "json", "--out", str(path))
+    data = json.loads(path.read_text())
+    data["bases"][1]["class_of_state"] = cmap
+    path.write_text(json.dumps(data))
+    code, out, _ = run(capsys, "mub", "verify", str(path))
+    assert code == 1
+    failures = [f for f in out.splitlines() if f.startswith("  - ")]
+    assert failures == ["  - " + line]
+    assert "class_maps: FAIL" in out
+
+
 def test_mub_structure_command(capsys):
     code, out, _ = run(capsys, "mub", "structure", "--type", "IV")
     assert code == 0

@@ -1,9 +1,11 @@
-"""Golden CLI outputs and the shared supersquares of the d = 8 census.
+"""Golden outputs and the shared supersquares of the d = 8 census.
 
 The six CLI commands recorded in perfbench/golden.json run through
-cli.main and must reproduce the recorded sha256 digest and byte count;
-the file is only read.  The d = 8 search builds one Supersquare per
-distinct extraordinary subgroup and shares it between the sets.
+cli.main, and the d = 16 enumeration is encoded as the benchmark's
+`lib enumerate` op encodes it; each must reproduce the recorded sha256
+digest and byte count.  The file is only read.  The d = 8 search builds
+one Supersquare per distinct extraordinary subgroup and shares it
+between the sets.
 """
 
 import hashlib
@@ -14,11 +16,13 @@ import pytest
 
 from mubkit import (
     Field,
+    enumerate_extraordinary_subgroups,
     search_complete_sets,
     supersquare_from_subgroup,
     verify_complete_set,
 )
 from mubkit.cli import main
+from mubkit.serialize import dumps_canonical, subgroup_to_json
 
 GOLDEN = json.loads(
     (Path(__file__).resolve().parents[1] / "perfbench" / "golden.json").read_text()
@@ -39,6 +43,15 @@ def test_cli_output_matches_golden(tmp_path, command):
     assert hashlib.sha256(data).hexdigest() == GOLDEN[command]["sha256"]
     if "census" in GOLDEN[command]:
         assert json.loads(data)["census"] == GOLDEN[command]["census"]
+
+
+def test_lib_enumerate_matches_golden():
+    """The document the benchmark's `lib enumerate` op writes."""
+    subs = enumerate_extraordinary_subgroups(Field(4))
+    doc = {"d": 16, "subgroups": [subgroup_to_json(s) for s in subs]}
+    data = dumps_canonical(doc).encode("utf-8")
+    assert len(data) == GOLDEN["lib enumerate"]["bytes"]
+    assert hashlib.sha256(data).hexdigest() == GOLDEN["lib enumerate"]["sha256"]
 
 
 @pytest.fixture(scope="module")

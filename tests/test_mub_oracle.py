@@ -5,11 +5,14 @@ The oracle builds one exact rank-one projector per eigenvalue assignment,
 takes its first nonzero column, content-reduced, as that assignment's
 state, and finds each class's state by translating the ray state with the
 class's coset representative and scanning for the proportional state.
-The library builds one projector per basis and gets the other states and
-the class map from flip signatures.  States and class maps must be equal
-as tuples, on every valid d = 4 pair of types I and II (with a selfdual
-and a non-selfdual expansion basis), one d = 8 set per type, one
-Unclassified d = 8 set from the search and one d = 16 type I basis.
+The library builds one projector per basis, gets the other states and
+the class map from flip signatures, and names the operators from their
+expansion bits without building their matrices.  States, class maps and
+operator words must be equal as tuples, on every valid d = 4 pair of
+types I and II (with a selfdual and a non-selfdual expansion basis), one
+d = 8 set per type, one Unclassified d = 8 set from the search and one
+d = 16 type I basis; the words also on every basis of the d = 16 type I
+set.
 """
 
 import pytest
@@ -80,6 +83,12 @@ def assert_matches_oracle(basis, ss, expansion_basis):
     states = oracle_states(ss.generator, expansion_basis)
     assert basis.states == states
     assert basis.class_of_state == oracle_class_map(states, ss, expansion_basis)
+    assert basis.operator_words == oracle_words(ss.generator, expansion_basis)
+
+
+def oracle_words(a1, expansion_basis):
+    """The names of the dense translation operators of a1's nonzero points."""
+    return tuple(translation_operator(p, expansion_basis).word for p in a1.nonzero_points())
 
 
 def d4_sets(field):
@@ -148,3 +157,13 @@ def test_d16_type_i_basis_matches_oracle():
     basis_e = default_selfdual_basis(f16)
     basis = apply_correspondence(common_eigenbasis(ss.generator, basis_e), ss)
     assert_matches_oracle(basis, ss, basis_e)
+
+
+def test_d16_type_i_words_match_dense_operators():
+    f16 = Field(4)
+    cset = type_I_set(Point(f16.one, f16.zero), Point(f16.zero, f16.one))
+    basis_e = default_selfdual_basis(f16)
+    bases = build_mub_set(cset, basis_e).bases
+    assert len(bases) == 17
+    for basis, ss in zip(bases, cset.supersquares):
+        assert basis.operator_words == oracle_words(ss.generator, basis_e)

@@ -8,18 +8,16 @@ from mubkit import (
     GaussInt,
     GaussMatrix,
     all_points,
-    commutes,
     default_selfdual_basis,
     pauli_matrix,
     square_sign,
-    tensor,
     trace_condition,
     translation_operator,
-    unit_multiple,
 )
 from mubkit.pauli import I_UNIT, ONE, ZERO, gauss_divexact, gauss_gcd
 
 import refdata
+from oracles import commutes, tensor, unit_multiple
 
 
 def ops_for(field, points=None):

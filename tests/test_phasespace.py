@@ -1,25 +1,31 @@
 """Phase-space points, subgroups, and the extraordinary predicate."""
 
+from math import prod
+
 import pytest
 
 from mubkit import (
     Field,
     Point,
     Subgroup,
-    affine_span,
     all_points,
     det,
     enumerate_extraordinary_subgroups,
-    enumerate_subgroups,
-    extraordinary_subgroups_from_forms,
     is_extraordinary,
     line,
-    scale_set,
     trace_zero_subgroup,
     zero_point,
 )
+from mubkit.phasespace import iter_lagrangian_masks
 
+import oracles
 import refdata
+from oracles import (
+    affine_span,
+    enumerate_subgroups,
+    extraordinary_subgroups_from_forms,
+    scale_set,
+)
 
 
 def gaussian_binomial_2(m, k):
@@ -211,3 +217,29 @@ def test_type_constructed_generators_are_enumerated(f8, d8_type_ii_set):
     ):
         for gen in cset.generators:
             assert gen in enumerated
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_isotropic_walk_equals_the_scan(n):
+    field = Field(n)
+    walked = list(iter_lagrangian_masks(field))
+    assert len(walked) == len(set(walked))
+    assert set(walked) == set(oracles.scanned_lagrangians(field))
+
+
+@pytest.mark.parametrize("n, count", [(2, 15), (3, 135), (4, 2295)])
+def test_lagrangian_count_certificate(n, count):
+    """The number of Lagrangian subspaces of F_2^2n is prod (2^i + 1)."""
+    assert prod(2**i + 1 for i in range(1, n + 1)) == count
+    subs = enumerate_extraordinary_subgroups(Field(n))
+    assert len(subs) == len(set(subs)) == count
+    assert subs == sorted(subs, key=lambda s: s.sort_key)
+
+
+def test_basis_form_test_equals_every_pair(f8):
+    """is_extraordinary checks the form on a basis; the oracle on every
+    pair, over all 1395 order-8 subgroups."""
+    subs = enumerate_subgroups(f8)
+    verdicts = [is_extraordinary(s) for s in subs]
+    assert verdicts == [oracles.is_extraordinary_masks(f8, s.masks()) for s in subs]
+    assert sum(verdicts) == 135

@@ -31,10 +31,12 @@ from mubkit import (
     type_III_set_d8,
     type_IV_set_d8,
     verify_complete_set,
+    verify_square,
 )
 from mubkit import squares as squares_module
 from mubkit.squares import CompleteSet, _prepare_cover, _search_branch
 
+import oracles
 import refdata
 from conftest import pair_with_det_in_k
 
@@ -107,6 +109,14 @@ def test_is_physical_striation(f4, d4_type_ii_set):
 
     # a partition whose origin class is not a subgroup fails the
     # precondition branch outright
+    broken = swap_out_of_origin_class(f4)
+    assert not is_physical_striation(broken)
+    assert not is_supersquare(broken)
+
+
+def swap_out_of_origin_class(f4):
+    """The diagonal supersquare with one point of its origin class swapped
+    with a point of class 2: the origin class is no longer closed."""
     ss = supersquare_from_subgroup(diagonal_subgroup(f4))
     classes = [set(c) for c in ss.square.classes]
     p = refdata.parse_point(f4, ("1", "1"))
@@ -115,9 +125,48 @@ def test_is_physical_striation(f4, d4_type_ii_set):
     classes[0].add(q)
     classes[1].remove(q)
     classes[1].add(p)
-    broken = Square(f4, classes)
-    assert not is_physical_striation(broken)
-    assert not is_supersquare(broken)
+    return Square(f4, classes)
+
+
+@pytest.mark.parametrize("set_type", ["I", "II", "III", "IV"])
+def test_square_reports_match_oracle_d8(f8, set_type):
+    v1 = refdata.parse_point(f8, refdata.REF_D8_TYPE_II_V1)
+    v2 = refdata.parse_point(f8, refdata.REF_D8_TYPE_II_V2)
+    ctor = {"I": type_I_set, "II": type_II_set_d8, "III": type_III_set_d8, "IV": type_IV_set_d8}
+    for sq in ctor[set_type](v1, v2).squares:
+        report = verify_square(sq)
+        assert report == oracles.verify_square(sq)
+        assert not report.failures
+
+
+def test_square_reports_match_oracle_d16_type_i():
+    f16 = Field(4)
+    cset = type_I_set(Point(f16.one, f16.zero), Point(f16.zero, f16.one))
+    for sq in cset.squares:
+        assert verify_square(sq) == oracles.verify_square(sq)
+
+
+def test_square_reports_match_oracle_perturbed(f8, d8_type_ii_set):
+    reports = []
+    for seed in range(20):
+        ss = d8_type_ii_set.supersquares[seed % 9]
+        sq = perturb_supersquare(ss, seed)
+        reports.append(verify_square(sq))
+        assert reports[-1] == oracles.verify_square(sq)
+    assert all(
+        r.failures == ("square is not a supersquare", "square is not a physical striation")
+        for r in reports
+    )
+
+
+def test_square_report_matches_oracle_unclosed_origin_class(f4):
+    broken = swap_out_of_origin_class(f4)
+    report = verify_square(broken)
+    assert report == oracles.verify_square(broken)
+    assert report.generator is None
+    assert report.failures[0].startswith(
+        "origin class is not a subgroup: set is not closed under addition: "
+    )
 
 
 def test_orthogonality(d4_type_ii_set, d8_type_ii_set):
