@@ -50,13 +50,8 @@ from .squares import (
 )
 from .pauli import (
     GaussInt,
-    GaussMatrix,
     PauliWord,
-    TranslationOp,
-    pauli_matrix,
-    square_sign,
     trace_condition,
-    translation_operator,
 )
 from .mub import (
     BIPARTITIONS,

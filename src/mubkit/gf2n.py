@@ -201,7 +201,7 @@ class Field:
 def field_for_dimension(d: int) -> Field:
     """The canonical GF(d) for d = 2^n, 4 <= d <= 32."""
     n = d.bit_length() - 1
-    if d != 1 << n:
+    if d < 1 or d != 1 << n:
         raise ValueError(f"dimension {d} is not a power of 2")
     return Field(n)
 

@@ -9,12 +9,14 @@ integer identities (d * |<u,v>|^2 = N_u * N_v for unbiasedness).
 
 Each basis takes one exact rank-one projector: for generators g_1..g_n of
 an extraordinary subgroup at their principal eigenvalues lambda_j, the
-fraction-free product of the factors (1 + conj(lambda_j) T_(g_j)) has
+fraction-free product P of the factors (1 + conj(lambda_j) T_(g_j)) has
 trace 2^n exactly, and its first nonzero column, content-reduced, is the
-ray state.  The other d - 1 states are the ray state translated by the
-coset representatives of the supersquare: T_r negates the eigenvalue of
-every generator it anticommutes with, so the representative's flip
-signature is both the state's eigenvalue assignment and its class.
+ray state.  Every T is a signed permutation (see pauli), so column c of P
+is the n factors applied in turn to e_c, with no matrix held.  The other
+d - 1 states are the ray state translated by the coset representatives of
+the supersquare: T_r negates the eigenvalue of every generator it
+anticommutes with, so the representative's flip signature is both the
+state's eigenvalue assignment and its class.
 """
 
 from __future__ import annotations
@@ -27,8 +29,6 @@ from typing import Sequence
 from .gf2n import FieldBasis, default_selfdual_basis, dual_basis
 from .pauli import (
     GaussInt,
-    GaussMatrix,
-    I_UNIT,
     ONE,
     PauliWord,
     UNITS,
@@ -36,9 +36,10 @@ from .pauli import (
     expansion_bits,
     gauss_divexact,
     gauss_gcd,
-    square_sign,
+    principal_eigenvalue,
     trace_condition,
-    translation_operator,
+    translate,
+    translation_masks,
 )
 from .phasespace import Point, Subgroup, is_extraordinary
 from .squares import CompleteSet, Supersquare, supersquare_from_subgroup, verify_complete_set
@@ -163,18 +164,23 @@ def common_eigenbasis(a1: Subgroup, expansion_basis: FieldBasis) -> MubBasis:
     if not is_extraordinary(a1):
         raise ValueError("subgroup is not extraordinary: operators do not commute")
     gens = a1.basis()
-    ops = [translation_operator(g, expansion_basis) for g in gens]
-    principals = [I_UNIT if square_sign(op) < 0 else ONE for op in ops]
-    ident = GaussMatrix.identity(d)
-    proj = ident
-    for op, lam in zip(ops, principals):
-        proj = proj @ (ident + op.matrix.scale(lam.conj()))
-    if proj.trace() != GaussInt(d, 0):
+    basis_f = dual_basis(expansion_basis)
+    ops = [translation_masks(g, expansion_basis, basis_f) for g in gens]
+    principals = [principal_eigenvalue(x, z) for x, z in ops]
+    # the factors (1 + conj(lambda_j) T_(g_j)), the rightmost applied first
+    factors = [(x, z, lam.conj()) for (x, z), lam in zip(ops, principals)][::-1]
+    columns = []
+    for c in range(d):
+        col = tuple(ONE if i == c else ZERO for i in range(d))
+        for x, z, w in factors:
+            col = tuple(a + w * b for a, b in zip(col, translate(x, z, col)))
+        columns.append(col)
+    if sum((col[c] for c, col in enumerate(columns)), ZERO) != GaussInt(d, 0):
         raise ConstructionError(
             f"ray projector has rank != 1; generators of {a1!r} do not commute"
         )
     ray = UnnormalizedState.from_raw(
-        next(c for c in map(proj.column, range(d)) if any(not e.is_zero for e in c))
+        next(c for c in columns if any(not e.is_zero for e in c))
     )
     reps = supersquare_from_subgroup(a1).coset_reps
     slots = [0] + [_flip_signature(gens, rep) for rep in reps]
@@ -184,17 +190,16 @@ def common_eigenbasis(a1: Subgroup, expansion_basis: FieldBasis) -> MubBasis:
         )
     states: list[UnnormalizedState] = [ray] * d
     for s, rep in zip(slots[1:], reps):
-        op = translation_operator(rep, expansion_basis)
-        states[s] = UnnormalizedState.from_raw(op.matrix.times_vector(ray.entries))
+        x, z = translation_masks(rep, expansion_basis, basis_f)
+        states[s] = UnnormalizedState.from_raw(translate(x, z, ray.entries))
     for s, state in enumerate(states):
-        for j, (op, lam) in enumerate(zip(ops, principals)):
+        for j, ((x, z), lam) in enumerate(zip(ops, principals)):
             lam = -lam if s >> j & 1 else lam
-            if op.matrix.times_vector(state.entries) != tuple(lam * e for e in state.entries):
+            if translate(x, z, state.entries) != tuple(lam * e for e in state.entries):
                 raise ConstructionError(
-                    f"state {s} is not a common eigenvector for {op.point}"
+                    f"state {s} is not a common eigenvector for {gens[j]}"
                 )
 
-    basis_f = dual_basis(expansion_basis)
     words = tuple(
         PauliWord.from_bits(*expansion_bits(p, expansion_basis, basis_f))
         for p in a1.nonzero_points()

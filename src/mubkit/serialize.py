@@ -232,7 +232,7 @@ def mub_payload_from_json(
     """(d, states per basis, class map per basis, structure or None) from a
     MUB document."""
     data = _expect(data, dict, "the document")
-    d = _expect(data.get("d"), int, "d")
+    d = field_for_dimension(_expect(data.get("d"), int, "d")).order
     bases, maps = [], []
     for basis in _expect(data.get("bases"), list, "bases"):
         basis = _expect(basis, dict, "a basis")

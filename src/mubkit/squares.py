@@ -49,7 +49,7 @@ class Square:
     __slots__ = ("field", "classes", "_labels")
 
     def __init__(self, field: Field, classes: Iterable[Iterable[Point]]) -> None:
-        classes = tuple(frozenset(c) for c in classes)
+        classes = [tuple(c) for c in classes]  # as given: a repeated point is counted
         d = field.order
         if len(classes) != d:
             raise ValueError(f"square of order {d} needs {d} classes, got {len(classes)}")
@@ -65,7 +65,7 @@ class Square:
                     raise ValueError(f"classes overlap at {p}")
                 labels[m] = idx + 1
         self.field = field
-        self.classes = classes
+        self.classes = tuple(map(frozenset, classes))
         self._labels = tuple(labels)
 
     @property

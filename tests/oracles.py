@@ -7,15 +7,191 @@ points; the library grows the same subgroups one isotropic row at a time.
 At d = 8 the closed forms of the paper give the same subgroups again.
 The square verifier checks closure, cosets and striations in Point
 arithmetic; the library reads them off a label-by-mask table.  The dense
-commutator and unit-multiple tests hold the trace-form commutation
-criterion and the operator phases to literal matrix products.
+Gaussian-integer matrices are the one dense oracle: translation operators
+as Kronecker products of Pauli factors, which the library applies as
+signed permutations, and the literal commutator and unit-multiple tests
+that hold the trace-form commutation criterion and the operator phases
+to matrix products.
 """
 
+from dataclasses import dataclass
+from functools import reduce
 from itertools import combinations
+from typing import Iterable, Sequence
 
 from mubkit import Subgroup, all_points, det, line, trace_zero_subgroup, zero_point
-from mubkit.pauli import ONE, UNITS
+from mubkit.gf2n import FieldBasis, dual_basis, is_dual_pair
+from mubkit.pauli import I_UNIT, ONE, UNITS, ZERO, GaussInt, PauliWord, expansion_bits
+from mubkit.phasespace import Point
 from mubkit.squares import SquareReport
+
+
+class GaussMatrix:
+    """A dense square matrix of Gaussian integers."""
+
+    __slots__ = ("dim", "rows")
+
+    def __init__(self, rows: Iterable[Iterable[GaussInt]]) -> None:
+        rows = tuple(tuple(row) for row in rows)
+        dim = len(rows)
+        if any(len(r) != dim for r in rows):
+            raise ValueError("matrix must be square")
+        self.dim = dim
+        self.rows = rows
+
+    @classmethod
+    def identity(cls, dim: int) -> "GaussMatrix":
+        return cls(
+            tuple(
+                tuple(ONE if i == j else ZERO for j in range(dim)) for i in range(dim)
+            )
+        )
+
+    def __matmul__(self, other: "GaussMatrix") -> "GaussMatrix":
+        if self.dim != other.dim:
+            raise ValueError("dimension mismatch")
+        cols = list(zip(*other.rows))
+        out = []
+        for arow in self.rows:
+            nz = [(j, e[0], e[1]) for j, e in enumerate(arow) if e[0] or e[1]]
+            orow = []
+            for col in cols:
+                re = im = 0
+                for j, ar, ai in nz:
+                    br, bi = col[j]
+                    re += ar * br - ai * bi
+                    im += ar * bi + ai * br
+                orow.append(GaussInt(re, im))
+            out.append(tuple(orow))
+        return GaussMatrix(tuple(out))
+
+    def kron(self, other: "GaussMatrix") -> "GaussMatrix":
+        out = []
+        for arow in self.rows:
+            for brow in other.rows:
+                row: list[GaussInt] = []
+                for a in arow:
+                    if a.re or a.im:
+                        row.extend(a * b for b in brow)
+                    else:
+                        row.extend(ZERO for _ in brow)
+                out.append(tuple(row))
+        return GaussMatrix(tuple(out))
+
+    def dagger(self) -> "GaussMatrix":
+        return GaussMatrix(tuple(tuple(e.conj() for e in col) for col in zip(*self.rows)))
+
+    def __add__(self, other: "GaussMatrix") -> "GaussMatrix":
+        if self.dim != other.dim:
+            raise ValueError("dimension mismatch")
+        return GaussMatrix(
+            tuple(
+                tuple(a + b for a, b in zip(ra, rb))
+                for ra, rb in zip(self.rows, other.rows)
+            )
+        )
+
+    def scale(self, g: GaussInt) -> "GaussMatrix":
+        return GaussMatrix(tuple(tuple(g * e for e in row) for row in self.rows))
+
+    @property
+    def is_zero(self) -> bool:
+        return all(e.is_zero for row in self.rows for e in row)
+
+    def trace(self) -> GaussInt:
+        re = sum(self.rows[i][i].re for i in range(self.dim))
+        im = sum(self.rows[i][i].im for i in range(self.dim))
+        return GaussInt(re, im)
+
+    def column(self, j: int) -> tuple[GaussInt, ...]:
+        return tuple(row[j] for row in self.rows)
+
+    def times_vector(self, v: Sequence[GaussInt]) -> tuple[GaussInt, ...]:
+        out = []
+        for row in self.rows:
+            re = im = 0
+            for (ar, ai), (br, bi) in zip(row, v):
+                if ar or ai:
+                    re += ar * br - ai * bi
+                    im += ar * bi + ai * br
+            out.append(GaussInt(re, im))
+        return tuple(out)
+
+    def __eq__(self, other: object) -> bool:
+        return (
+            isinstance(other, GaussMatrix)
+            and self.dim == other.dim
+            and self.rows == other.rows
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.dim, self.rows))
+
+    def __repr__(self) -> str:
+        return f"GaussMatrix(dim={self.dim})"
+
+
+_PAULI_ENTRIES = {
+    "I": ((ONE, ZERO), (ZERO, ONE)),
+    "X": ((ZERO, ONE), (ONE, ZERO)),
+    "Y": ((ZERO, -I_UNIT), (I_UNIT, ZERO)),
+    "Z": ((ONE, ZERO), (ZERO, -ONE)),
+}
+
+
+def pauli_matrix(letter: str) -> GaussMatrix:
+    """The standard 2x2 matrix of I, X, Y, or Z."""
+    try:
+        return GaussMatrix(_PAULI_ENTRIES[letter])
+    except KeyError:
+        raise ValueError(f"unknown Pauli letter {letter!r}") from None
+
+
+# Raw per-qubit factor X^x Z^y.
+_FACTOR_BY_BITS = {
+    (0, 0): pauli_matrix("I"),
+    (1, 0): pauli_matrix("X"),
+    (0, 1): pauli_matrix("Z"),
+    (1, 1): pauli_matrix("X") @ pauli_matrix("Z"),
+}
+
+
+@dataclass(frozen=True)
+class TranslationOp:
+    point: Point
+    basis_e: FieldBasis
+    basis_f: FieldBasis
+    x_bits: tuple[int, ...]
+    y_bits: tuple[int, ...]
+    matrix: GaussMatrix
+    word: PauliWord
+
+
+def translation_operator(
+    p: Point, basis_e: FieldBasis, basis_f: FieldBasis | None = None
+) -> TranslationOp:
+    """The operator X^(x_1) Z^(y_1) x ... x X^(x_n) Z^(y_n) for the point
+    p = (x, y), with x expanded over basis_e and y over its dual basis_f
+    via x_i = tr(x f_i) and y_i = tr(y e_i)."""
+    field = p.field
+    if basis_e.field != field:
+        raise ValueError("expansion basis must live in the point's field")
+    if basis_f is None:
+        basis_f = dual_basis(basis_e)
+    elif not is_dual_pair(basis_e, basis_f):
+        raise ValueError("basis_f is not dual to basis_e")
+    x_bits, y_bits = expansion_bits(p, basis_e, basis_f)
+    factors = [_FACTOR_BY_BITS[(x, y)] for x, y in zip(x_bits, y_bits)]
+    matrix = reduce(GaussMatrix.kron, factors)
+    word = PauliWord.from_bits(x_bits, y_bits)
+    return TranslationOp(p, basis_e, basis_f, x_bits, y_bits, matrix, word)
+
+
+def square_sign(t: TranslationOp) -> int:
+    """s with T^2 = s * identity: -1 raised to the number of qubits whose
+    x and y bits are both set (each XZ factor squares to -I)."""
+    odd = sum(x & y for x, y in zip(t.x_bits, t.y_bits)) & 1
+    return -1 if odd else 1
 
 
 def scale_set(elements, c):

@@ -29,7 +29,6 @@ from mubkit import (
     supersquare_from_subgroup,
     trace_condition,
     trace_zero_subgroup,
-    translation_operator,
     type_I_set,
     type_II_set_d8,
     type_III_set_d8,
@@ -41,7 +40,7 @@ from mubkit.pauli import GaussInt
 
 import refdata
 from conftest import pair_with_det_in_k
-from oracles import commutes, enumerate_subgroups
+from oracles import commutes, enumerate_subgroups, translation_operator
 
 
 @contextmanager

@@ -291,6 +291,38 @@ def test_mub_verify_names_the_bad_class_map(capsys, tmp_path, cmap, line):
     assert "class_maps: FAIL" in out
 
 
+ONE_ENTRY_BASIS = {"states": [{"num": [[1, 0]], "norm_sq": 1}], "class_of_state": [0]}
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"d": -1, "bases": []},
+        {"d": 0, "bases": [{"states": [], "class_of_state": []}]},
+        {"d": 1, "bases": [ONE_ENTRY_BASIS, ONE_ENTRY_BASIS]},
+    ],
+    ids=["d=-1", "d=0", "d=1"],
+)
+def test_mub_verify_rejects_unsupported_dimension(capsys, tmp_path, doc):
+    # d + 1 bases of d states each: only the dimension is wrong
+    path = tmp_path / "mubs.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "mub", "verify", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ")
+    path.write_text(json.dumps({"d": doc["d"], "classes": []}))
+    assert run(capsys, "squares", "verify", str(path)) == (2, "", err)
+
+
+def test_squares_verify_rejects_a_repeated_point(capsys, tmp_path, d4_type_ii_set):
+    doc = square_to_json(d4_type_ii_set.squares[0])
+    doc["classes"][0].append(doc["classes"][0][1])
+    path = tmp_path / "square.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "squares", "verify", str(path))
+    assert (code, out, err) == (2, "", "error: class 1 has 5 points, expected 4\n")
+
+
 def test_mub_structure_command(capsys):
     code, out, _ = run(capsys, "mub", "structure", "--type", "IV")
     assert code == 0

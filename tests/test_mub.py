@@ -19,13 +19,13 @@ from mubkit import (
     rank_profile,
     schmidt_rank,
     structure,
-    translation_operator,
     type_I_set,
 )
 from mubkit.mub import content_reduce
 from mubkit.pauli import gauss_divexact
 
 import refdata
+from oracles import translation_operator
 
 
 def gi(re, im=0):

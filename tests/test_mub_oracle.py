@@ -21,7 +21,6 @@ from mubkit import (
     Field,
     FieldBasis,
     GaussInt,
-    GaussMatrix,
     Point,
     UnnormalizedState,
     all_points,
@@ -32,8 +31,6 @@ from mubkit import (
     det,
     is_selfdual,
     search_complete_sets,
-    square_sign,
-    translation_operator,
     type_I_set,
     type_II_set_d4,
     type_II_set_d8,
@@ -42,6 +39,8 @@ from mubkit import (
 )
 from mubkit.cli import DEFAULT_PAIRS, _parse_point
 from mubkit.pauli import I_UNIT, ONE
+
+from oracles import GaussMatrix, square_sign, translation_operator
 
 
 def oracle_states(a1, expansion_basis):

@@ -1,23 +1,39 @@
 """Gaussian-integer matrices, translation operators, and the commutation
 criterion."""
 
+from itertools import permutations
+
 import pytest
 
 from mubkit import (
     FieldBasis,
     GaussInt,
-    GaussMatrix,
     all_points,
     default_selfdual_basis,
-    pauli_matrix,
-    square_sign,
     trace_condition,
-    translation_operator,
 )
-from mubkit.pauli import I_UNIT, ONE, ZERO, gauss_divexact, gauss_gcd
+from mubkit.gf2n import dual_basis
+from mubkit.pauli import (
+    I_UNIT,
+    ONE,
+    ZERO,
+    gauss_divexact,
+    gauss_gcd,
+    principal_eigenvalue,
+    translate,
+    translation_masks,
+)
 
 import refdata
-from oracles import commutes, tensor, unit_multiple
+from oracles import (
+    GaussMatrix,
+    commutes,
+    pauli_matrix,
+    square_sign,
+    tensor,
+    translation_operator,
+    unit_multiple,
+)
 
 
 def ops_for(field, points=None):
@@ -144,6 +160,33 @@ def test_square_sign(f4):
                 ONE if square_sign(op) == 1 else -ONE
             )
             assert sq == expected
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_signed_permutations_match_dense_operators(n):
+    """X^x Z^z applied to each e_c is column c of the dense Kronecker
+    product, for every point, over the default selfdual basis in each of
+    its orders (d = 4, 8) or as it is (d = 16); its square sign and
+    principal eigenvalue agree with the dense operator's."""
+    from mubkit import Field
+
+    field = Field(n)
+    d = field.order
+    default = default_selfdual_basis(field).elements
+    orders = permutations(default) if n < 4 else [default]
+    units = [tuple(ONE if i == c else ZERO for i in range(d)) for c in range(d)]
+    for order in orders:
+        basis = FieldBasis(order)
+        basis_f = dual_basis(basis)
+        for p in all_points(field):
+            op = translation_operator(p, basis)
+            x, z = translation_masks(p, basis, basis_f)
+            sign = square_sign(op)
+            assert principal_eigenvalue(x, z) == (I_UNIT if sign < 0 else ONE)
+            for c, e_c in enumerate(units):
+                moved = translate(x, z, e_c)
+                assert moved == op.matrix.column(c)
+                assert translate(x, z, moved) == tuple(GaussInt(sign * e.re, 0) for e in e_c)
 
 
 def test_commutes_examples(f4, d4_type_ii_set):

@@ -92,6 +92,17 @@ def test_square_validation(f4):
         Square(f4, moved)
 
 
+def test_square_counts_a_repeated_point(f4):
+    ss = supersquare_from_subgroup(diagonal_subgroup(f4))
+    classes = [sorted(c, key=lambda p: p.sort_key) for c in ss.square.classes]
+    five = [classes[0] + [classes[0][1]]] + classes[1:]
+    with pytest.raises(ValueError, match="class 1 has 5 points, expected 4"):
+        Square(f4, five)
+    four = [classes[0][:3] + [classes[0][1]]] + classes[1:]
+    with pytest.raises(ValueError):
+        Square(f4, four)
+
+
 def test_is_supersquare(f4, d4_type_ii_set):
     ss = supersquare_from_subgroup(diagonal_subgroup(f4))
     assert is_supersquare(ss.square)
