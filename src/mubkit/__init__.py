@@ -14,13 +14,10 @@ from .gf2n import (
 from .phasespace import (
     Point,
     Subgroup,
-    all_points,
     det,
     enumerate_extraordinary_subgroups,
     is_extraordinary,
-    line,
     trace_zero_subgroup,
-    zero_point,
 )
 from .squares import (
     CompleteSet,

@@ -16,7 +16,18 @@ is the n factors applied in turn to e_c, with no matrix held.  The other
 d - 1 states are the ray state translated by the coset representatives of
 the supersquare: T_r negates the eigenvalue of every generator it
 anticommutes with, so the representative's flip signature is both the
-state's eigenvalue assignment and its class.
+state's eigenvalue assignment and its class.  A signed permutation keeps
+the content of the ray state a unit, so a translated state needs only the
+rotation into the canonical quadrant, and every product by a unit is a
+swap of real and imaginary parts and a sign.
+
+Every basis state is a stabilizer state, so its entries lie in
+{0, +-1, +-i}.  The certificate packs each such state once into a support
+mask and two bit-planes of its phases (entry k is i^p with p = lo_k +
+2 hi_k) and reads <u,v> off popcounts of the common support split by the
+phase difference.  A state with any other entry, which only a document
+given to `mub verify` can hold, is not packed, and every pair with it
+takes the entry-by-entry inner product.
 """
 
 from __future__ import annotations
@@ -29,6 +40,7 @@ from typing import Sequence
 from .gf2n import FieldBasis, default_selfdual_basis, dual_basis
 from .pauli import (
     GaussInt,
+    I_UNIT,
     ONE,
     PauliWord,
     UNITS,
@@ -58,6 +70,26 @@ def _canonical_unit(z: GaussInt) -> GaussInt:
     raise ValueError("zero has no canonical unit")
 
 
+def _times_unit(u: GaussInt, v: Sequence[GaussInt]) -> tuple[GaussInt, ...]:
+    """u * v for a unit u, entry by entry as a swap of parts and a sign."""
+    if u == ONE:
+        return tuple(v)
+    if u == I_UNIT:
+        return tuple(GaussInt(-e.im, e.re) for e in v)
+    if u == -ONE:
+        return tuple(GaussInt(-e.re, -e.im) for e in v)
+    if u == -I_UNIT:
+        return tuple(GaussInt(e.im, -e.re) for e in v)
+    raise ValueError(f"{u} is not a unit")
+
+
+def _canonical_rotation(entries: Sequence[GaussInt]) -> tuple[GaussInt, ...]:
+    """entries times the unit that puts the first nonzero one in the
+    canonical quadrant."""
+    first = next(e for e in entries if not e.is_zero)
+    return _times_unit(_canonical_unit(first), entries)
+
+
 def content_reduce(entries: Sequence[GaussInt]) -> tuple[GaussInt, ...]:
     """Divide out the Gaussian gcd and rotate by a unit so the first
     nonzero entry lands in the canonical quadrant."""
@@ -67,10 +99,7 @@ def content_reduce(entries: Sequence[GaussInt]) -> tuple[GaussInt, ...]:
             g = e if g.is_zero else gauss_gcd(g, e)
     if g.is_zero:
         raise ValueError("cannot reduce the zero vector")
-    reduced = tuple(gauss_divexact(e, g) for e in entries)
-    first = next(e for e in reduced if not e.is_zero)
-    u = _canonical_unit(first)
-    return tuple(u * e for e in reduced)
+    return _canonical_rotation(tuple(gauss_divexact(e, g) for e in entries))
 
 
 @dataclass(frozen=True)
@@ -173,7 +202,7 @@ def common_eigenbasis(a1: Subgroup, expansion_basis: FieldBasis) -> MubBasis:
     for c in range(d):
         col = tuple(ONE if i == c else ZERO for i in range(d))
         for x, z, w in factors:
-            col = tuple(a + w * b for a, b in zip(col, translate(x, z, col)))
+            col = tuple(a + b for a, b in zip(col, _times_unit(w, translate(x, z, col))))
         columns.append(col)
     if sum((col[c] for c, col in enumerate(columns)), ZERO) != GaussInt(d, 0):
         raise ConstructionError(
@@ -188,14 +217,17 @@ def common_eigenbasis(a1: Subgroup, expansion_basis: FieldBasis) -> MubBasis:
         raise ConstructionError(
             f"flip signatures {slots} do not fill the {d} assignments once each"
         )
+    # a signed permutation keeps the content a unit, so only the rotation
+    # into the canonical quadrant is left of content_reduce
     states: list[UnnormalizedState] = [ray] * d
     for s, rep in zip(slots[1:], reps):
         x, z = translation_masks(rep, expansion_basis, basis_f)
-        states[s] = UnnormalizedState.from_raw(translate(x, z, ray.entries))
+        moved = _canonical_rotation(translate(x, z, ray.entries))
+        states[s] = UnnormalizedState(moved, ray.norm_sq)
     for s, state in enumerate(states):
         for j, ((x, z), lam) in enumerate(zip(ops, principals)):
             lam = -lam if s >> j & 1 else lam
-            if translate(x, z, state.entries) != tuple(lam * e for e in state.entries):
+            if translate(x, z, state.entries) != _times_unit(lam, state.entries):
                 raise ConstructionError(
                     f"state {s} is not a common eigenvector for {gens[j]}"
                 )
@@ -236,6 +268,44 @@ class MubSet:
         return self.source_set.d
 
 
+# entry i^p -> p
+_PHASE = {u: p for p, u in enumerate(UNITS)}
+
+
+def pack_state(st: UnnormalizedState) -> tuple[int, int, int] | None:
+    """(support, lo, hi) bit masks of a state whose entries all lie in
+    {0, +-1, +-i}: bit k of support is set where entry k is nonzero, and
+    there entry k is i^p with p = lo_k + 2 hi_k.  None for any other state."""
+    support = lo = hi = 0
+    for k, e in enumerate(st.entries):
+        if e.is_zero:
+            continue
+        p = _PHASE.get(e)
+        if p is None:
+            return None
+        support |= 1 << k
+        lo |= (p & 1) << k
+        hi |= (p >> 1) << k
+    return support, lo, hi
+
+
+def packed_inner(a: tuple[int, int, int], b: tuple[int, int, int]) -> tuple[int, int]:
+    """(re, im) of <a|b> for packed states: each common support bit adds
+    i^q for the phase difference q = p_b - p_a mod 4, whose bit-planes are
+    lo_a ^ lo_b and hi_a ^ hi_b ^ (the borrow lo_a & ~lo_b)."""
+    sa, la, ha = a
+    sb, lb, hb = b
+    s = sa & sb
+    lo = la ^ lb
+    hi = ha ^ hb ^ (la & ~lb)
+    even = s & ~lo
+    odd = s & lo
+    return (
+        even.bit_count() - 2 * (even & hi).bit_count(),
+        odd.bit_count() - 2 * (odd & hi).bit_count(),
+    )
+
+
 def certify_bases(
     bases: Sequence[Sequence[UnnormalizedState]],
     d: int,
@@ -246,10 +316,15 @@ def certify_bases(
     each norm_sq equal to the recomputed, nonzero squared norm; states
     orthogonal within each basis; d * |<u,v>|^2 = N_u * N_v across bases;
     every class map a bijection onto the d states.  With
-    ``expected_structure`` and d = 8, the entanglement structure recounted
-    from the states must equal it.  A state without d entries fails the
-    cardinality check and is left out of the pair checks.  Returns the
-    checks and every failure."""
+    ``expected_structure``, the entanglement structure recounted from the
+    states must equal it, which needs d = 8.  A state without d entries
+    fails the cardinality check and is left out of the pair checks.
+
+    Each state is packed once (pack_state), and the inner product of two
+    packed states is read off popcounts (packed_inner); a pair with a state
+    that has an entry outside {0, +-1, +-i}, such as a valid state scaled
+    by 1 + i, takes UnnormalizedState.inner instead.  Both are exact.
+    Returns the checks and every failure."""
     failures: list[str] = []
     checks = {"cardinality": len(bases) == d + 1}
     if not checks["cardinality"]:
@@ -269,19 +344,23 @@ def certify_bases(
             if st.norm_sq != recomputed or recomputed == 0:
                 checks["norms"] = False
                 failures.append(f"basis {bi} state {si} has a bad norm_sq")
-    # (index, state) pairs of the states the pair checks take
-    sized = [[(i, st) for i, st in enumerate(states) if st.dim == d] for states in bases]
+    # (index, state, packed state or None) of the states the pair checks take
+    sized = [
+        [(i, st, pack_state(st)) for i, st in enumerate(states) if st.dim == d]
+        for states in bases
+    ]
     checks["orthogonality"] = True
     for bi, states in enumerate(sized, start=1):
-        for (i, u), (j, v) in combinations(states, 2):
-            if not u.inner(v).is_zero:
+        for (i, u, pu), (j, v, pv) in combinations(states, 2):
+            if (packed_inner(pu, pv) if pu and pv else u.inner(v)) != (0, 0):
                 checks["orthogonality"] = False
                 failures.append(f"basis {bi} states {i},{j} not orthogonal")
     checks["unbiasedness"] = True
     for (bi, us), (bj, vs) in combinations(enumerate(sized, start=1), 2):
-        for i, u in us:
-            for j, v in vs:
-                if not is_unbiased_pair(u, v, d):
+        for i, u, pu in us:
+            for j, v, pv in vs:
+                re, im = packed_inner(pu, pv) if pu and pv else u.inner(v)
+                if d * (re * re + im * im) != u.norm_sq * v.norm_sq:
                     checks["unbiasedness"] = False
                     failures.append(f"bases {bi},{bj} biased at states ({i},{j})")
     checks["class_maps"] = True
@@ -290,8 +369,11 @@ def certify_bases(
         if fault:
             checks["class_maps"] = False
             failures.append(f"basis {bi} {fault}")
-    if expected_structure is not None and d == 8:
-        kinds = [separability([st for _, st in states]) for states in sized]
+    if expected_structure is not None and d != 8:
+        checks["structure"] = False
+        failures.append(f"structure is defined for d = 8 only, document has d = {d}")
+    elif expected_structure is not None:
+        kinds = [separability([st for _, st, _ in states]) for states in sized]
         recount = (
             [0, 0, 0] if None in kinds else list(EntanglementStructure.count(kinds).astuple())
         )

@@ -53,10 +53,6 @@ class Point:
         return f"({self.x}, {self.y})"
 
 
-def zero_point(field: Field) -> Point:
-    return point_table(field)[0]
-
-
 @cache
 def point_table(field: Field) -> tuple[Point, ...]:
     """Canonical Point objects indexed by packed mask x | y << n."""
@@ -69,13 +65,6 @@ def _point_rank(field: Field) -> tuple[int, ...]:
     """The position of each packed mask in canonical (x, y) point order."""
     n, lo = field.n, field.order - 1
     return tuple((m & lo) << n | m >> n for m in range(field.order * field.order))
-
-
-def all_points(field: Field) -> list[Point]:
-    """Every point, in (x mask, y mask) order."""
-    table = point_table(field)
-    d = field.order
-    return [table[x | y << field.n] for x in range(d) for y in range(d)]
 
 
 def point_to_mask(p: Point) -> int:
@@ -214,13 +203,6 @@ def _independent(masks: Iterable[int]) -> list[int]:
             pivots.append(r)
             gens.append(m)
     return gens
-
-
-def line(u: Point) -> Subgroup:
-    """The scalar multiples F_d * u."""
-    if u.is_zero:
-        raise ValueError("a line needs a nonzero direction")
-    return Subgroup(u.scale(c) for c in u.field.elements())
 
 
 @cache

@@ -32,7 +32,9 @@ def d8_type_ii_set(f8):
 def pair_with_det_in_k(field, count):
     """The first `count` point pairs (v1, v2), in canonical order, whose
     determinant is a nonzero trace-zero element."""
-    from mubkit import all_points, det
+    from mubkit import det
+
+    from oracles import all_points
 
     pairs = []
     points = [p for p in all_points(field) if not p.is_zero]

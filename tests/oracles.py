@@ -11,7 +11,11 @@ Gaussian-integer matrices are the one dense oracle: translation operators
 as Kronecker products of Pauli factors, which the library applies as
 signed permutations, and the literal commutator and unit-multiple tests
 that hold the trace-form commutation criterion and the operator phases
-to matrix products.
+to matrix products.  certify_bases_dense is the MUB certificate with
+every inner product formed entry by entry, which the library's
+certificate on packed states must match; it ignores a structure claim
+for d != 8, which the library fails.  Point listings and scalar lines
+live here too, since only tests use them.
 """
 
 from dataclasses import dataclass
@@ -19,11 +23,36 @@ from functools import reduce
 from itertools import combinations
 from typing import Iterable, Sequence
 
-from mubkit import Subgroup, all_points, det, line, trace_zero_subgroup, zero_point
+from mubkit import Subgroup, det, trace_zero_subgroup
 from mubkit.gf2n import FieldBasis, dual_basis, is_dual_pair
 from mubkit.pauli import I_UNIT, ONE, UNITS, ZERO, GaussInt, PauliWord, expansion_bits
-from mubkit.phasespace import Point
+from mubkit.mub import (
+    EntanglementStructure,
+    UnnormalizedState,
+    _class_map_fault,
+    is_unbiased_pair,
+    separability,
+)
+from mubkit.phasespace import Point, point_table
 from mubkit.squares import SquareReport
+
+
+def zero_point(field):
+    return point_table(field)[0]
+
+
+def all_points(field):
+    """Every point, in (x mask, y mask) order."""
+    table = point_table(field)
+    d = field.order
+    return [table[x | y << field.n] for x in range(d) for y in range(d)]
+
+
+def line(u):
+    """The scalar multiples F_d * u."""
+    if u.is_zero:
+        raise ValueError("a line needs a nonzero direction")
+    return Subgroup(u.scale(c) for c in u.field.elements())
 
 
 class GaussMatrix:
@@ -374,3 +403,68 @@ def verify_square(square):
     return SquareReport(
         sub, sub is not None, extraordinary, supersquare, striation, tuple(failures)
     )
+
+
+def certify_bases_dense(
+    bases: Sequence[Sequence[UnnormalizedState]],
+    d: int,
+    class_maps: Sequence[Sequence[int] | None],
+    expected_structure: Sequence[int] | None = None,
+) -> tuple[dict[str, bool], list[str]]:
+    """The exact MUB certificate: d+1 bases of d states of d entries each;
+    each norm_sq equal to the recomputed, nonzero squared norm; states
+    orthogonal within each basis; d * |<u,v>|^2 = N_u * N_v across bases;
+    every class map a bijection onto the d states.  With
+    ``expected_structure`` and d = 8, the entanglement structure recounted
+    from the states must equal it.  A state without d entries fails the
+    cardinality check and is left out of the pair checks.  Returns the
+    checks and every failure."""
+    failures: list[str] = []
+    checks = {"cardinality": len(bases) == d + 1}
+    if not checks["cardinality"]:
+        failures.append(f"expected {d + 1} bases, got {len(bases)}")
+    for bi, states in enumerate(bases, start=1):
+        if len(states) != d:
+            checks["cardinality"] = False
+            failures.append(f"basis {bi} has {len(states)} states, expected {d}")
+        for si, st in enumerate(states):
+            if st.dim != d:
+                checks["cardinality"] = False
+                failures.append(f"basis {bi} state {si} has {st.dim} entries, expected {d}")
+    checks["norms"] = True
+    for bi, states in enumerate(bases, start=1):
+        for si, st in enumerate(states):
+            recomputed = sum(e.norm_sq() for e in st.entries)
+            if st.norm_sq != recomputed or recomputed == 0:
+                checks["norms"] = False
+                failures.append(f"basis {bi} state {si} has a bad norm_sq")
+    # (index, state) pairs of the states the pair checks take
+    sized = [[(i, st) for i, st in enumerate(states) if st.dim == d] for states in bases]
+    checks["orthogonality"] = True
+    for bi, states in enumerate(sized, start=1):
+        for (i, u), (j, v) in combinations(states, 2):
+            if not u.inner(v).is_zero:
+                checks["orthogonality"] = False
+                failures.append(f"basis {bi} states {i},{j} not orthogonal")
+    checks["unbiasedness"] = True
+    for (bi, us), (bj, vs) in combinations(enumerate(sized, start=1), 2):
+        for i, u in us:
+            for j, v in vs:
+                if not is_unbiased_pair(u, v, d):
+                    checks["unbiasedness"] = False
+                    failures.append(f"bases {bi},{bj} biased at states ({i},{j})")
+    checks["class_maps"] = True
+    for bi, m in enumerate(class_maps, start=1):
+        fault = _class_map_fault(m, d)
+        if fault:
+            checks["class_maps"] = False
+            failures.append(f"basis {bi} {fault}")
+    if expected_structure is not None and d == 8:
+        kinds = [separability([st for _, st in states]) for states in sized]
+        recount = (
+            [0, 0, 0] if None in kinds else list(EntanglementStructure.count(kinds).astuple())
+        )
+        checks["structure"] = recount == list(expected_structure)
+        if not checks["structure"]:
+            failures.append(f"structure mismatch: recomputed {recount}")
+    return checks, failures

@@ -13,7 +13,6 @@ import pytest
 from mubkit import (
     Point,
     Subgroup,
-    all_points,
     build_mub_set,
     classify,
     classify_basis,
@@ -22,7 +21,6 @@ from mubkit import (
     is_physical_striation,
     is_supersquare,
     is_unbiased_pair,
-    line,
     perturb_supersquare,
     search_complete_sets,
     structure,
@@ -40,7 +38,7 @@ from mubkit.pauli import GaussInt
 
 import refdata
 from conftest import pair_with_det_in_k
-from oracles import commutes, enumerate_subgroups, translation_operator
+from oracles import all_points, commutes, enumerate_subgroups, line, translation_operator
 
 
 @contextmanager

@@ -291,6 +291,21 @@ def test_mub_verify_names_the_bad_class_map(capsys, tmp_path, cmap, line):
     assert "class_maps: FAIL" in out
 
 
+def test_mub_verify_rejects_a_structure_claim_off_d8(capsys, tmp_path):
+    # the structure census counts three-qubit bases, so a d = 4 claim fails
+    path = tmp_path / "mubs.json"
+    run(capsys, "mub", "gen", "--d", "4", "--format", "json", "--out", str(path))
+    data = json.loads(path.read_text())
+    assert "structure" not in data
+    data["structure"] = [9, 9, 9]
+    path.write_text(json.dumps(data))
+    code, out, err = run(capsys, "mub", "verify", str(path))
+    assert (code, err) == (1, "")
+    assert "structure: FAIL" in out
+    failures = [f for f in out.splitlines() if f.startswith("  - ")]
+    assert failures == ["  - structure is defined for d = 8 only, document has d = 4"]
+
+
 ONE_ENTRY_BASIS = {"states": [{"num": [[1, 0]], "norm_sq": 1}], "class_of_state": [0]}
 
 

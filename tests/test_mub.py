@@ -15,7 +15,6 @@ from mubkit import (
     common_eigenbasis,
     default_selfdual_basis,
     is_unbiased_pair,
-    line,
     rank_profile,
     schmidt_rank,
     structure,
@@ -25,7 +24,7 @@ from mubkit.mub import content_reduce
 from mubkit.pauli import gauss_divexact
 
 import refdata
-from oracles import translation_operator
+from oracles import line, translation_operator
 
 
 def gi(re, im=0):

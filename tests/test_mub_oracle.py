@@ -23,7 +23,6 @@ from mubkit import (
     GaussInt,
     Point,
     UnnormalizedState,
-    all_points,
     apply_correspondence,
     build_mub_set,
     common_eigenbasis,
@@ -40,7 +39,7 @@ from mubkit import (
 from mubkit.cli import DEFAULT_PAIRS, _parse_point
 from mubkit.pauli import I_UNIT, ONE
 
-from oracles import GaussMatrix, square_sign, translation_operator
+from oracles import GaussMatrix, all_points, square_sign, translation_operator
 
 
 def oracle_states(a1, expansion_basis):

@@ -8,7 +8,6 @@ import pytest
 from mubkit import (
     FieldBasis,
     GaussInt,
-    all_points,
     default_selfdual_basis,
     trace_condition,
 )
@@ -27,6 +26,7 @@ from mubkit.pauli import (
 import refdata
 from oracles import (
     GaussMatrix,
+    all_points,
     commutes,
     pauli_matrix,
     square_sign,

@@ -8,13 +8,10 @@ from mubkit import (
     Field,
     Point,
     Subgroup,
-    all_points,
     det,
     enumerate_extraordinary_subgroups,
     is_extraordinary,
-    line,
     trace_zero_subgroup,
-    zero_point,
 )
 from mubkit.phasespace import iter_lagrangian_masks
 
@@ -22,9 +19,12 @@ import oracles
 import refdata
 from oracles import (
     affine_span,
+    all_points,
     enumerate_subgroups,
     extraordinary_subgroups_from_forms,
+    line,
     scale_set,
+    zero_point,
 )
 
 

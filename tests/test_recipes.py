@@ -1,7 +1,7 @@
 """The mask-native set recipes against the Point-object recipes as oracle.
 
 The oracle tables below are written in Point and FieldElement arithmetic
-and evaluated with phasespace.line and oracles.affine_span.  Every
+and evaluated with oracles.line and oracles.affine_span.  Every
 valid pair is checked: det(v1, v2) = 1 at d = 4, and det(v1, v2) in
 K\\{0} for types II, III and IV at d = 8.  The mask recipes must span the
 same subgroups, in the same order, and complete_set_templates must equal
@@ -13,10 +13,8 @@ import pytest
 from mubkit import (
     Field,
     Point,
-    all_points,
     complete_set_templates,
     det,
-    line,
     trace_zero_subgroup,
     type_I_set,
     type_II_set_d4,
@@ -27,7 +25,7 @@ from mubkit import (
 from mubkit.phasespace import point_to_mask
 from mubkit.squares import _d8_recipes, _recipe_masks, _type_II_recipes_d4
 
-from oracles import affine_span, scale_set
+from oracles import affine_span, all_points, line, scale_set
 
 
 def oracle_type_II_d4(v1, v2):

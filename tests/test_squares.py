@@ -12,7 +12,6 @@ from mubkit import (
     Square,
     SquareKind,
     Subgroup,
-    all_points,
     are_orthogonal,
     build_mub_set,
     classify,
@@ -20,7 +19,6 @@ from mubkit import (
     is_extraordinary,
     is_physical_striation,
     is_supersquare,
-    line,
     perturb_supersquare,
     render_ascii,
     search_complete_sets,
@@ -38,6 +36,7 @@ from mubkit.squares import CompleteSet, _prepare_cover, _search_branch
 
 import oracles
 import refdata
+from oracles import all_points, line
 from conftest import pair_with_det_in_k
 
 
