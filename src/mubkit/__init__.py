@@ -45,11 +45,7 @@ from .squares import (
     verify_square,
     verify_squares,
 )
-from .pauli import (
-    GaussInt,
-    PauliWord,
-    trace_condition,
-)
+from .pauli import GaussInt, PauliWord
 from .mub import (
     BIPARTITIONS,
     ConstructionError,
@@ -63,7 +59,6 @@ from .mub import (
     certify_bases,
     classify_basis,
     common_eigenbasis,
-    is_unbiased_pair,
     rank_profile,
     schmidt_rank,
     separability,

@@ -170,9 +170,6 @@ class Field:
         self._check_member(a)
         return self._members[self._trace[a.mask]]
 
-    def _trace_bit(self, mask: int) -> int:
-        return self._trace[mask]
-
     def discrete_log(self, a: "FieldElement") -> int:
         """The exponent e with mu^e = a, 0 <= e <= 2^n - 2."""
         self._check_member(a)
@@ -263,7 +260,7 @@ class FieldBasis:
             raise ValueError("basis elements must share one field")
         if len(elements) != field.n:
             raise ValueError(f"basis needs {field.n} elements, got {len(elements)}")
-        if not _independent([e.mask for e in elements]):
+        if len(_independent([e.mask for e in elements])) != len(elements):
             raise ValueError("basis elements are linearly dependent over F_2")
 
     @property
@@ -283,15 +280,18 @@ class FieldBasis:
         return "{" + ", ".join(str(e) for e in self.elements) + "}"
 
 
-def _independent(masks: Iterable[int]) -> bool:
+def _independent(masks: Iterable[int]) -> list[int]:
+    """The masks independent over F_2 of the masks before them, in order."""
     pivots: list[int] = []
+    gens: list[int] = []
     for m in masks:
-        for p in pivots:
-            m = min(m, m ^ p)
-        if m == 0:
-            return False
-        pivots.append(m)
-    return True
+        r = m
+        for piv in pivots:
+            r = min(r, r ^ piv)
+        if r:
+            pivots.append(r)
+            gens.append(m)
+    return gens
 
 
 def dual_basis(basis: FieldBasis | Iterable[FieldElement]) -> FieldBasis:
@@ -368,7 +368,7 @@ def default_selfdual_basis(field: Field) -> FieldBasis:
                 (field.from_power(3), field.from_power(5), field.from_power(6))
             )
     for combo in combinations(range(1, field.order), field.n):
-        if not _independent(list(combo)):
+        if len(_independent(combo)) != field.n:
             continue
         cand = FieldBasis(tuple(field.element(m) for m in combo))
         if is_selfdual(cand):

@@ -10,14 +10,21 @@ integer identities (d * |<u,v>|^2 = N_u * N_v for unbiasedness).
 Each basis takes one exact rank-one projector: for generators g_1..g_n of
 an extraordinary subgroup at their principal eigenvalues lambda_j, the
 fraction-free product P of the factors (1 + conj(lambda_j) T_(g_j)) has
-trace 2^n exactly, and its first nonzero column, content-reduced, is the
-ray state.  Every T is a signed permutation (see pauli), so column c of P
-is the n factors applied in turn to e_c, with no matrix held.  The other
-d - 1 states are the ray state translated by the coset representatives of
-the supersquare: T_r negates the eigenvalue of every generator it
-anticommutes with, so the representative's flip signature is both the
-state's eigenvalue assignment and its class.  A signed permutation keeps
-the content of the ray state a unit, so a translated state needs only the
+trace 2^n exactly.  P is d |psi><psi| for a stabilizer state psi, so the
+nonzero entries of its first nonzero column share the one magnitude
+d/|supp|; divided by it and rotated into the canonical quadrant, the
+column is the ray state.  Every T is a signed permutation (see pauli)
+whose masks come from one table per expansion basis, so column c of P is
+the n factors applied in turn to e_c, with no matrix held.  Everything
+else works on packed point masks: the generators are the greedy
+independent masks of the subgroup, and the other d - 1 states are the
+ray state translated by the coset representatives of the quotient
+(squares._quotient).  T_r negates the eigenvalue of every generator it
+anticommutes with, which is where the symplectic form of r and the
+generator is 1: the parity of the generator's polar mask (phasespace)
+and r.  So the representative's flip signature is both the state's
+eigenvalue assignment and its class.  A signed permutation keeps the
+entries of the ray state units, so a translated state needs only the
 rotation into the canonical quadrant, and every product by a unit is a
 swap of real and imaginary parts and a sign.
 
@@ -37,7 +44,7 @@ from dataclasses import dataclass, replace
 from itertools import combinations
 from typing import Sequence
 
-from .gf2n import FieldBasis, default_selfdual_basis, dual_basis
+from .gf2n import FieldBasis, _independent, default_selfdual_basis
 from .pauli import (
     GaussInt,
     I_UNIT,
@@ -45,16 +52,12 @@ from .pauli import (
     PauliWord,
     UNITS,
     ZERO,
-    expansion_bits,
-    gauss_divexact,
-    gauss_gcd,
     principal_eigenvalue,
-    trace_condition,
     translate,
-    translation_masks,
+    translation_table,
 )
-from .phasespace import Point, Subgroup, is_extraordinary
-from .squares import CompleteSet, Supersquare, supersquare_from_subgroup, verify_complete_set
+from .phasespace import Subgroup, _polars, is_extraordinary, point_table
+from .squares import CompleteSet, Supersquare, _quotient, verify_complete_set
 
 
 class ConstructionError(RuntimeError):
@@ -90,29 +93,12 @@ def _canonical_rotation(entries: Sequence[GaussInt]) -> tuple[GaussInt, ...]:
     return _times_unit(_canonical_unit(first), entries)
 
 
-def content_reduce(entries: Sequence[GaussInt]) -> tuple[GaussInt, ...]:
-    """Divide out the Gaussian gcd and rotate by a unit so the first
-    nonzero entry lands in the canonical quadrant."""
-    g = ZERO
-    for e in entries:
-        if not e.is_zero:
-            g = e if g.is_zero else gauss_gcd(g, e)
-    if g.is_zero:
-        raise ValueError("cannot reduce the zero vector")
-    return _canonical_rotation(tuple(gauss_divexact(e, g) for e in entries))
-
-
 @dataclass(frozen=True)
 class UnnormalizedState:
     """Integer entries with implicit 1/sqrt(norm_sq) normalization."""
 
     entries: tuple[GaussInt, ...]
     norm_sq: int
-
-    @classmethod
-    def from_raw(cls, entries: Sequence[GaussInt]) -> "UnnormalizedState":
-        reduced = content_reduce(entries)
-        return cls(reduced, sum(e.norm_sq() for e in reduced))
 
     @property
     def dim(self) -> int:
@@ -125,30 +111,6 @@ class UnnormalizedState:
             re += a.re * b.re + a.im * b.im
             im += a.re * b.im - a.im * b.re
         return GaussInt(re, im)
-
-    def proportional_to(self, other: "UnnormalizedState") -> bool:
-        """Equal up to a Gaussian-rational factor (exact cross products)."""
-        if self.dim != other.dim:
-            return False
-        ref = next(
-            ((a, b) for a, b in zip(self.entries, other.entries) if not a.is_zero or not b.is_zero),
-            None,
-        )
-        if ref is None:
-            return True
-        ra, rb = ref
-        if ra.is_zero or rb.is_zero:
-            return False
-        return all(
-            a * rb == b * ra for a, b in zip(self.entries, other.entries)
-        )
-
-
-def is_unbiased_pair(u: UnnormalizedState, v: UnnormalizedState, d: int) -> bool:
-    """d * |<u,v>|^2 = norm_sq(u) * norm_sq(v), as exact integers."""
-    if u.dim != d or v.dim != d:
-        raise ValueError("states must have dimension d")
-    return d * u.inner(v).norm_sq() == u.norm_sq * v.norm_sq
 
 
 @dataclass(frozen=True)
@@ -171,9 +133,35 @@ class MubBasis:
         return self.states[0]
 
 
-def _flip_signature(gens: Sequence[Point], rep: Point) -> int:
-    """Bit j set iff T_rep anticommutes with the translation of gens[j]."""
-    return sum(1 << j for j, g in enumerate(gens) if not trace_condition(g, rep))
+def _cosets(a1: Subgroup) -> tuple[list[int], tuple[int, ...], list[int]]:
+    """The generators of a1 (greedy independent masks), the coset
+    representatives of its quotient in label order, and the flip signature
+    of every class, 0 for class 1.  Bit j of a signature is set iff T_rep
+    anticommutes with the translation of generator j, which is where the
+    symplectic form of the two points is 1: the parity of polar & rep."""
+    polars = _polars(a1.field)
+    gens = _independent(a1.masks())
+    _, reps = _quotient(a1)
+    slots = [0] + [
+        sum(((polars[g] & rep).bit_count() & 1) << j for j, g in enumerate(gens))
+        for rep in reps
+    ]
+    return gens, reps, slots
+
+
+def _ray_state(column: Sequence[GaussInt]) -> UnnormalizedState:
+    """A nonzero column of the rank-one projector, reduced to a state.
+
+    The column is d times a stabilizer state times a conjugate entry of
+    it, so its nonzero entries share the one magnitude d/|supp|; divided
+    by it they are units, and the state is rotated into the canonical
+    quadrant.  Any other column raises ConstructionError."""
+    support = sum(not e.is_zero for e in column)
+    m = len(column) // max(support, 1)
+    units = {GaussInt(m * u.re, m * u.im): u for u in UNITS}
+    if support * m != len(column) or not all(e.is_zero or e in units for e in column):
+        raise ConstructionError("projector column is not a multiple of a state of units")
+    return UnnormalizedState(_canonical_rotation([units.get(e, ZERO) for e in column]), support)
 
 
 def common_eigenbasis(a1: Subgroup, expansion_basis: FieldBasis) -> MubBasis:
@@ -192,9 +180,9 @@ def common_eigenbasis(a1: Subgroup, expansion_basis: FieldBasis) -> MubBasis:
         raise ValueError(f"need an order-{d} subgroup")
     if not is_extraordinary(a1):
         raise ValueError("subgroup is not extraordinary: operators do not commute")
-    gens = a1.basis()
-    basis_f = dual_basis(expansion_basis)
-    ops = [translation_masks(g, expansion_basis, basis_f) for g in gens]
+    table = translation_table(expansion_basis)
+    gens, reps, slots = _cosets(a1)
+    ops = [table[g] for g in gens]
     principals = [principal_eigenvalue(x, z) for x, z in ops]
     # the factors (1 + conj(lambda_j) T_(g_j)), the rightmost applied first
     factors = [(x, z, lam.conj()) for (x, z), lam in zip(ops, principals)][::-1]
@@ -208,34 +196,26 @@ def common_eigenbasis(a1: Subgroup, expansion_basis: FieldBasis) -> MubBasis:
         raise ConstructionError(
             f"ray projector has rank != 1; generators of {a1!r} do not commute"
         )
-    ray = UnnormalizedState.from_raw(
-        next(c for c in columns if any(not e.is_zero for e in c))
-    )
-    reps = supersquare_from_subgroup(a1).coset_reps
-    slots = [0] + [_flip_signature(gens, rep) for rep in reps]
+    ray = _ray_state(next(c for c in columns if any(not e.is_zero for e in c)))
     if sorted(slots) != list(range(d)):
         raise ConstructionError(
             f"flip signatures {slots} do not fill the {d} assignments once each"
         )
-    # a signed permutation keeps the content a unit, so only the rotation
-    # into the canonical quadrant is left of content_reduce
+    # a signed permutation keeps the entries units, so only the rotation
+    # into the canonical quadrant is left to do
     states: list[UnnormalizedState] = [ray] * d
     for s, rep in zip(slots[1:], reps):
-        x, z = translation_masks(rep, expansion_basis, basis_f)
-        moved = _canonical_rotation(translate(x, z, ray.entries))
+        moved = _canonical_rotation(translate(*table[rep], ray.entries))
         states[s] = UnnormalizedState(moved, ray.norm_sq)
     for s, state in enumerate(states):
         for j, ((x, z), lam) in enumerate(zip(ops, principals)):
             lam = -lam if s >> j & 1 else lam
             if translate(x, z, state.entries) != _times_unit(lam, state.entries):
                 raise ConstructionError(
-                    f"state {s} is not a common eigenvector for {gens[j]}"
+                    f"state {s} is not a common eigenvector for {point_table(field)[gens[j]]}"
                 )
 
-    words = tuple(
-        PauliWord.from_bits(*expansion_bits(p, expansion_basis, basis_f))
-        for p in a1.nonzero_points()
-    )
+    words = tuple(PauliWord.from_masks(*table[m], field.n) for m in a1.masks()[1:])
     return MubBasis(
         source=a1,
         expansion_basis=expansion_basis,
@@ -251,11 +231,7 @@ def apply_correspondence(basis: MubBasis, ss: Supersquare) -> MubBasis:
     certify_bases checks that the map is a bijection."""
     if ss.generator != basis.source:
         raise ValueError("supersquare generator differs from the basis source")
-    gens = basis.source.basis()
-    return replace(
-        basis,
-        class_of_state=(0,) + tuple(_flip_signature(gens, rep) for rep in ss.coset_reps),
-    )
+    return replace(basis, class_of_state=tuple(_cosets(basis.source)[2]))
 
 
 @dataclass(frozen=True)
@@ -435,29 +411,18 @@ _RESHAPES = {
 }
 
 
-def _gauss_rank(rows: list[list[GaussInt]]) -> int:
-    """Fraction-free elimination rank over the Gaussian rationals."""
-    rows = [list(r) for r in rows]
-    rank = 0
-    cols = len(rows[0]) if rows else 0
-    for c in range(cols):
-        pivot = next(
-            (r for r in range(rank, len(rows)) if not rows[r][c].is_zero), None
-        )
-        if pivot is None:
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        for r in range(rank + 1, len(rows)):
-            if rows[r][c].is_zero:
-                continue
-            factor_lead = rows[rank][c]
-            factor_this = rows[r][c]
-            rows[r] = [
-                factor_lead * rows[r][j] - factor_this * rows[rank][j]
-                for j in range(cols)
-            ]
-        rank += 1
-    return rank
+def _two_row_rank(top: Sequence[GaussInt], bottom: Sequence[GaussInt]) -> int:
+    """Rank of a two-row matrix over the Gaussian rationals, read off its
+    2x2 minors: 0 when both rows are zero, 1 when every minor vanishes,
+    2 otherwise."""
+    if all(e.is_zero for e in top) and all(e.is_zero for e in bottom):
+        return 0
+    minors = (
+        top[i] * bottom[j] - top[j] * bottom[i]
+        for i in range(len(top))
+        for j in range(i + 1, len(top))
+    )
+    return 2 if any(not m.is_zero for m in minors) else 1
 
 
 def schmidt_rank(u: UnnormalizedState, bipartition: str) -> int:
@@ -472,7 +437,7 @@ def schmidt_rank(u: UnnormalizedState, bipartition: str) -> int:
     for b, e in enumerate(u.entries):
         r, c = pos(b)
         mat[r][c] = e
-    return _gauss_rank(mat)
+    return _two_row_rank(*mat)
 
 
 def rank_profile(u: UnnormalizedState) -> tuple[int, int, int]:
@@ -484,8 +449,7 @@ def two_qubit_rank(u: UnnormalizedState) -> int:
     product, 2 means entangled.  Informational output only."""
     if u.dim != 4:
         raise ValueError("two_qubit_rank supports two-qubit states only")
-    rows = [[u.entries[0], u.entries[1]], [u.entries[2], u.entries[3]]]
-    return _gauss_rank(rows)
+    return _two_row_rank(u.entries[:2], u.entries[2:])
 
 
 class Separability(enum.Enum):

@@ -8,18 +8,20 @@ Packed into masks x and z with qubit 1 as the most significant bit, the
 operator X^x Z^z is the real signed permutation
 T e_c = (-1)^|z & c| e_(c ^ x) of the computational basis, so it is stored
 as its two masks and applied to a Gaussian-integer vector in O(d); nothing
-is ever rounded.  T squares to -I exactly when |x & z| is odd (XZ squares
-to -I).  Operator *names* drop the phase, writing the Hermitian letter Y
-where the raw factor is XZ.
+is ever rounded.  The bits are GF(2)-linear in the packed point, so one
+table per expansion basis, the XOR span of the 2n unit points' masks,
+holds the masks of every point.  T squares to -I exactly when |x & z| is
+odd (XZ squares to -I).  Operator *names* drop the phase, writing the
+Hermitian letter Y where the raw factor is XZ.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from typing import NamedTuple, Sequence
 
-from .gf2n import FieldBasis
-from .phasespace import Point
+from .gf2n import FieldBasis, dual_basis
 
 
 class GaussInt(NamedTuple):
@@ -66,34 +68,6 @@ I_UNIT = GaussInt(0, 1)
 UNITS = (ONE, I_UNIT, -ONE, -I_UNIT)
 
 
-def _round_div(p: int, q: int) -> int:
-    """Nearest integer to p/q for q > 0 (ties round up)."""
-    return (2 * p + q) // (2 * q)
-
-
-def gauss_divmod(a: GaussInt, b: GaussInt) -> tuple[GaussInt, GaussInt]:
-    nb = b.norm_sq()
-    t = a * b.conj()
-    q = GaussInt(_round_div(t.re, nb), _round_div(t.im, nb))
-    return q, a - q * b
-
-
-def gauss_gcd(a: GaussInt, b: GaussInt) -> GaussInt:
-    while not b.is_zero:
-        _, r = gauss_divmod(a, b)
-        a, b = b, r
-    return a
-
-
-def gauss_divexact(a: GaussInt, b: GaussInt) -> GaussInt:
-    """a / b, required to be exact."""
-    nb = b.norm_sq()
-    t = a * b.conj()
-    if t.re % nb or t.im % nb:
-        raise ValueError(f"{a} is not divisible by {b}")
-    return GaussInt(t.re // nb, t.im // nb)
-
-
 # Per-qubit bits (x, z) and the Hermitian letter naming X^x Z^z.
 _LETTER_BY_BITS = {(0, 0): "I", (1, 0): "X", (0, 1): "Z", (1, 1): "Y"}
 
@@ -112,25 +86,36 @@ class PauliWord:
     def from_bits(cls, x_bits: Sequence[int], y_bits: Sequence[int]) -> "PauliWord":
         return cls(tuple(_LETTER_BY_BITS[(x, y)] for x, y in zip(x_bits, y_bits)))
 
+    @classmethod
+    def from_masks(cls, x: int, z: int, n: int) -> "PauliWord":
+        """The word of X^x Z^z on n qubits, qubit 1 the most significant bit."""
+        return cls(tuple(_LETTER_BY_BITS[(x >> k & 1, z >> k & 1)] for k in reversed(range(n))))
+
     def __str__(self) -> str:
         return "x".join(self.letters)
 
 
-def expansion_bits(
-    p: Point, basis_e: FieldBasis, basis_f: FieldBasis
-) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """The bits x_i = tr(x f_i) and y_i = tr(y e_i) of p = (x, y)."""
-    field = p.field
-    x_bits = tuple(field.trace(p.x * f).mask for f in basis_f)
-    y_bits = tuple(field.trace(p.y * e).mask for e in basis_e)
-    return x_bits, y_bits
-
-
-def translation_masks(p: Point, basis_e: FieldBasis, basis_f: FieldBasis) -> tuple[int, int]:
-    """The masks (x, z) of p's translation X^x Z^z: its expansion bits,
-    qubit 1 the most significant."""
-    x_bits, z_bits = expansion_bits(p, basis_e, basis_f)
-    return int("".join(map(str, x_bits)), 2), int("".join(map(str, z_bits)), 2)
+@cache
+def translation_table(basis_e: FieldBasis) -> tuple[tuple[int, int], ...]:
+    """table[m]: the masks (x, z) of the translation X^x Z^z of the packed
+    point m = x | y << n, whose bits are x_i = tr(x f_i) and
+    y_i = tr(y e_i) over basis_e and its dual F, qubit 1 the most
+    significant.  The bits are GF(2)-linear in m, so the table is the XOR
+    span of the rows of the 2n unit points."""
+    field = basis_e.field
+    n, mul, tr = field.n, field._mul_mask, field._trace
+    basis_f = dual_basis(basis_e)
+    table = [(0, 0)]
+    for i in range(2 * n):
+        # the unit point (a, 0) expands over F into x bits, (0, a) over E into z bits
+        a = 1 << i % n
+        over = basis_f if i < n else basis_e
+        bits = sum(tr[mul(a, b.mask)] << n - 1 - k for k, b in enumerate(over))
+        if i < n:
+            table += [(x ^ bits, z) for x, z in table]
+        else:
+            table += [(x, z ^ bits) for x, z in table]
+    return tuple(table)
 
 
 def translate(x: int, z: int, v: Sequence[GaussInt]) -> tuple[GaussInt, ...]:
@@ -144,11 +129,3 @@ def translate(x: int, z: int, v: Sequence[GaussInt]) -> tuple[GaussInt, ...]:
 def principal_eigenvalue(x: int, z: int) -> GaussInt:
     """i when X^x Z^z squares to -I, which is when |x & z| is odd; else 1."""
     return I_UNIT if (x & z).bit_count() & 1 else ONE
-
-
-def trace_condition(p1: Point, p2: Point) -> bool:
-    """tr(x1 y2) = tr(x2 y1); the field-side commutation criterion."""
-    if p1.field != p2.field:
-        raise ValueError("points must share one field")
-    field = p1.field
-    return field.trace(p1.x * p2.y) == field.trace(p2.x * p1.y)

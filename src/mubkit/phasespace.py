@@ -19,7 +19,7 @@ from functools import cache
 from itertools import combinations
 from typing import Iterable, Iterator
 
-from .gf2n import Field, FieldElement
+from .gf2n import Field, FieldElement, _independent
 
 
 @dataclass(frozen=True)
@@ -189,20 +189,6 @@ class Subgroup:
 
     def __repr__(self) -> str:
         return "{" + ", ".join(str(p) for p in self.points) + "}"
-
-
-def _independent(masks: Iterable[int]) -> list[int]:
-    """The masks independent over F_2 of the masks before them, in order."""
-    pivots: list[int] = []
-    gens: list[int] = []
-    for m in masks:
-        r = m
-        for piv in pivots:
-            r = min(r, r ^ piv)
-        if r:
-            pivots.append(r)
-            gens.append(m)
-    return gens
 
 
 @cache

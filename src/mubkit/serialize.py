@@ -144,13 +144,13 @@ def subgroup_from_json(field: Field, data: Any) -> Subgroup:
 
 
 def square_to_json(s: Square) -> dict:
-    return {
-        "d": s.d,
-        "classes": [
-            [point_to_json(p) for p in sorted(cls, key=lambda p: p.sort_key)]
-            for cls in s.classes
-        ],
-    }
+    """Classes in label order, each its points in canonical (x, y) order."""
+    d, n, labels = s.d, s.field.n, s._labels
+    classes: list[list[list[int]]] = [[] for _ in range(d)]
+    for x in range(d):
+        for y in range(d):
+            classes[labels[x | y << n] - 1].append([x, y])
+    return {"d": d, "classes": classes}
 
 
 def square_from_json(data: Any) -> Square:

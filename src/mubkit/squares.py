@@ -1,7 +1,8 @@
 """Squares, supersquares, physical striations, and complete sets.
 
-A square is a partition of F_d x F_d into d classes of d points; class
-j-1 in the ``classes`` tuple carries label j.  A supersquare is the
+A square is a partition of F_d x F_d into d classes of d points, held
+as the label 1..d of every packed point mask; its ``classes`` tuple, built
+on demand, lists the class with label j at index j-1.  A supersquare is the
 quotient of the plane by an order-d subgroup: class 1 is the subgroup,
 the remaining classes are its cosets labelled in order of their minimal
 representatives.
@@ -43,10 +44,10 @@ from .phasespace import (
 
 
 class Square:
-    """A partition of F_d x F_d into d classes of d points each, with the
-    label of every packed point mask."""
+    """A partition of F_d x F_d into d classes of d points each, held as
+    the label of every packed point mask."""
 
-    __slots__ = ("field", "classes", "_labels")
+    __slots__ = ("field", "_labels")
 
     def __init__(self, field: Field, classes: Iterable[Iterable[Point]]) -> None:
         classes = [tuple(c) for c in classes]  # as given: a repeated point is counted
@@ -65,8 +66,24 @@ class Square:
                     raise ValueError(f"classes overlap at {p}")
                 labels[m] = idx + 1
         self.field = field
-        self.classes = tuple(map(frozenset, classes))
         self._labels = tuple(labels)
+
+    @classmethod
+    def _from_labels(cls, field: Field, labels: Sequence[int]) -> "Square":
+        """The square of a label table that is known to be a partition."""
+        sq = cls.__new__(cls)
+        sq.field = field
+        sq._labels = tuple(labels)
+        return sq
+
+    @property
+    def classes(self) -> tuple[frozenset[Point], ...]:
+        """The classes as sets of points; class j-1 carries label j."""
+        table = point_table(self.field)
+        members: list[list[Point]] = [[] for _ in range(self.d)]
+        for m, label in enumerate(self._labels):
+            members[label - 1].append(table[m])
+        return tuple(map(frozenset, members))
 
     @property
     def d(self) -> int:
@@ -86,10 +103,8 @@ class Square:
     def same_partition(self, other: "Square") -> bool:
         """Partition equality up to renaming of labels 2..d; class 1 must
         match exactly."""
-        return (
-            frozenset(self.classes) == frozenset(other.classes)
-            and self.classes[0] == other.classes[0]
-        )
+        pairs = set(zip(self._labels, other._labels))
+        return self.field == other.field and len(pairs) == self.d and (1, 1) in pairs
 
     def __eq__(self, other: object) -> bool:
         return (
@@ -143,10 +158,7 @@ def supersquare_from_subgroup(a1: Subgroup) -> Supersquare:
         raise ValueError(f"generating subgroup must have {d} elements")
     table = point_table(field)
     labels, reps = _quotient(a1)
-    classes: list[list[Point]] = [[] for _ in range(d)]
-    for m, label in enumerate(labels):
-        classes[label - 1].append(table[m])
-    return Supersquare(a1, tuple(table[r] for r in reps), Square(field, classes))
+    return Supersquare(a1, tuple(table[r] for r in reps), Square._from_labels(field, labels))
 
 
 def is_supersquare(square: Square) -> bool:
@@ -532,14 +544,12 @@ def perturb_supersquare(ss: Supersquare, seed: int) -> Square:
     if d < 4:
         raise ValueError("perturbation needs at least two non-generator classes")
     j, k = rng.sample(range(1, d), 2)
-    classes = [set(c) for c in ss.square.classes]
-    p = rng.choice(sorted(classes[j], key=lambda pt: pt.sort_key))
-    q = rng.choice(sorted(classes[k], key=lambda pt: pt.sort_key))
-    classes[j].remove(p)
-    classes[j].add(q)
-    classes[k].remove(q)
-    classes[k].add(p)
-    return Square(ss.field, classes)
+    n, labels = ss.field.n, list(ss.square._labels)
+    canonical = [x | y << n for x in range(d) for y in range(d)]
+    p = rng.choice([m for m in canonical if labels[m] == j + 1])
+    q = rng.choice([m for m in canonical if labels[m] == k + 1])
+    labels[p], labels[q] = k + 1, j + 1
+    return Square._from_labels(ss.field, labels)
 
 
 # ---------------------------------------------------------------------------

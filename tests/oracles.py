@@ -16,25 +16,162 @@ every inner product formed entry by entry, which the library's
 certificate on packed states must match; it ignores a structure claim
 for d != 8, which the library fails.  Point listings and scalar lines
 live here too, since only tests use them.
+
+The per-point references of the mask-native layers live here as well:
+square perturbation, partition equality and encoding over frozensets of
+Points (the library reads and writes label tables); expansion bits by
+field arithmetic (the library tabulates them once per expansion basis);
+the field-side commutation criterion (the library reads the parity of a
+polar mask); the content reduction of a ray by Gaussian gcds (the
+library divides by the one magnitude of a stabilizer column);
+proportionality and the integer unbiasedness test of two states; and the
+rank of a Gaussian matrix by fraction-free elimination (the library
+reads a two-row rank off the 2x2 minors).
 """
 
+import random
 from dataclasses import dataclass
 from functools import reduce
 from itertools import combinations
 from typing import Iterable, Sequence
 
-from mubkit import Subgroup, det, trace_zero_subgroup
+from mubkit import Square, Subgroup, det, trace_zero_subgroup
 from mubkit.gf2n import FieldBasis, dual_basis, is_dual_pair
-from mubkit.pauli import I_UNIT, ONE, UNITS, ZERO, GaussInt, PauliWord, expansion_bits
+from mubkit.pauli import I_UNIT, ONE, UNITS, ZERO, GaussInt, PauliWord
 from mubkit.mub import (
     EntanglementStructure,
     UnnormalizedState,
+    _canonical_rotation,
     _class_map_fault,
-    is_unbiased_pair,
     separability,
 )
 from mubkit.phasespace import Point, point_table
 from mubkit.squares import SquareReport
+
+
+# -- Gaussian-integer arithmetic and states ------------------------------------
+
+
+def _round_div(p: int, q: int) -> int:
+    """Nearest integer to p/q for q > 0 (ties round up)."""
+    return (2 * p + q) // (2 * q)
+
+
+def gauss_divmod(a: GaussInt, b: GaussInt) -> tuple[GaussInt, GaussInt]:
+    nb = b.norm_sq()
+    t = a * b.conj()
+    q = GaussInt(_round_div(t.re, nb), _round_div(t.im, nb))
+    return q, a - q * b
+
+
+def gauss_gcd(a: GaussInt, b: GaussInt) -> GaussInt:
+    while not b.is_zero:
+        _, r = gauss_divmod(a, b)
+        a, b = b, r
+    return a
+
+
+def gauss_divexact(a: GaussInt, b: GaussInt) -> GaussInt:
+    """a / b, required to be exact."""
+    nb = b.norm_sq()
+    t = a * b.conj()
+    if t.re % nb or t.im % nb:
+        raise ValueError(f"{a} is not divisible by {b}")
+    return GaussInt(t.re // nb, t.im // nb)
+
+
+def content_reduce(entries: Sequence[GaussInt]) -> tuple[GaussInt, ...]:
+    """Divide out the Gaussian gcd and rotate by a unit so the first
+    nonzero entry lands in the canonical quadrant."""
+    g = ZERO
+    for e in entries:
+        if not e.is_zero:
+            g = e if g.is_zero else gauss_gcd(g, e)
+    if g.is_zero:
+        raise ValueError("cannot reduce the zero vector")
+    return _canonical_rotation(tuple(gauss_divexact(e, g) for e in entries))
+
+
+def state_from_raw(entries: Sequence[GaussInt]) -> UnnormalizedState:
+    """The content-reduced state of any nonzero Gaussian vector."""
+    reduced = content_reduce(entries)
+    return UnnormalizedState(reduced, sum(e.norm_sq() for e in reduced))
+
+
+def proportional_to(u: UnnormalizedState, v: UnnormalizedState) -> bool:
+    """Equal up to a Gaussian-rational factor (exact cross products)."""
+    if u.dim != v.dim:
+        return False
+    ref = next(
+        ((a, b) for a, b in zip(u.entries, v.entries) if not a.is_zero or not b.is_zero),
+        None,
+    )
+    if ref is None:
+        return True
+    ra, rb = ref
+    if ra.is_zero or rb.is_zero:
+        return False
+    return all(a * rb == b * ra for a, b in zip(u.entries, v.entries))
+
+
+def is_unbiased_pair(u: UnnormalizedState, v: UnnormalizedState, d: int) -> bool:
+    """d * |<u,v>|^2 = norm_sq(u) * norm_sq(v), as exact integers."""
+    if u.dim != d or v.dim != d:
+        raise ValueError("states must have dimension d")
+    return d * u.inner(v).norm_sq() == u.norm_sq * v.norm_sq
+
+
+def gauss_rank(rows: list[list[GaussInt]]) -> int:
+    """Fraction-free elimination rank over the Gaussian rationals."""
+    rows = [list(r) for r in rows]
+    rank = 0
+    cols = len(rows[0]) if rows else 0
+    for c in range(cols):
+        pivot = next(
+            (r for r in range(rank, len(rows)) if not rows[r][c].is_zero), None
+        )
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        for r in range(rank + 1, len(rows)):
+            if rows[r][c].is_zero:
+                continue
+            factor_lead = rows[rank][c]
+            factor_this = rows[r][c]
+            rows[r] = [
+                factor_lead * rows[r][j] - factor_this * rows[rank][j]
+                for j in range(cols)
+            ]
+        rank += 1
+    return rank
+
+
+# -- points and translations ------------------------------------------------------
+
+
+def expansion_bits(
+    p: Point, basis_e: FieldBasis, basis_f: FieldBasis
+) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The bits x_i = tr(x f_i) and y_i = tr(y e_i) of p = (x, y)."""
+    field = p.field
+    x_bits = tuple(field.trace(p.x * f).mask for f in basis_f)
+    y_bits = tuple(field.trace(p.y * e).mask for e in basis_e)
+    return x_bits, y_bits
+
+
+def translation_masks(p: Point, basis_e: FieldBasis, basis_f: FieldBasis) -> tuple[int, int]:
+    """The masks (x, z) of p's translation X^x Z^z: its expansion bits,
+    qubit 1 the most significant."""
+    x_bits, z_bits = expansion_bits(p, basis_e, basis_f)
+    return int("".join(map(str, x_bits)), 2), int("".join(map(str, z_bits)), 2)
+
+
+def trace_condition(p1: Point, p2: Point) -> bool:
+    """tr(x1 y2) = tr(x2 y1); the field-side commutation criterion."""
+    if p1.field != p2.field:
+        raise ValueError("points must share one field")
+    field = p1.field
+    return field.trace(p1.x * p2.y) == field.trace(p2.x * p1.y)
 
 
 def zero_point(field):
@@ -403,6 +540,37 @@ def verify_square(square):
     return SquareReport(
         sub, sub is not None, extraordinary, supersquare, striation, tuple(failures)
     )
+
+
+def perturb_supersquare(ss, seed):
+    """perturb_supersquare over frozensets of Points: the same draws, each
+    point chosen from its class sorted by (x mask, y mask)."""
+    rng = random.Random(seed)
+    j, k = rng.sample(range(1, ss.d), 2)
+    classes = [set(c) for c in ss.square.classes]
+    p = rng.choice(sorted(classes[j], key=lambda pt: pt.sort_key))
+    q = rng.choice(sorted(classes[k], key=lambda pt: pt.sort_key))
+    classes[j].remove(p)
+    classes[j].add(q)
+    classes[k].remove(q)
+    classes[k].add(p)
+    return Square(ss.field, classes)
+
+
+def same_partition(s, t):
+    """The classes as sets of point sets, class 1 matched exactly."""
+    return frozenset(s.classes) == frozenset(t.classes) and s.classes[0] == t.classes[0]
+
+
+def square_to_json(s):
+    """Each class's points sorted by (x mask, y mask), in label order."""
+    return {
+        "d": s.d,
+        "classes": [
+            [[p.x.mask, p.y.mask] for p in sorted(cls, key=lambda p: p.sort_key)]
+            for cls in s.classes
+        ],
+    }
 
 
 def certify_bases_dense(

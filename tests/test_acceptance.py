@@ -20,12 +20,10 @@ from mubkit import (
     enumerate_extraordinary_subgroups,
     is_physical_striation,
     is_supersquare,
-    is_unbiased_pair,
     perturb_supersquare,
     search_complete_sets,
     structure,
     supersquare_from_subgroup,
-    trace_condition,
     trace_zero_subgroup,
     type_I_set,
     type_II_set_d8,
@@ -33,12 +31,21 @@ from mubkit import (
     type_IV_set_d8,
     verify_complete_set,
 )
-from mubkit.mub import UnnormalizedState
 from mubkit.pauli import GaussInt
 
 import refdata
 from conftest import pair_with_det_in_k
-from oracles import all_points, commutes, enumerate_subgroups, line, translation_operator
+from oracles import (
+    all_points,
+    commutes,
+    enumerate_subgroups,
+    is_unbiased_pair,
+    line,
+    proportional_to,
+    state_from_raw,
+    trace_condition,
+    translation_operator,
+)
 
 
 @contextmanager
@@ -113,13 +120,13 @@ def test_criterion_05_order4_basis_vectors(d4_type_ii_set):
         mubs = build_mub_set(d4_type_ii_set)
         all_states = [st for b in mubs.bases for st in b.states]
         printed = [
-            UnnormalizedState.from_raw(tuple(GaussInt(re, im) for re, im in vec))
+            state_from_raw(tuple(GaussInt(re, im) for re, im in vec))
             for row in refdata.REF_D4_BASIS_VECTORS
             for vec in row
         ]
         assert len(printed) == 20
         for vec in printed:
-            assert sum(vec.proportional_to(st) for st in all_states) == 1
+            assert sum(proportional_to(vec, st) for st in all_states) == 1
         pair_count = 0
         for i in range(5):
             for j in range(i + 1, 5):

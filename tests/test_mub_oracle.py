@@ -22,7 +22,6 @@ from mubkit import (
     FieldBasis,
     GaussInt,
     Point,
-    UnnormalizedState,
     apply_correspondence,
     build_mub_set,
     common_eigenbasis,
@@ -39,7 +38,14 @@ from mubkit import (
 from mubkit.cli import DEFAULT_PAIRS, _parse_point
 from mubkit.pauli import I_UNIT, ONE
 
-from oracles import GaussMatrix, all_points, square_sign, translation_operator
+from oracles import (
+    GaussMatrix,
+    all_points,
+    proportional_to,
+    square_sign,
+    state_from_raw,
+    translation_operator,
+)
 
 
 def oracle_states(a1, expansion_basis):
@@ -59,7 +65,7 @@ def oracle_states(a1, expansion_basis):
         col = next(
             c for c in map(num.column, range(d)) if any(not e.is_zero for e in c)
         )
-        states.append(UnnormalizedState.from_raw(col))
+        states.append(state_from_raw(col))
     return tuple(states)
 
 
@@ -70,8 +76,8 @@ def oracle_class_map(states, ss, expansion_basis):
     mapping = [0]
     for rep in ss.coset_reps:
         op = translation_operator(rep, expansion_basis)
-        moved = UnnormalizedState.from_raw(op.matrix.times_vector(ray.entries))
-        matches = [i for i, st in enumerate(states) if st.proportional_to(moved)]
+        moved = state_from_raw(op.matrix.times_vector(ray.entries))
+        matches = [i for i, st in enumerate(states) if proportional_to(st, moved)]
         assert len(matches) == 1
         mapping.append(matches[0])
     return tuple(mapping)

@@ -9,28 +9,28 @@ from mubkit import (
     FieldBasis,
     GaussInt,
     default_selfdual_basis,
-    trace_condition,
 )
-from mubkit.gf2n import dual_basis
 from mubkit.pauli import (
     I_UNIT,
     ONE,
     ZERO,
-    gauss_divexact,
-    gauss_gcd,
     principal_eigenvalue,
     translate,
-    translation_masks,
+    translation_table,
 )
+from mubkit.phasespace import point_to_mask
 
 import refdata
 from oracles import (
     GaussMatrix,
     all_points,
     commutes,
+    gauss_divexact,
+    gauss_gcd,
     pauli_matrix,
     square_sign,
     tensor,
+    trace_condition,
     translation_operator,
     unit_multiple,
 )
@@ -177,10 +177,10 @@ def test_signed_permutations_match_dense_operators(n):
     units = [tuple(ONE if i == c else ZERO for i in range(d)) for c in range(d)]
     for order in orders:
         basis = FieldBasis(order)
-        basis_f = dual_basis(basis)
+        table = translation_table(basis)
         for p in all_points(field):
             op = translation_operator(p, basis)
-            x, z = translation_masks(p, basis, basis_f)
+            x, z = table[point_to_mask(p)]
             sign = square_sign(op)
             assert principal_eigenvalue(x, z) == (I_UNIT if sign < 0 else ONE)
             for c, e_c in enumerate(units):
