@@ -18,7 +18,6 @@ Display form writes elements as powers of mu: "0", "1", "m", "m2", ...
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 from typing import Iterable, Iterator
 
 DEFAULT_POLYS = {2: 0b111, 3: 0b1011, 4: 0b10011, 5: 0b100101}
@@ -357,20 +356,24 @@ def is_selfdual(basis: FieldBasis | Iterable[FieldElement]) -> bool:
 
 
 def default_selfdual_basis(field: Field) -> FieldBasis:
-    """A fixed selfdual basis per degree: {mu, mu^2} for n=2 and
-    {mu^3, mu^5, mu^6} for n=3; the first selfdual combination in mask
-    order otherwise."""
-    if field.poly == DEFAULT_POLYS.get(field.n):
-        if field.n == 2:
-            return FieldBasis((field.from_power(1), field.from_power(2)))
-        if field.n == 3:
-            return FieldBasis(
-                (field.from_power(3), field.from_power(5), field.from_power(6))
-            )
-    for combo in combinations(range(1, field.order), field.n):
-        if len(_independent(combo)) != field.n:
-            continue
-        cand = FieldBasis(tuple(field.element(m) for m in combo))
-        if is_selfdual(cand):
-            return cand
-    raise ValueError(f"no selfdual basis found for {field!r}")
+    """{mu^3, mu^5, mu^6} for n=3 with the default modulus; otherwise the
+    first orthonormal n-set of masks in lexicographic order ({mu, mu^2}
+    for n=2).  Every GF(2^n) has one (Seroussi and Lempel, 1980).
+
+    Only masks of trace 1 can be basis elements, and an orthonormal set is
+    independent, so a depth-first search over them, keeping a mask only
+    when tr(m*c) = 0 for every mask c already kept, meets the orthonormal
+    sets in lexicographic order."""
+    if field.n == 3 and field.poly == DEFAULT_POLYS[3]:
+        return FieldBasis((field.from_power(3), field.from_power(5), field.from_power(6)))
+    mul, tr = field._mul_mask, field._trace
+    cands = [m for m in range(1, field.order) if tr[m]]
+
+    def extend(start: int, chosen: list[int]) -> Iterator[list[int]]:
+        if len(chosen) == field.n:
+            yield chosen
+        for i in range(start, len(cands)):
+            if not any(tr[mul(cands[i], c)] for c in chosen):
+                yield from extend(i + 1, chosen + [cands[i]])
+
+    return FieldBasis(tuple(map(field.element, next(extend(0, [])))))

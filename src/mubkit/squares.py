@@ -16,7 +16,11 @@ Complete sets are d+1 pairwise orthogonal extraordinary supersquares,
 equivalently d+1 generating subgroups that pairwise intersect only in
 the origin, so that together they tile the nonzero points of the plane.
 The search engine enumerates every such tiling by exact-cover
-backtracking over the extraordinary subgroups.
+backtracking over the extraordinary subgroups, held as integer bitsets
+of their points with a bitset of compatible blocks per block.  A found
+set is typed by lookup: the template of a construction pair (v1, v2) is
+the image of one base template per type and det(v1, v2) under the
+F_d-linear map (x, y) -> x*v1 + y*v2.
 """
 
 from __future__ import annotations
@@ -27,11 +31,12 @@ import random
 import time
 from contextlib import nullcontext
 from dataclasses import dataclass, replace
-from functools import partial
+from functools import partial, reduce
 from itertools import combinations
+from operator import itemgetter, or_
 from typing import Iterable, Sequence
 
-from .gf2n import Field
+from .gf2n import Field, _independent
 from .phasespace import (
     Point,
     Subgroup,
@@ -442,8 +447,9 @@ def verify_square(square: Square) -> SquareReport:
     )
     if not supersquare:
         failures.append("square is not a supersquare")
+    # translations by a basis of the subgroup generate all of them
     striation = extraordinary and all(
-        labels[m ^ a] == label for a in gens[1:] for m, label in enumerate(labels)
+        labels[m ^ a] == label for a in _independent(gens) for m, label in enumerate(labels)
     )
     if not striation:
         failures.append("square is not a physical striation")
@@ -570,43 +576,58 @@ class SearchResult:
         return counts
 
 
-def complete_set_templates(
-    field: Field,
-) -> dict[frozenset[tuple[int, ...]], tuple[str, Point, Point]]:
-    """Generator-set templates keyed by frozensets of sorted subgroup
-    point-mask tuples; first match wins, scanning types in order I, II,
-    III, IV over all valid (v1, v2) pairs in canonical point order."""
+def complete_set_templates(field: Field) -> dict[frozenset[int], tuple[str, Point, Point]]:
+    """Generator-set templates keyed by frozensets of subgroup bitsets (bit
+    m set for every nonzero packed point m); first match wins, scanning
+    types in order I, II, III, IV over all valid (v1, v2) pairs in
+    canonical point order.
+
+    Every recipe is F_d-linear in (v1, v2), with coefficients that depend
+    only on k = det(v1, v2).  So the recipes are evaluated once per type
+    and k at (e1, e2), and a pair's template is their image under the map
+    (x, y) -> x*v1 + y*v2, read off the d scalar multiples of v1 and v2."""
     d, n = field.order, field.n
     table = point_table(field)
     # nonzero packed points in canonical (x mask, y mask) order
     points = [x | y << n for x in range(d) for y in range(d)][1:]
-    # the pairs share most recipes: 1,575 distinct among 40,824 at d = 8
-    masks_of: dict[_Recipe, tuple[int, ...]] = {}
+    multiples = [[_scale(field, u, c) for c in range(d)] for u in range(d * d)]
+    lines = frozenset(sum(1 << m for m in multiples[u][1:]) for u in points)
+    templates = {lines: ("I", table[1], table[1 << n])}
 
-    def key(recipes: list[_Recipe]) -> frozenset[tuple[int, ...]]:
-        out = []
-        for r in recipes:
-            masks = masks_of.get(r)
-            if masks is None:
-                masks = masks_of[r] = _recipe_masks(field, r)
-            out.append(masks)
-        return frozenset(out)
+    def base(recipes: list[_Recipe]) -> list[itemgetter]:
+        """Each subgroup at (e1, e2) as a getter of its nonzero points'
+        entries in a pair's image row, indexed x*d + y."""
+        return [
+            itemgetter(*[(m & d - 1) * d + (m >> n) for m in _recipe_masks(field, r)[1:]])
+            for r in recipes
+        ]
 
-    templates = {key([("line", u) for u in points]): ("I", table[1], table[1 << n])}
+    e1, e2 = 1, 1 << n
     if d == 4:
-        for v1 in points:
-            for v2 in points:
-                if _det(field, v1, v2) == 1:
-                    k = key(_type_II_recipes_d4(field, v1, v2))
-                    templates.setdefault(k, ("II", table[v1], table[v2]))
+        bases = {1: [("II", base(_type_II_recipes_d4(field, e1, e2)))]}
     elif d == 8:
-        for set_type in ("II", "III", "IV"):
-            for v1 in points:
-                for v2 in points:
-                    det_mask = _det(field, v1, v2)
-                    if det_mask and not field._trace[det_mask]:
-                        k = key(_d8_recipes(field, set_type, v1, v2, det_mask))
-                        templates.setdefault(k, (set_type, table[v1], table[v2]))
+        bases = {
+            k: [(t, base(_d8_recipes(field, t, e1, e2, k))) for t in ("II", "III", "IV")]
+            for k in range(1, d)
+            if not field._trace[k]
+        }
+    else:
+        return templates
+    # the first pair of each template, per type
+    firsts: dict[str, dict[frozenset[int], tuple[int, int]]] = {}
+    for v1 in points:
+        s1 = multiples[v1]
+        for v2 in points:
+            by_type = bases.get(_det(field, v1, v2))
+            if by_type is None:
+                continue
+            row = [1 << (a ^ b) for a in s1 for b in multiples[v2]]
+            for set_type, getters in by_type:
+                key = frozenset([sum(g(row)) for g in getters])
+                firsts.setdefault(set_type, {}).setdefault(key, (v1, v2))
+    for set_type, pairs in firsts.items():  # types in order II, III, IV
+        for key, (v1, v2) in pairs.items():
+            templates.setdefault(key, (set_type, table[v1], table[v2]))
     return templates
 
 
@@ -614,80 +635,52 @@ class _Deadline(Exception):
     pass
 
 
-@dataclass(frozen=True)
-class _Cover:
-    """Exact-cover tables: each block's nonzero points as a bitset, the
-    blocks through each point, the bitset of all nonzero points, and the
-    number of blocks a cover takes."""
-
-    block_bits: tuple[int, ...]
-    blocks_by_point: dict[int, list[int]]
-    full: int
-    want: int
-
-
-def _prepare_cover(blocks: Sequence[tuple[int, ...]], d: int) -> _Cover:
-    block_bits = []
-    for masks in blocks:
-        bits = 0
-        for m in masks:
-            if m:
-                bits |= 1 << m
-        block_bits.append(bits)
-    full = 0
-    for m in range(1, d * d):
-        full |= 1 << m
-    blocks_by_point: dict[int, list[int]] = {m: [] for m in range(d * d)}
+def _cover_tables(
+    blocks: Sequence[tuple[int, ...]], d: int
+) -> tuple[list[int], list[int], list[int]]:
+    """Exact-cover tables over block masks listed origin first: each
+    block's nonzero points as a bitset, through[p] the bitset of the blocks
+    that contain point p, and compat[i] the bitset of the blocks that share
+    no nonzero point with block i."""
+    bits = [sum(1 << m for m in masks[1:]) for masks in blocks]
+    through = [0] * (d * d)
     for i, masks in enumerate(blocks):
-        for m in masks:
-            if m:
-                blocks_by_point[m].append(i)
-    return _Cover(tuple(block_bits), blocks_by_point, full, d + 1)
-
-
-def _cover_search(
-    cover: _Cover,
-    deadline: float | None,
-    covered: int,
-    chosen: tuple[int, ...],
-    solutions: list[tuple[int, ...]],
-) -> None:
-    if deadline is not None and time.monotonic() > deadline:
-        raise _Deadline
-    if covered == cover.full:
-        if len(chosen) == cover.want:
-            solutions.append(tuple(sorted(chosen)))
-        return
-    if len(chosen) >= cover.want:
-        return
-    block_bits, blocks_by_point = cover.block_bits, cover.blocks_by_point
-    remaining = cover.full & ~covered
-    best: list[int] | None = None
-    idx = 0
-    while remaining:
-        if remaining & 1:
-            cands = [i for i in blocks_by_point[idx] if not block_bits[i] & covered]
-            if not cands:
-                return
-            if best is None or len(cands) < len(best):
-                best = cands
-                if len(cands) == 1:
-                    break
-        remaining >>= 1
-        idx += 1
-    assert best is not None
-    for i in best:
-        _cover_search(cover, deadline, covered | block_bits[i], chosen + (i,), solutions)
+        for m in masks[1:]:
+            through[m] |= 1 << i
+    all_blocks = (1 << len(blocks)) - 1
+    compat = [all_blocks & ~reduce(or_, [through[m] for m in masks[1:]]) for masks in blocks]
+    return bits, through, compat
 
 
 def _search_branch(
-    cover: _Cover, deadline: float | None, first: int
+    tables: tuple[list[int], list[int], list[int]], deadline: float | None, first: int
 ) -> tuple[list[tuple[int, ...]], bool]:
     """Every cover containing block ``first``, and whether the branch ran
-    to the end before the absolute ``time.monotonic()`` deadline."""
+    to the end before the absolute ``time.monotonic()`` deadline.
+
+    The search state is (covered, alive, chosen): the covered points with
+    the origin, the blocks disjoint from every chosen one, and the chosen
+    blocks.  Each step branches on the lowest uncovered point, over the
+    alive blocks through it, so every cover is met once."""
+    bits, through, compat = tables
+    full = (1 << len(through)) - 1
     solutions: list[tuple[int, ...]] = []
+
+    def cover(covered: int, alive: int, chosen: tuple[int, ...]) -> None:
+        if deadline is not None and time.monotonic() > deadline:
+            raise _Deadline
+        if covered == full:
+            solutions.append(tuple(sorted(chosen)))
+            return
+        cands = through[(~covered & (covered + 1)).bit_length() - 1] & alive
+        while cands:
+            low = cands & -cands
+            i = low.bit_length() - 1
+            cover(covered | bits[i], alive & compat[i], chosen + (i,))
+            cands ^= low
+
     try:
-        _cover_search(cover, deadline, cover.block_bits[first], (first,), solutions)
+        cover(1 | bits[first], compat[first], (first,))
         return solutions, True
     except _Deadline:
         return solutions, False
@@ -697,16 +690,15 @@ def search_complete_sets(
     field: Field, workers: int = 1, time_budget: float | None = None
 ) -> SearchResult:
     """All sets of d+1 extraordinary subgroups with pairwise trivial
-    intersections, deduplicated, canonically ordered, and annotated with
+    intersections, each once, canonically ordered, and annotated with
     the matching construction type.  A time budget makes the result
     best-effort; the ``exhaustive`` flag reports whether it was hit.
 
-    The search branches on the blocks through the point with mask 1 (every
-    nonzero point lies in equally many extraordinary subgroups, so this is
-    the root choice of the fewest-candidates rule).  The branches run in
-    this process, or on a pool of min(workers, CPU count, branch count)
-    processes; all of them share one absolute deadline.  Sets that use the
-    same subgroup share one Supersquare object."""
+    The search is an exact cover on bitsets, one root branch per block
+    through the point with mask 1.  The branches run in this process, or
+    on a pool of min(workers, CPU count, branch count) processes; all of
+    them share one absolute deadline.  Sets that use the same subgroup
+    share one Supersquare object."""
     if workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")
     if time_budget is not None and not time_budget >= 0:
@@ -722,9 +714,10 @@ def search_complete_sets(
             break
         blocks.append(masks)
 
-    cover = _prepare_cover(blocks, d)
-    first = cover.blocks_by_point[1]
-    branch = partial(_search_branch, cover, deadline)
+    tables = _cover_tables(blocks, d)
+    bits, through = tables[0], tables[1]
+    first = [i for i in range(len(blocks)) if through[1] >> i & 1]
+    branch = partial(_search_branch, tables, deadline)
     pool_size = min(workers, os.cpu_count() or 1, len(first))
     solutions: list[tuple[int, ...]] = []
     search_complete = True
@@ -738,14 +731,14 @@ def search_complete_sets(
     built: dict[int, tuple[tuple[tuple[int, int], ...], Supersquare]] = {}
     templates = complete_set_templates(field)
     keyed = []
-    for chosen in set(solutions):
+    for chosen in solutions:
         for i in chosen:
             if i not in built:
                 ss = supersquare_from_subgroup(Subgroup.from_masks(field, blocks[i]))
                 built[i] = (ss.generator.sort_key, ss)
         members = sorted((built[i] for i in chosen), key=lambda item: item[0])
         set_type, v1, v2 = templates.get(
-            frozenset(blocks[i] for i in chosen), ("Unclassified", None, None)
+            frozenset(bits[i] for i in chosen), ("Unclassified", None, None)
         )
         sort_key = tuple(k for k, _ in members)
         keyed.append((sort_key, CompleteSet(set_type, v1, v2, tuple(ss for _, ss in members))))

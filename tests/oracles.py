@@ -27,6 +27,16 @@ library divides by the one magnitude of a stabilizer column);
 proportionality and the integer unbiasedness test of two states; and the
 rank of a Gaussian matrix by fraction-free elimination (the library
 reads a two-row rank off the 2x2 minors).
+
+The search and typing references are here too: the striation test by
+every nonzero element of the origin class (the library translates by a
+basis of it), the first selfdual basis by a scan over all n-sets of masks
+(the library searches the trace-1 masks depth first), the exact cover
+that rebuilds the candidate list of every uncovered point at each node
+and branches on the shortest (the library branches on the lowest
+uncovered point over bitsets of compatible blocks), and the template
+table built by evaluating every recipe list of every valid (v1, v2)
+(the library maps one base template per type and det(v1, v2)).
 """
 
 import random
@@ -36,7 +46,7 @@ from itertools import combinations
 from typing import Iterable, Sequence
 
 from mubkit import Square, Subgroup, det, trace_zero_subgroup
-from mubkit.gf2n import FieldBasis, dual_basis, is_dual_pair
+from mubkit.gf2n import FieldBasis, _independent, dual_basis, is_dual_pair, is_selfdual
 from mubkit.pauli import I_UNIT, ONE, UNITS, ZERO, GaussInt, PauliWord
 from mubkit.mub import (
     EntanglementStructure,
@@ -46,7 +56,13 @@ from mubkit.mub import (
     separability,
 )
 from mubkit.phasespace import Point, point_table
-from mubkit.squares import SquareReport
+from mubkit.squares import (
+    SquareReport,
+    _d8_recipes,
+    _det,
+    _recipe_masks,
+    _type_II_recipes_d4,
+)
 
 
 # -- Gaussian-integer arithmetic and states ------------------------------------
@@ -542,6 +558,14 @@ def verify_square(square):
     )
 
 
+def striated_by_every_element(square):
+    """Every point keeps its label under translation by each nonzero
+    element of the origin class."""
+    labels = square._labels
+    origin = [m for m, label in enumerate(labels) if label == labels[0]]
+    return all(labels[m ^ a] == label for a in origin[1:] for m, label in enumerate(labels))
+
+
 def perturb_supersquare(ss, seed):
     """perturb_supersquare over frozensets of Points: the same draws, each
     point chosen from its class sorted by (x mask, y mask)."""
@@ -636,3 +660,84 @@ def certify_bases_dense(
         if not checks["structure"]:
             failures.append(f"structure mismatch: recomputed {recount}")
     return checks, failures
+
+
+# -- field bases, exact cover and set templates ---------------------------------
+
+
+def selfdual_basis_by_scan(field):
+    """The first n-set of masks, in lexicographic order, that is
+    independent and selfdual."""
+    for combo in combinations(range(1, field.order), field.n):
+        if len(_independent(combo)) != field.n:
+            continue
+        cand = FieldBasis(tuple(field.element(m) for m in combo))
+        if is_selfdual(cand):
+            return cand
+    raise ValueError(f"no selfdual basis found for {field!r}")
+
+
+def fewest_candidates_covers(blocks, d):
+    """Every exact cover of the nonzero points by d+1 blocks, as sorted
+    block-index tuples.  Each node lists the blocks through every
+    uncovered point that miss the covered ones and branches on the
+    shortest list."""
+    block_bits = [sum(1 << m for m in masks if m) for masks in blocks]
+    blocks_by_point = {m: [] for m in range(d * d)}
+    for i, masks in enumerate(blocks):
+        for m in masks:
+            if m:
+                blocks_by_point[m].append(i)
+    full = (1 << d * d) - 2
+    solutions = []
+
+    def search(covered, chosen):
+        if covered == full:
+            if len(chosen) == d + 1:
+                solutions.append(tuple(sorted(chosen)))
+            return
+        if len(chosen) >= d + 1:
+            return
+        best = None
+        for m in range(1, d * d):
+            if covered >> m & 1:
+                continue
+            cands = [i for i in blocks_by_point[m] if not block_bits[i] & covered]
+            if not cands:
+                return
+            if best is None or len(cands) < len(best):
+                best = cands
+        for i in best:
+            search(covered | block_bits[i], chosen + (i,))
+
+    search(0, ())
+    return solutions
+
+
+def complete_set_templates_by_recipes(field):
+    """Templates keyed by frozensets of sorted subgroup point-mask tuples,
+    each recipe list evaluated at its own (v1, v2); first match wins over
+    types I, II, III, IV and valid pairs in canonical point order."""
+    d, n = field.order, field.n
+    table = point_table(field)
+    points = [x | y << n for x in range(d) for y in range(d)][1:]
+
+    def key(recipes):
+        return frozenset(_recipe_masks(field, r) for r in recipes)
+
+    templates = {key([("line", u) for u in points]): ("I", table[1], table[1 << n])}
+    if d == 4:
+        for v1 in points:
+            for v2 in points:
+                if _det(field, v1, v2) == 1:
+                    k = key(_type_II_recipes_d4(field, v1, v2))
+                    templates.setdefault(k, ("II", table[v1], table[v2]))
+    elif d == 8:
+        for set_type in ("II", "III", "IV"):
+            for v1 in points:
+                for v2 in points:
+                    det_mask = _det(field, v1, v2)
+                    if det_mask and not field._trace[det_mask]:
+                        k = key(_d8_recipes(field, set_type, v1, v2, det_mask))
+                        templates.setdefault(k, (set_type, table[v1], table[v2]))
+    return templates

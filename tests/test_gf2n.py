@@ -4,6 +4,8 @@ import json
 
 import pytest
 
+import oracles
+
 from mubkit import (
     DEFAULT_POLYS,
     Field,
@@ -248,6 +250,26 @@ def test_default_selfdual_basis_all_degrees():
     for n in (2, 3, 4, 5):
         f = Field(n)
         assert is_selfdual(default_selfdual_basis(f))
+    assert [e.mask for e in default_selfdual_basis(Field(4))] == [8, 11, 13, 15]
+    assert [e.mask for e in default_selfdual_basis(Field(5))] == [3, 5, 12, 17, 26]
+
+
+def test_selfdual_search_matches_scan_oracle():
+    """The depth-first search over trace-1 masks returns the scan's first
+    selfdual basis, for every modulus of degree 2-4 and the default one of
+    degree 5 (n = 3 with the default modulus has its fixed basis)."""
+    fields = [Field(5)]
+    for n in (2, 3, 4):
+        for poly in range(1 << n, 2 << n):
+            try:
+                fields.append(Field(n, poly))
+            except ValueError:
+                continue
+    for f in fields:
+        if f.n == 3 and f.poly == DEFAULT_POLYS[3]:
+            continue
+        assert default_selfdual_basis(f) == oracles.selfdual_basis_by_scan(f)
+    assert len(fields) == 1 + 1 + 2 + 2
 
 
 # -- display and parsing -----------------------------------------------------

@@ -32,7 +32,8 @@ from mubkit import (
     verify_square,
 )
 from mubkit import squares as squares_module
-from mubkit.squares import CompleteSet, _prepare_cover, _search_branch
+from mubkit.phasespace import iter_lagrangian_masks, point_to_mask
+from mubkit.squares import CompleteSet, _cover_tables, _search_branch
 
 import oracles
 import refdata
@@ -167,6 +168,51 @@ def test_square_reports_match_oracle_perturbed(f8, d8_type_ii_set):
         r.failures == ("square is not a supersquare", "square is not a physical striation")
         for r in reports
     )
+
+
+def half_striated(ss, half_basis):
+    """ss with its classes 2 and 3, the cosets p + A and q + A, rebuilt as
+    (p + B) | (q + B) and the rest, B the span of ``half_basis``: the
+    translations by B fix every class, the others of A do not."""
+    half = {0}
+    for g in half_basis:
+        half |= {h ^ g for h in half}
+    labels = list(ss.square._labels)
+    p, q = (point_to_mask(r) for r in ss.coset_reps[:2])
+    for m, label in enumerate(ss.square._labels):
+        if label in (2, 3):
+            labels[m] = 2 if m ^ (p if label == 2 else q) in half else 3
+    return Square._from_labels(ss.field, labels)
+
+
+def test_striation_by_basis_matches_every_element(f4, f8, d4_type_ii_set, d8_type_ii_set):
+    """verify_square translates by a basis of the origin class; the oracle
+    by each of its nonzero elements.  Perturbed squares at d = 4 and 8,
+    valid sets at d = 4, 8 and 16."""
+    f16 = Field(4)
+    valid = [
+        d4_type_ii_set,
+        type_I_set(Point(f4.one, f4.mu), Point(f4.mu, f4.one)),
+        d8_type_ii_set,
+        type_I_set(Point(f16.one, f16.zero), Point(f16.zero, f16.one)),
+        type_I_set(Point(f16.one, f16.mu), Point(f16.from_power(3), f16.from_power(7))),
+    ]
+    squares = [sq for cset in valid for sq in cset.squares]
+    for cset in (d4_type_ii_set, d8_type_ii_set):
+        sss = cset.supersquares
+        squares += [perturb_supersquare(sss[seed % len(sss)], seed) for seed in range(50)]
+        # invariant under an index-2 subgroup of the origin class only
+        basis = [point_to_mask(p) for p in cset.generators[0].basis()]
+        ss = cset.supersquares[0]
+        squares += [half_striated(ss, basis[:-1]), half_striated(ss, basis[1:])]
+    for sq in squares:
+        report = verify_square(sq)
+        assert report.physical_striation == (
+            report.class1_extraordinary and oracles.striated_by_every_element(sq)
+        )
+        if sq.d <= 8:
+            assert report == oracles.verify_square(sq)
+    assert sum(verify_square(sq).physical_striation for sq in squares) == 5 + 5 + 9 + 17 + 17
 
 
 def test_square_report_matches_oracle_unclosed_origin_class(f4):
@@ -354,11 +400,43 @@ def test_search_d4_deterministic_across_workers(f4):
 
 def test_search_branch_past_deadline_is_incomplete(f4):
     blocks = [g.masks() for g in enumerate_extraordinary_subgroups(f4)]
-    cover = _prepare_cover(blocks, 4)
-    first = cover.blocks_by_point[1][0]
-    assert _search_branch(cover, time.monotonic() - 1.0, first) == ([], False)
-    sols, complete = _search_branch(cover, None, first)
+    tables = _cover_tables(blocks, 4)
+    first = (tables[1][1] & -tables[1][1]).bit_length() - 1  # a block through point 1
+    assert _search_branch(tables, time.monotonic() - 1.0, first) == ([], False)
+    sols, complete = _search_branch(tables, None, first)
     assert complete and sols
+    assert set(sols) == {s for s in oracles.fewest_candidates_covers(blocks, 4) if first in s}
+
+
+@pytest.mark.parametrize("n, count", [(2, 6), (3, 960)])
+def test_bitset_cover_matches_fewest_candidates_oracle(n, count):
+    """Every root branch together gives the oracle's covers, each once."""
+    d = 1 << n
+    blocks = list(iter_lagrangian_masks(Field(n)))
+    tables = _cover_tables(blocks, d)
+    firsts = [i for i in range(len(blocks)) if tables[1][1] >> i & 1]
+    got = [s for i in firsts for s in _search_branch(tables, None, i)[0]]
+    assert len(got) == len(set(got)) == count
+    assert set(got) == set(oracles.fewest_candidates_covers(blocks, d))
+
+
+@pytest.mark.parametrize("n, count", [(2, 6), (3, 960)])
+def test_search_labels_match_template_oracle(n, count):
+    """Type, v1 and v2 of every found set, from the recipe-by-recipe table."""
+    field = Field(n)
+    oracle = oracles.complete_set_templates_by_recipes(field)
+    result = search_complete_sets(field)
+    assert len(result.sets) == count
+    for c in result.sets:
+        key = frozenset(tuple(sorted(g.masks())) for g in c.generators)
+        assert (c.set_type, c.v1, c.v2) == oracle.get(key, ("Unclassified", None, None))
+
+
+def test_search_d8_deterministic_across_workers(f8, monkeypatch):
+    monkeypatch.setattr(squares_module.os, "cpu_count", lambda: 2)
+    single = search_complete_sets(f8, workers=1)
+    multi = search_complete_sets(f8, workers=2)
+    assert single == multi and multi.exhaustive
 
 
 def test_search_pool_is_clamped(f4, monkeypatch):
