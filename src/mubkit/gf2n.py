@@ -44,16 +44,6 @@ def _poly_mod(a: int, m: int) -> int:
     return a
 
 
-def _is_irreducible(poly: int) -> bool:
-    n = _poly_deg(poly)
-    if poly & 1 == 0:  # x divides it
-        return False
-    for q in range(2, 1 << (n // 2 + 1)):
-        if _poly_mod(poly, q) == 0:
-            return False
-    return True
-
-
 class Field:
     """GF(2^n) with a fixed modulus; the generator mu is the class of x."""
 
@@ -66,8 +56,6 @@ class Field:
             poly = DEFAULT_POLYS[n]
         if _poly_deg(poly) != n:
             raise ValueError(f"modulus 0b{poly:b} does not have degree {n}")
-        if not _is_irreducible(poly):
-            raise ValueError(f"modulus 0b{poly:b} is reducible over F_2")
         self.n = n
         self.poly = poly
         self.order = 1 << n
@@ -77,8 +65,10 @@ class Field:
         for _ in range(self.order - 1):
             exp.append(val)
             val = _poly_mod(_poly_mul(val, 0b10), poly)
+        # x has 2^n - 1 distinct powers only if the modulus is primitive,
+        # which makes it irreducible: a reducible modulus leaves fewer units
         if val != 1 or len(set(exp)) != self.order - 1:
-            raise ValueError(f"x is not primitive modulo 0b{poly:b}")
+            raise ValueError(f"modulus 0b{poly:b} is not primitive over F_2")
         self._exp = tuple(exp)
         self._log = {mask: e for e, mask in enumerate(exp)}
 

@@ -9,24 +9,26 @@ integer identities (d * |<u,v>|^2 = N_u * N_v for unbiasedness).
 
 Each basis takes one exact rank-one projector: for generators g_1..g_n of
 an extraordinary subgroup at their principal eigenvalues lambda_j, the
-fraction-free product P of the factors (1 + conj(lambda_j) T_(g_j)) has
-trace 2^n exactly.  P is d |psi><psi| for a stabilizer state psi, so the
-nonzero entries of its first nonzero column share the one magnitude
-d/|supp|; divided by it and rotated into the canonical quadrant, the
-column is the ray state.  Every T is a signed permutation (see pauli)
-whose masks come from one table per expansion basis, so column c of P is
-the n factors applied in turn to e_c, with no matrix held.  Everything
+fraction-free product P of the factors (1 + conj(lambda_j) T_(g_j)) is
+d |psi><psi| for a stabilizer state psi, as the T_(g_j) commute.  (Its
+trace is d for any n independent generators, commuting or not, so it is
+no rank test and is not taken.)  The nonzero entries of its first nonzero column
+share the one magnitude d/|supp|; divided by it and rotated into the
+canonical quadrant, that column is the ray state.  Every T is a signed
+permutation (see pauli) whose masks come from one table per expansion
+basis, so column c of P is the n factors applied in turn to e_c, with no
+matrix held, for c = 0, 1, ... up to the first nonzero one.  Everything
 else works on packed point masks: the generators are the greedy
-independent masks of the subgroup, and the other d - 1 states are the
-ray state translated by the coset representatives of the quotient
+independent masks of the subgroup, and the other d - 1 states are the ray
+state translated by the coset representatives of the quotient
 (squares._quotient).  T_r negates the eigenvalue of every generator it
 anticommutes with, which is where the symplectic form of r and the
-generator is 1: the parity of the generator's polar mask (phasespace)
-and r.  So the representative's flip signature is both the state's
-eigenvalue assignment and its class.  A signed permutation keeps the
-entries of the ray state units, so a translated state needs only the
-rotation into the canonical quadrant, and every product by a unit is a
-swap of real and imaginary parts and a sign.
+generator is 1: the parity of the generator's polar mask (phasespace) and
+r.  So the representative's flip signature is both the state's eigenvalue
+assignment and its class.  A signed permutation keeps the entries of the
+ray state units, so a translated state needs only the rotation into the
+canonical quadrant, and every product by a unit is a swap of real and
+imaginary parts and a sign.
 
 Every basis state is a stabilizer state, so its entries lie in
 {0, +-1, +-i}.  The certificate packs each such state once into a support
@@ -167,9 +169,9 @@ def _ray_state(column: Sequence[GaussInt]) -> UnnormalizedState:
 def common_eigenbasis(a1: Subgroup, expansion_basis: FieldBasis) -> MubBasis:
     """The d common eigenvectors of the translation operators of a1.
 
-    The ray state is a column of the exact rank-one projector for the
-    all-principal assignment; state s is the ray state translated by the
-    coset representative whose flip signature is s.  Every state is
+    The ray state is the first nonzero column of the exact rank-one
+    projector for the all-principal assignment; state s is the ray state
+    translated by the coset representative whose flip signature is s.  Every state is
     checked to be a common eigenvector with its assignment's eigenvalues.
     Distinct assignments make the states pairwise orthogonal;
     certify_bases, which build_mub_set runs, checks that exactly.
@@ -186,17 +188,13 @@ def common_eigenbasis(a1: Subgroup, expansion_basis: FieldBasis) -> MubBasis:
     principals = [principal_eigenvalue(x, z) for x, z in ops]
     # the factors (1 + conj(lambda_j) T_(g_j)), the rightmost applied first
     factors = [(x, z, lam.conj()) for (x, z), lam in zip(ops, principals)][::-1]
-    columns = []
-    for c in range(d):
+    for c in range(d):  # column c of P, up to the first nonzero one
         col = tuple(ONE if i == c else ZERO for i in range(d))
         for x, z, w in factors:
             col = tuple(a + b for a, b in zip(col, _times_unit(w, translate(x, z, col))))
-        columns.append(col)
-    if sum((col[c] for c, col in enumerate(columns)), ZERO) != GaussInt(d, 0):
-        raise ConstructionError(
-            f"ray projector has rank != 1; generators of {a1!r} do not commute"
-        )
-    ray = _ray_state(next(c for c in columns if any(not e.is_zero for e in c)))
+        if any(not e.is_zero for e in col):
+            break
+    ray = _ray_state(col)
     if sorted(slots) != list(range(d)):
         raise ConstructionError(
             f"flip signatures {slots} do not fill the {d} assignments once each"
@@ -404,12 +402,6 @@ def build_mub_set(
 
 BIPARTITIONS = ("1|23", "2|13", "3|12")
 
-_RESHAPES = {
-    "1|23": lambda b: (b >> 2 & 1, b & 3),
-    "2|13": lambda b: (b >> 1 & 1, (b >> 2 & 1) << 1 | (b & 1)),
-    "3|12": lambda b: (b & 1, b >> 1),
-}
-
 
 def _two_row_rank(top: Sequence[GaussInt], bottom: Sequence[GaussInt]) -> int:
     """Rank of a two-row matrix over the Gaussian rationals, read off its
@@ -425,19 +417,24 @@ def _two_row_rank(top: Sequence[GaussInt], bottom: Sequence[GaussInt]) -> int:
     return 2 if any(not m.is_zero for m in minors) else 1
 
 
+def _cut_rank(u: UnnormalizedState, n: int, q: int) -> int:
+    """Rank of an n-qubit state across the cut of qubit q from the rest: the
+    two rows are the entries with bit n - q of the index clear and set,
+    in index order; qubit 1 is the most significant index bit."""
+    rows: tuple[list[GaussInt], list[GaussInt]] = ([], [])
+    for b, e in enumerate(u.entries):
+        rows[b >> (n - q) & 1].append(e)
+    return _two_row_rank(*rows)
+
+
 def schmidt_rank(u: UnnormalizedState, bipartition: str) -> int:
-    """Exact rank of the 2x4 reshape of a three-qubit state across the cut;
-    qubit 1 is the most significant index bit."""
+    """Exact rank of the 2x4 reshape of a three-qubit state across the cut
+    "q|rest"."""
     if u.dim != 8:
         raise ValueError("schmidt_rank supports three-qubit states only")
-    if bipartition not in _RESHAPES:
+    if bipartition not in BIPARTITIONS:
         raise ValueError(f"bipartition must be one of {BIPARTITIONS}")
-    pos = _RESHAPES[bipartition]
-    mat = [[ZERO] * 4 for _ in range(2)]
-    for b, e in enumerate(u.entries):
-        r, c = pos(b)
-        mat[r][c] = e
-    return _two_row_rank(*mat)
+    return _cut_rank(u, 3, BIPARTITIONS.index(bipartition) + 1)
 
 
 def rank_profile(u: UnnormalizedState) -> tuple[int, int, int]:
@@ -449,7 +446,7 @@ def two_qubit_rank(u: UnnormalizedState) -> int:
     product, 2 means entangled.  Informational output only."""
     if u.dim != 4:
         raise ValueError("two_qubit_rank supports two-qubit states only")
-    return _two_row_rank(u.entries[:2], u.entries[2:])
+    return _cut_rank(u, 2, 1)
 
 
 class Separability(enum.Enum):

@@ -3,9 +3,9 @@
 A square is a partition of F_d x F_d into d classes of d points, held
 as the label 1..d of every packed point mask; its ``classes`` tuple, built
 on demand, lists the class with label j at index j-1.  A supersquare is the
-quotient of the plane by an order-d subgroup: class 1 is the subgroup,
-the remaining classes are its cosets labelled in order of their minimal
-representatives.
+quotient of the plane by an order-d subgroup, its generator, and holds
+nothing else: class 1 is the subgroup, the remaining classes are its
+cosets labelled in order of their minimal representatives.
 
 Grid convention (used for rendering and the Latin/row-Latin/column-Latin
 tests): the cell at grid row r, column c holds the label of the class
@@ -15,12 +15,13 @@ x2 sweeps rows bottom to top, both in the order 0, 1, mu, mu^2, ...
 Complete sets are d+1 pairwise orthogonal extraordinary supersquares,
 equivalently d+1 generating subgroups that pairwise intersect only in
 the origin, so that together they tile the nonzero points of the plane.
-The search engine enumerates every such tiling by exact-cover
+Every typed set is the image of one base template per type and
+k = det(v1, v2), its generators at (v1, v2) = (e1, e2), under the
+F_d-linear map (x, y) -> x*v1 + y*v2: the constructors build a pair's set
+that way, and the census types a found set by looking it up among the
+images.  The search engine enumerates every tiling by exact-cover
 backtracking over the extraordinary subgroups, held as integer bitsets
-of their points with a bitset of compatible blocks per block.  A found
-set is typed by lookup: the template of a construction pair (v1, v2) is
-the image of one base template per type and det(v1, v2) under the
-F_d-linear map (x, y) -> x*v1 + y*v2.
+of their points with a bitset of compatible blocks per block.
 """
 
 from __future__ import annotations
@@ -30,8 +31,8 @@ import os
 import random
 import time
 from contextlib import nullcontext
-from dataclasses import dataclass, replace
-from functools import partial, reduce
+from dataclasses import dataclass
+from functools import cached_property, partial, reduce
 from itertools import combinations
 from operator import itemgetter, or_
 from typing import Iterable, Sequence
@@ -127,9 +128,15 @@ class Square:
 
 @dataclass(frozen=True)
 class Supersquare:
+    """The quotient by ``generator``; its square and coset representatives
+    are derived from the generator on first use."""
+
     generator: Subgroup
-    coset_reps: tuple[Point, ...]
-    square: Square
+
+    def __post_init__(self) -> None:
+        d = self.generator.field.order
+        if self.generator.order != d:
+            raise ValueError(f"generating subgroup must have {d} elements")
 
     @property
     def field(self) -> Field:
@@ -139,10 +146,23 @@ class Supersquare:
     def d(self) -> int:
         return self.generator.field.order
 
+    @cached_property
+    def _cosets(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        return _quotient(self.generator)
+
+    @cached_property
+    def square(self) -> Square:
+        return Square._from_labels(self.field, self._cosets[0])
+
+    @cached_property
+    def coset_reps(self) -> tuple[Point, ...]:
+        return tuple(map(point_table(self.field).__getitem__, self._cosets[1]))
+
 
 def _quotient(a1: Subgroup) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """The label of every packed point and the coset representatives of
-    the quotient of the plane by an order-d subgroup a1."""
+    the quotient of the plane by an order-d subgroup a1: class 1 is a1, and
+    the cosets get labels 2..d in order of their minimal representatives."""
     d, n = a1.field.order, a1.field.n
     labels = [0] * (d * d)
     reps: list[int] = []
@@ -155,15 +175,8 @@ def _quotient(a1: Subgroup) -> tuple[tuple[int, ...], tuple[int, ...]]:
 
 
 def supersquare_from_subgroup(a1: Subgroup) -> Supersquare:
-    """The quotient of the plane by a1: class 1 is a1; cosets get labels
-    2..d in order of their minimal representatives."""
-    field = a1.field
-    d = field.order
-    if a1.order != d:
-        raise ValueError(f"generating subgroup must have {d} elements")
-    table = point_table(field)
-    labels, reps = _quotient(a1)
-    return Supersquare(a1, tuple(table[r] for r in reps), Square._from_labels(field, labels))
+    """The quotient of the plane by a1."""
+    return Supersquare(a1)
 
 
 def is_supersquare(square: Square) -> bool:
@@ -248,22 +261,9 @@ class CompleteSet:
         return tuple(ss.square for ss in self.supersquares)
 
 
-def type_I_set(v1: Point, v2: Point) -> CompleteSet:
-    """The d+1 scalar lines F_d(v1 + lambda*v2), lambda sweeping F_d, plus
-    F_d*v2.  Any basis of the plane over F_d is accepted."""
-    if det(v1, v2).is_zero:
-        raise ValueError("type I needs an F_d-basis: det(v1, v2) must be nonzero")
-    field = v1.field
-    a, b = point_to_mask(v1), point_to_mask(v2)
-    recipes = [("line", a ^ _scale(field, b, lam)) for lam in (0,) + field._exp]
-    recipes.append(("line", b))
-    return _set_from_recipes("I", v1, v2, recipes)
-
-
 # Generator tables are expressed as recipes over packed point masks --
 # ("line", u) for F_d*u and ("span", a, b, scalars) for Z2*a + scalars*b,
-# scalars being element masks -- evaluated to point masks by _recipe_masks,
-# for the constructors and for the template index alike.
+# scalars being element masks -- evaluated to point masks by _recipe_masks.
 
 _Recipe = tuple
 
@@ -280,29 +280,31 @@ def _det(field: Field, p: int, q: int) -> int:
     return mul(p & lo, q >> n) ^ mul(q & lo, p >> n)
 
 
-def _type_II_recipes_d4(field: Field, v1: int, v2: int) -> list[_Recipe]:
-    mu, mu2 = field._exp[1], field._exp[2]
+def _recipes(field: Field, set_type: str, k: int) -> list[_Recipe]:
+    """The generators of the typed set of a pair with det(v1, v2) = k, at
+    (v1, v2) = (e1, e2).  Every table is F_d-linear in (v1, v2), with
+    coefficients that depend only on k, so the generators of any valid
+    pair are the images of these under (x, y) -> x*v1 + y*v2."""
+    v1, v2 = 1, 1 << field.n
     s = partial(_scale, field)
-    z2 = (0, 1)
-    return [
-        ("line", v1),
-        ("span", v2, v1 ^ s(v2, mu), z2),
-        ("span", s(v2, mu), s(v1 ^ v2, mu2), z2),
-        ("span", s(v2, mu2), s(v1 ^ v2, mu), z2),
-        ("span", v1 ^ v2, s(v1, mu) ^ s(v2, mu2), z2),
-    ]
-
-
-def _d8_recipes(
-    field: Field, set_type: str, v1: int, v2: int, k: int
-) -> list[_Recipe]:
+    if set_type == "I":
+        return [("line", v1 ^ s(v2, lam)) for lam in (0,) + field._exp] + [("line", v2)]
+    if field.order == 4 and set_type == "II":
+        mu, mu2 = field._exp[1], field._exp[2]
+        z2 = (0, 1)
+        return [
+            ("line", v1),
+            ("span", v2, v1 ^ s(v2, mu), z2),
+            ("span", s(v2, mu), s(v1 ^ v2, mu2), z2),
+            ("span", s(v2, mu2), s(v1 ^ v2, mu), z2),
+            ("span", v1 ^ v2, s(v1, mu) ^ s(v2, mu2), z2),
+        ]
     exp, log = field._exp, field._log
     kp = [exp[log[k] * j % 7] for j in range(7)]
     kinv = exp[-log[k] % 7]
     ktilde = tuple(
         sorted(field._mul_mask(t, kinv) for t in range(8) if not field._trace[t])
     )
-    s = partial(_scale, field)
     if set_type == "II":
         return [
             ("span", v2 ^ s(v1, kp[4]), v1, ktilde),
@@ -344,7 +346,7 @@ def _d8_recipes(
 
 def _recipe_masks(field: Field, recipe: _Recipe) -> tuple[int, ...]:
     """The sorted point masks a recipe spans, unvalidated: Subgroup checks
-    closure and supersquare_from_subgroup the order."""
+    closure and Supersquare the order."""
     if recipe[0] == "line":
         u = recipe[1]
         return tuple(sorted({_scale(field, u, c) for c in range(field.order)}))
@@ -357,15 +359,31 @@ def _recipe_masks(field: Field, recipe: _Recipe) -> tuple[int, ...]:
     return tuple(sorted(masks))
 
 
-def _set_from_recipes(
-    set_type: str, v1: Point, v2: Point, recipes: list[_Recipe]
-) -> CompleteSet:
+def _typed_set(set_type: str, v1: Point, v2: Point, k: int) -> CompleteSet:
+    """The typed set of a validated pair with det(v1, v2) = k: the image of
+    its base generators under (x, y) -> x*v1 + y*v2, read off the d scalar
+    multiples s1 of v1 and s2 of v2."""
     field = v1.field
+    d, n = field.order, field.n
+    s1, s2 = ([_scale(field, point_to_mask(v), c) for c in range(d)] for v in (v1, v2))
     supersquares = tuple(
-        supersquare_from_subgroup(Subgroup.from_masks(field, _recipe_masks(field, r)))
-        for r in recipes
+        Supersquare(
+            Subgroup.from_masks(
+                field, [s1[m & d - 1] ^ s2[m >> n] for m in _recipe_masks(field, r)]
+            )
+        )
+        for r in _recipes(field, set_type, k)
     )
     return CompleteSet(set_type, v1, v2, supersquares)
+
+
+def type_I_set(v1: Point, v2: Point) -> CompleteSet:
+    """The d+1 scalar lines F_d(v1 + lambda*v2), lambda sweeping F_d, plus
+    F_d*v2.  Any basis of the plane over F_d is accepted."""
+    k = det(v1, v2)
+    if k.is_zero:
+        raise ValueError("type I needs an F_d-basis: det(v1, v2) must be nonzero")
+    return _typed_set("I", v1, v2, k.mask)
 
 
 def type_II_set_d4(v1: Point, v2: Point) -> CompleteSet:
@@ -375,8 +393,7 @@ def type_II_set_d4(v1: Point, v2: Point) -> CompleteSet:
         raise ValueError("this constructor is specific to d = 4")
     if det(v1, v2) != field.one:
         raise ValueError("type II at d=4 needs det(v1, v2) = 1")
-    recipes = _type_II_recipes_d4(field, point_to_mask(v1), point_to_mask(v2))
-    return _set_from_recipes("II", v1, v2, recipes)
+    return _typed_set("II", v1, v2, 1)
 
 
 def _d8_set(set_type: str, v1: Point, v2: Point) -> CompleteSet:
@@ -386,8 +403,7 @@ def _d8_set(set_type: str, v1: Point, v2: Point) -> CompleteSet:
     k = det(v1, v2)
     if k.is_zero or not field.trace(k).is_zero:
         raise ValueError("det(v1,v2) not in K\\{0}")
-    recipes = _d8_recipes(field, set_type, point_to_mask(v1), point_to_mask(v2), k.mask)
-    return _set_from_recipes(set_type, v1, v2, recipes)
+    return _typed_set(set_type, v1, v2, k.mask)
 
 
 def type_II_set_d8(v1: Point, v2: Point) -> CompleteSet:
@@ -513,31 +529,10 @@ def verify_squares(squares: Sequence[Square]) -> CompleteSetReport:
     )
 
 
-def _is_quotient_by_generator(ss: Supersquare) -> bool:
-    a1 = ss.generator
-    if a1.order != a1.field.order or ss.square.field != a1.field:
-        return False
-    labels, reps = _quotient(a1)
-    table = point_table(a1.field)
-    return ss.square._labels == labels and ss.coset_reps == tuple(table[r] for r in reps)
-
-
 def verify_complete_set(c: CompleteSet) -> CompleteSetReport:
-    """verify_squares on the set's squares, plus: each supersquare's
-    generator and coset representatives belong to its square."""
-    report = verify_squares(c.squares)
-    mismatched = [
-        i for i, ss in enumerate(c.supersquares, start=1)
-        if not _is_quotient_by_generator(ss)
-    ]
-    if not mismatched:
-        return report
-    return replace(
-        report,
-        extraordinary_supersquares=False,
-        failures=report.failures
-        + tuple(f"supersquare {i} is not the quotient by its generator" for i in mismatched),
-    )
+    """verify_squares on the set's squares, each the quotient by its
+    supersquare's generator."""
+    return verify_squares(c.squares)
 
 
 def perturb_supersquare(ss: Supersquare, seed: int) -> Square:
@@ -580,18 +575,16 @@ def complete_set_templates(field: Field) -> dict[frozenset[int], tuple[str, Poin
     """Generator-set templates keyed by frozensets of subgroup bitsets (bit
     m set for every nonzero packed point m); first match wins, scanning
     types in order I, II, III, IV over all valid (v1, v2) pairs in
-    canonical point order.
-
-    Every recipe is F_d-linear in (v1, v2), with coefficients that depend
-    only on k = det(v1, v2).  So the recipes are evaluated once per type
-    and k at (e1, e2), and a pair's template is their image under the map
-    (x, y) -> x*v1 + y*v2, read off the d scalar multiples of v1 and v2."""
+    canonical point order.  A pair's template is the image of the base
+    generators of _recipes, read off the scalar multiples of v1 and v2."""
     d, n = field.order, field.n
     table = point_table(field)
     # nonzero packed points in canonical (x mask, y mask) order
     points = [x | y << n for x in range(d) for y in range(d)][1:]
     multiples = [[_scale(field, u, c) for c in range(d)] for u in range(d * d)]
-    lines = frozenset(sum(1 << m for m in multiples[u][1:]) for u in points)
+    lines = frozenset(
+        sum(1 << m for m in _recipe_masks(field, r)[1:]) for r in _recipes(field, "I", 1)
+    )
     templates = {lines: ("I", table[1], table[1 << n])}
 
     def base(recipes: list[_Recipe]) -> list[itemgetter]:
@@ -602,17 +595,11 @@ def complete_set_templates(field: Field) -> dict[frozenset[int], tuple[str, Poin
             for r in recipes
         ]
 
-    e1, e2 = 1, 1 << n
-    if d == 4:
-        bases = {1: [("II", base(_type_II_recipes_d4(field, e1, e2)))]}
-    elif d == 8:
-        bases = {
-            k: [(t, base(_d8_recipes(field, t, e1, e2, k))) for t in ("II", "III", "IV")]
-            for k in range(1, d)
-            if not field._trace[k]
-        }
-    else:
+    types = {4: ("II",), 8: ("II", "III", "IV")}.get(d)
+    if types is None:
         return templates
+    dets = [1] if d == 4 else [k for k in range(1, d) if not field._trace[k]]
+    bases = {k: [(t, base(_recipes(field, t, k))) for t in types] for k in dets}
     # the first pair of each template, per type
     firsts: dict[str, dict[frozenset[int], tuple[int, int]]] = {}
     for v1 in points:

@@ -34,9 +34,11 @@ basis of it), the first selfdual basis by a scan over all n-sets of masks
 (the library searches the trace-1 masks depth first), the exact cover
 that rebuilds the candidate list of every uncovered point at each node
 and branches on the shortest (the library branches on the lowest
-uncovered point over bitsets of compatible blocks), and the template
-table built by evaluating every recipe list of every valid (v1, v2)
-(the library maps one base template per type and det(v1, v2)).
+uncovered point over bitsets of compatible blocks), and the recipe
+tables of the typed sets written in Point and FieldElement arithmetic,
+with the template table built by evaluating them at every valid (v1, v2)
+(the library maps one base template per type and det(v1, v2), in the
+constructors and in the census alike).
 """
 
 import random
@@ -56,13 +58,7 @@ from mubkit.mub import (
     separability,
 )
 from mubkit.phasespace import Point, point_table
-from mubkit.squares import (
-    SquareReport,
-    _d8_recipes,
-    _det,
-    _recipe_masks,
-    _type_II_recipes_d4,
-)
+from mubkit.squares import SquareReport
 
 
 # -- Gaussian-integer arithmetic and states ------------------------------------
@@ -714,30 +710,122 @@ def fewest_candidates_covers(blocks, d):
     return solutions
 
 
+# -- set recipes in Point arithmetic -------------------------------------------
+
+
+def oracle_type_II_d4(v1, v2):
+    field = v1.field
+    mu = field.mu
+    mu2 = mu * mu
+    z2 = (field.zero, field.one)
+    return [
+        ("line", v1),
+        ("span", v2, v1 + v2.scale(mu), z2),
+        ("span", v2.scale(mu), (v1 + v2).scale(mu2), z2),
+        ("span", v2.scale(mu2), (v1 + v2).scale(mu), z2),
+        ("span", v1 + v2, v1.scale(mu) + v2.scale(mu2), z2),
+    ]
+
+
+def oracle_d8(set_type, v1, v2, k):
+    field = v1.field
+    kp = [k**j for j in range(7)]
+    ktilde = tuple(
+        sorted(scale_set(trace_zero_subgroup(field), k.inv()), key=lambda e: e.mask)
+    )
+    if set_type == "II":
+        return [
+            ("span", v2 + v1.scale(kp[4]), v1, ktilde),
+            ("span", v1.scale(kp[2]), v2.scale(kp[5]) + v1.scale(kp[2]), ktilde),
+            ("span", v1.scale(kp[4]), v2.scale(kp[3]) + v1.scale(kp[6]), ktilde),
+            ("span", v1.scale(kp[5]), v2.scale(kp[2]) + v1.scale(kp[4]), ktilde),
+            ("span", v1.scale(kp[6]), v2.scale(kp[1]) + v1, ktilde),
+            ("span", (v1 + v2).scale(kp[1]), v2.scale(kp[6]), ktilde),
+            ("span", v2.scale(kp[1]), (v1 + v2).scale(kp[6]), ktilde),
+            ("span", v2.scale(kp[4]), v1.scale(kp[3]) + v2.scale(kp[5]), ktilde),
+            ("span", v1.scale(kp[2]) + v2.scale(kp[3]), v1 + v2.scale(kp[6]), ktilde),
+        ]
+    if set_type == "III":
+        return [
+            ("line", v2),
+            ("line", v1 + v2),
+            ("line", v1.scale(k) + v2),
+            ("span", v2 + v1.scale(kp[2]), v1, ktilde),
+            ("span", v1.scale(kp[2]), v2.scale(kp[5]) + v1.scale(kp[4]), ktilde),
+            ("span", v1.scale(kp[4]), v2.scale(kp[3]) + v1.scale(kp[5]), ktilde),
+            ("span", v1.scale(kp[5]), v2.scale(kp[2]) + v1, ktilde),
+            ("span", v1.scale(kp[6]), v2.scale(kp[1]) + v1.scale(kp[4]), ktilde),
+            ("span", v1 + v2.scale(kp[5]), v1.scale(kp[5]) + v2.scale(kp[1]), ktilde),
+        ]
+    assert set_type == "IV"
+    return [
+        ("line", v2),
+        ("span", v2 + v1.scale(kp[2]), v1, ktilde),
+        ("span", v1.scale(kp[2]), v2.scale(kp[5]) + v1, ktilde),
+        ("span", v1.scale(kp[4]), v2.scale(kp[3]) + v1, ktilde),
+        ("span", v1.scale(kp[5]), v2.scale(kp[2]) + v1, ktilde),
+        ("span", v1.scale(kp[6]), v2.scale(kp[1]) + v1, ktilde),
+        ("span", v1.scale(kp[2]) + v2.scale(kp[6]), v1 + v2, ktilde),
+        ("span", (v1 + v2).scale(kp[2]), v1 + v2.scale(kp[4]), ktilde),
+        ("span", (v1 + v2).scale(kp[5]), v1 + v2.scale(kp[6]), ktilde),
+    ]
+
+
+def oracle_recipes(set_type, v1, v2, k):
+    """The recipes of a typed set at a valid pair with det(v1, v2) = k."""
+    if v1.field.order == 4:
+        return oracle_type_II_d4(v1, v2)
+    return oracle_d8(set_type, v1, v2, k)
+
+
+ORACLE_TYPES = {4: ("II",), 8: ("II", "III", "IV")}
+
+
+class Oracle:
+    """Evaluates oracle recipes to sorted point-mask tuples with
+    line/affine_span; each distinct recipe is built once."""
+
+    def __init__(self, field):
+        self.field = field
+        self.z2 = (field.zero, field.one)
+        self._memo = {}
+
+    def masks(self, recipe):
+        out = self._memo.get(recipe)
+        if out is None:
+            if recipe[0] == "line":
+                sub = line(recipe[1])
+            else:
+                _, a, b, scalars = recipe
+                sub = affine_span(a, b, self.z2, scalars)
+            out = self._memo[recipe] = tuple(sorted(sub.masks()))
+        return out
+
+
+def valid_pairs(field, set_type):
+    """(v1, v2, det(v1, v2)) for every pair a type II, III or IV
+    constructor accepts, in canonical point order."""
+    points = [p for p in all_points(field) if not p.is_zero]
+    for v1 in points:
+        for v2 in points:
+            k = det(v1, v2)
+            if field.order == 4 and k == field.one:
+                yield v1, v2, k
+            if field.order == 8 and not k.is_zero and field.trace(k).is_zero:
+                yield v1, v2, k
+
+
 def complete_set_templates_by_recipes(field):
     """Templates keyed by frozensets of sorted subgroup point-mask tuples,
-    each recipe list evaluated at its own (v1, v2); first match wins over
-    types I, II, III, IV and valid pairs in canonical point order."""
-    d, n = field.order, field.n
-    table = point_table(field)
-    points = [x | y << n for x in range(d) for y in range(d)][1:]
-
-    def key(recipes):
-        return frozenset(_recipe_masks(field, r) for r in recipes)
-
-    templates = {key([("line", u) for u in points]): ("I", table[1], table[1 << n])}
-    if d == 4:
-        for v1 in points:
-            for v2 in points:
-                if _det(field, v1, v2) == 1:
-                    k = key(_type_II_recipes_d4(field, v1, v2))
-                    templates.setdefault(k, ("II", table[v1], table[v2]))
-    elif d == 8:
-        for set_type in ("II", "III", "IV"):
-            for v1 in points:
-                for v2 in points:
-                    det_mask = _det(field, v1, v2)
-                    if det_mask and not field._trace[det_mask]:
-                        k = key(_d8_recipes(field, set_type, v1, v2, det_mask))
-                        templates.setdefault(k, (set_type, table[v1], table[v2]))
+    each oracle recipe list evaluated in Point arithmetic at its own
+    (v1, v2); first match wins over types I, II, III, IV and valid pairs in
+    canonical point order."""
+    oracle = Oracle(field)
+    points = [p for p in all_points(field) if not p.is_zero]
+    e1, e2 = Point(field.one, field.zero), Point(field.zero, field.one)
+    templates = {frozenset(oracle.masks(("line", u)) for u in points): ("I", e1, e2)}
+    for set_type in ORACLE_TYPES.get(field.order, ()):
+        for v1, v2, k in valid_pairs(field, set_type):
+            key = frozenset(map(oracle.masks, oracle_recipes(set_type, v1, v2, k)))
+            templates.setdefault(key, (set_type, v1, v2))
     return templates

@@ -76,6 +76,23 @@ def test_rejects_reducible_modulus():
         Field(2, poly=0b101)
 
 
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_field_accepts_exactly_the_primitive_moduli(n):
+    """The primitivity check alone rejects every reducible modulus: a
+    reducible ring has fewer than 2^n - 1 units for x's powers to fill."""
+    for poly in range(1 << n, 1 << (n + 1)):
+        reducible = any(poly_mulmod(poly, 1, q) == 0 for q in range(2, 1 << (n // 2 + 1)))
+        primitive = all(oracle_pow(2, e, poly) != 1 for e in range(1, 2**n - 1)) and (
+            oracle_pow(2, 2**n - 1, poly) == 1
+        )
+        assert not (reducible and primitive)
+        if primitive:
+            assert Field(n, poly).poly == poly
+        else:
+            with pytest.raises(ValueError, match="is not primitive"):
+                Field(n, poly)
+
+
 def test_rejects_non_primitive_modulus():
     # x^4 + x^3 + x^2 + x + 1 is irreducible but x has order 5
     with pytest.raises(ValueError):

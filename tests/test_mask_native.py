@@ -40,7 +40,6 @@ from mubkit.gf2n import dual_basis
 from mubkit.mub import (
     BIPARTITIONS,
     ConstructionError,
-    _RESHAPES,
     _cosets,
     _ray_state,
     _two_row_rank,
@@ -195,11 +194,15 @@ def test_two_row_rank_matches_elimination_on_built_states(f4, f8):
     for cset in typed_d8_sets(f8):
         for b in build_mub_set(cset).bases:
             for s in b.states:
-                for bp in BIPARTITIONS:
+                for q, bp in enumerate(BIPARTITIONS, start=1):
+                    # qubit q against the other two, qubit 1 the most
+                    # significant index bit: row (b >> (3 - q)) & 1, and
+                    # column the other two bits, in qubit order
+                    rest = [j for j in (1, 2, 3) if j != q]
                     mat = [[ZERO] * 4 for _ in range(2)]
-                    for k, e in enumerate(s.entries):
-                        r, c = _RESHAPES[bp](k)
-                        mat[r][c] = e
+                    for b, e in enumerate(s.entries):
+                        bits = {j: b >> (3 - j) & 1 for j in (1, 2, 3)}
+                        mat[bits[q]][bits[rest[0]] << 1 | bits[rest[1]]] = e
                     assert schmidt_rank(s, bp) == oracles.gauss_rank(mat)
 
 

@@ -15,6 +15,9 @@ d = 16 type I basis; the words also on every basis of the d = 16 type I
 set.
 """
 
+import random
+from itertools import combinations
+
 import pytest
 
 from mubkit import (
@@ -22,6 +25,7 @@ from mubkit import (
     FieldBasis,
     GaussInt,
     Point,
+    Subgroup,
     apply_correspondence,
     build_mub_set,
     common_eigenbasis,
@@ -41,6 +45,7 @@ from mubkit.pauli import I_UNIT, ONE
 from oracles import (
     GaussMatrix,
     all_points,
+    commutes,
     proportional_to,
     square_sign,
     state_from_raw,
@@ -171,3 +176,33 @@ def test_d16_type_i_words_match_dense_operators():
     assert len(bases) == 17
     for basis, ss in zip(bases, cset.supersquares):
         assert basis.operator_words == oracle_words(ss.generator, basis_e)
+
+
+@pytest.mark.parametrize("n, sample", [(2, None), (3, 400)])
+def test_projector_trace_is_d_for_any_independent_generators(n, sample):
+    """tr prod_j (1 + conj(lambda_j) T_j) = d for any n independent points,
+    commuting or not: every non-empty product of the T_j is a non-identity
+    Pauli operator, of trace 0.  So the trace is no test of rank one, and
+    common_eigenbasis does not take it; the non-commuting products here are
+    not d times a projector.  Every independent pair at d = 4 (105), and a
+    seeded sample of the independent triples at d = 8."""
+    field = Field(n)
+    d = field.order
+    basis_e = default_selfdual_basis(field)
+    ops = {p: translation_operator(p, basis_e) for p in all_points(field) if not p.is_zero}
+    sets = [s for s in combinations(ops, n) if Subgroup.span(s).order == d]
+    if sample is not None:
+        sets = random.Random(n).sample(sets, sample)
+    ident = GaussMatrix.identity(d)
+    non_commuting = 0
+    for points in sets:
+        num = ident
+        for p in points:
+            lam = I_UNIT if square_sign(ops[p]) < 0 else ONE
+            num = num @ (ident + ops[p].matrix.scale(lam.conj()))
+        assert num.trace() == GaussInt(d, 0)
+        if not all(commutes(ops[p], ops[q]) for p, q in combinations(points, 2)):
+            non_commuting += 1
+            assert num @ num != num.scale(GaussInt(d, 0))
+    assert len(sets) == (105 if n == 2 else sample)
+    assert non_commuting > len(sets) // 2

@@ -13,7 +13,6 @@ from mubkit import (
     SquareKind,
     Subgroup,
     are_orthogonal,
-    build_mub_set,
     classify,
     enumerate_extraordinary_subgroups,
     is_extraordinary,
@@ -33,7 +32,7 @@ from mubkit import (
 )
 from mubkit import squares as squares_module
 from mubkit.phasespace import iter_lagrangian_masks, point_to_mask
-from mubkit.squares import CompleteSet, _cover_tables, _search_branch
+from mubkit.squares import CompleteSet, Supersquare, _cover_tables, _search_branch
 
 import oracles
 import refdata
@@ -350,21 +349,29 @@ def test_verify_complete_set_flags_failures(d4_type_ii_set):
     assert any("not orthogonal" in f for f in report.failures)
 
 
-def test_verify_complete_set_checks_generators_belong_to_squares(f8):
+def test_supersquare_is_derived_from_its_generator(f8):
+    """A supersquare holds only its generator: replacing the generator
+    gives the quotient by the new one, representatives included."""
     cset = type_I_set(Point(f8.one, f8.zero), Point(f8.zero, f8.one))
-    ss = list(cset.supersquares)
-    ss[1], ss[2] = (
-        replace(ss[1], generator=ss[2].generator),
-        replace(ss[2], generator=ss[1].generator),
-    )
-    swapped = CompleteSet("I", cset.v1, cset.v2, tuple(ss))
-    report = verify_complete_set(swapped)
-    assert not report.passed
-    assert not report.extraordinary_supersquares
-    assert report.orthogonality and report.trivial_intersections and report.striations
-    assert sum("not the quotient by its generator" in f for f in report.failures) == 2
-    with pytest.raises(ValueError):
-        build_mub_set(swapped)
+    ss, g = cset.supersquares[1], cset.generators[2]
+    moved = replace(ss, generator=g)
+    assert moved == supersquare_from_subgroup(g) != ss
+    # the quotient by g in Point arithmetic: class 1 is g, and the cosets
+    # are labelled in order of their minimal representatives
+    cosets, reps = [frozenset(g.points)], []
+    for p in all_points(f8):
+        if not any(p in c for c in cosets):
+            cosets.append(frozenset(p + h for h in g.points))
+            reps.append(p)
+    assert list(moved.square.classes) == cosets
+    assert moved.coset_reps == tuple(reps)
+
+
+def test_supersquare_rejects_generator_of_wrong_order(f8):
+    half = Subgroup.span([Point(f8.one, f8.zero), Point(f8.mu, f8.zero)])
+    for build in (Supersquare, supersquare_from_subgroup):
+        with pytest.raises(ValueError, match="generating subgroup must have 8 elements"):
+            build(half)
 
 
 def test_render_ascii_matches_reference_layout(f4, d4_type_ii_set):
