@@ -6,7 +6,7 @@ Subcommands:
     mubkit squares gen --d 4 --type II --v1 1,m2 --v2 1,m
     mubkit squares verify SET.json
     mubkit squares classify SET.json
-    mubkit squares search --d 4 --workers 4
+    mubkit squares search --d 4 --time-budget 10
     mubkit mub gen --d 8 --type II
     mubkit mub verify MUBS.json
     mubkit mub structure --d 8 --type II
@@ -19,9 +19,8 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .gf2n import Field, FieldBasis, default_selfdual_basis, field_for_dimension, is_selfdual
 from .mub import (
@@ -34,8 +33,8 @@ from .mub import (
 )
 from .phasespace import Point, trace_zero_subgroup
 from .serialize import (
+    _canonical_pieces,
     complete_set_to_json,
-    dumps_canonical,
     mub_payload_from_json,
     mub_set_to_json,
     search_result_to_json,
@@ -116,12 +115,13 @@ def _build_set(args: argparse.Namespace) -> CompleteSet:
         raise UsageError(str(exc)) from None
 
 
-def _emit(args: argparse.Namespace, text: str) -> None:
+def _emit(args: argparse.Namespace, pieces: Iterable[str]) -> None:
+    """Write the pieces of a document in turn, never joined into one string."""
     if getattr(args, "out", None):
         with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            fh.writelines(pieces)
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(pieces)
 
 
 # -- field-info -------------------------------------------------------------
@@ -143,7 +143,7 @@ def cmd_field_info(args: argparse.Namespace) -> int:
             "selfdual_basis": [e.mask for e in basis],
             "selfdual_verified": is_selfdual(basis),
         }
-        _emit(args, dumps_canonical(payload))
+        _emit(args, _canonical_pieces(payload))
         return PASS
     lines = [
         f"GF(2^{field.n}), modulus 0b{field.poly:b}, d = {field.order}",
@@ -158,7 +158,7 @@ def cmd_field_info(args: argparse.Namespace) -> int:
         f"selfdual basis {basis}: "
         + ("verified" if is_selfdual(basis) else "NOT selfdual")
     )
-    _emit(args, "\n".join(lines) + "\n")
+    _emit(args, ["\n".join(lines) + "\n"])
     return PASS
 
 
@@ -170,12 +170,12 @@ def cmd_squares_gen(args: argparse.Namespace) -> int:
     if args.perturb:
         perturbed = perturb_supersquare(cset.supersquares[0], args.seed)
         if args.format == "json":
-            _emit(args, dumps_canonical(square_to_json(perturbed)))
+            _emit(args, _canonical_pieces(square_to_json(perturbed)))
         else:
-            _emit(args, render_ascii(perturbed) + "\n")
+            _emit(args, [render_ascii(perturbed) + "\n"])
         return PASS
     if args.format == "json":
-        _emit(args, dumps_canonical(complete_set_to_json(cset)))
+        _emit(args, _canonical_pieces(complete_set_to_json(cset)))
         return PASS
     chunks = []
     for idx, ss in enumerate(cset.supersquares, start=1):
@@ -183,19 +183,19 @@ def cmd_squares_gen(args: argparse.Namespace) -> int:
         chunks.append(f"square {idx} ({kind}), generator class marked with *")
         chunks.append(render_ascii(ss.square))
         chunks.append("")
-    _emit(args, "\n".join(chunks))
+    _emit(args, ["\n".join(chunks)])
     return PASS
 
 
 def _report(args: argparse.Namespace, checks: dict[str, bool], failures: list[str]) -> int:
     ok = all(checks.values())
     if args.format == "json":
-        _emit(args, dumps_canonical({"checks": checks, "failures": failures, "pass": ok}))
+        _emit(args, _canonical_pieces({"checks": checks, "failures": failures, "pass": ok}))
     else:
         lines = [f"{name}: {'PASS' if value else 'FAIL'}" for name, value in checks.items()]
         lines += [f"  - {f}" for f in failures]
         lines.append("overall: " + ("PASS" if ok else "FAIL"))
-        _emit(args, "\n".join(lines) + "\n")
+        _emit(args, ["\n".join(lines) + "\n"])
     return PASS if ok else FAIL
 
 
@@ -215,30 +215,23 @@ def cmd_squares_classify(args: argparse.Namespace) -> int:
     squares = [payload] if kind == "square" else payload[3]
     kinds = [classify(sq).value for sq in squares]
     if args.format == "json":
-        _emit(args, dumps_canonical({"classifications": kinds}))
+        _emit(args, _canonical_pieces({"classifications": kinds}))
     else:
-        _emit(args, "\n".join(kinds) + "\n")
+        _emit(args, ["\n".join(kinds) + "\n"])
     return PASS
 
 
 def cmd_squares_search(args: argparse.Namespace) -> int:
-    workers = args.workers
-    if workers is None:
-        env = os.environ.get("MUBKIT_WORKERS", "1")
-        try:
-            workers = int(env)
-        except ValueError:
-            raise UsageError(f"MUBKIT_WORKERS must be an integer, got {env!r}") from None
     field = field_for_dimension(args.d)
-    result = search_complete_sets(field, workers=workers, time_budget=args.time_budget)
+    result = search_complete_sets(field, time_budget=args.time_budget)
     if args.format == "json":
-        _emit(args, dumps_canonical(search_result_to_json(args.d, result)))
+        _emit(args, _canonical_pieces(search_result_to_json(args.d, result)))
     else:
         lines = [f"d={args.d} complete sets: {len(result.sets)}"]
         for name, count in sorted(result.census().items()):
             lines.append(f"  type {name}: {count}")
         lines.append("exhaustive: " + ("yes" if result.exhaustive else "no (budget hit)"))
-        _emit(args, "\n".join(lines) + "\n")
+        _emit(args, ["\n".join(lines) + "\n"])
     return PASS if result.exhaustive else INCOMPLETE
 
 
@@ -256,7 +249,7 @@ def cmd_mub_gen(args: argparse.Namespace) -> int:
     kinds = [classify_basis(b) for b in mubs.bases] if field.order == 8 else None
     triple = EntanglementStructure.count(kinds).astuple() if kinds else None
     if args.format == "json":
-        _emit(args, dumps_canonical(mub_set_to_json(mubs, triple)))
+        _emit(args, _canonical_pieces(mub_set_to_json(mubs, triple)))
         return PASS
     lines = []
     for idx, b in enumerate(mubs.bases, start=1):
@@ -274,7 +267,7 @@ def cmd_mub_gen(args: argparse.Namespace) -> int:
     lines.append("unbiasedness: verified exactly")
     if triple is not None:
         lines.append(f"structure (n_f,n_b,n_ns): {triple}")
-    _emit(args, "\n".join(lines) + "\n")
+    _emit(args, ["\n".join(lines) + "\n"])
     return PASS
 
 
@@ -292,11 +285,11 @@ def cmd_mub_structure(args: argparse.Namespace) -> int:
     triple = EntanglementStructure.count(kinds).astuple()
     if args.format == "json":
         names = [k.value for k in kinds]
-        _emit(args, dumps_canonical({"structure": list(triple), "bases": names}))
+        _emit(args, _canonical_pieces({"structure": list(triple), "bases": names}))
     else:
         lines = [f"basis {i}: {k.value}" for i, k in enumerate(kinds, start=1)]
         lines.append(f"structure (n_f,n_b,n_ns): {triple}")
-        _emit(args, "\n".join(lines) + "\n")
+        _emit(args, ["\n".join(lines) + "\n"])
     return PASS
 
 
@@ -351,9 +344,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_search = squares_sub.add_parser("search", help="enumerate all complete sets")
     _add_common(p_search, with_type=False)
-    p_search.add_argument(
-        "--workers", type=int, help="worker processes (default: $MUBKIT_WORKERS or 1)"
-    )
     p_search.add_argument("--time-budget", type=float, default=None)
     p_search.set_defaults(func=cmd_squares_search, format="json")
 

@@ -21,7 +21,7 @@ matrix held, for c = 0, 1, ... up to the first nonzero one.  Everything
 else works on packed point masks: the generators are the greedy
 independent masks of the subgroup, and the other d - 1 states are the ray
 state translated by the coset representatives of the quotient
-(squares._quotient).  T_r negates the eigenvalue of every generator it
+(cached on its Supersquare).  T_r negates the eigenvalue of every generator it
 anticommutes with, which is where the symplectic form of r and the
 generator is 1: the parity of the generator's polar mask (phasespace) and
 r.  So the representative's flip signature is both the state's eigenvalue
@@ -59,7 +59,7 @@ from .pauli import (
     translation_table,
 )
 from .phasespace import Subgroup, _polars, is_extraordinary, point_table
-from .squares import CompleteSet, Supersquare, _quotient, verify_complete_set
+from .squares import CompleteSet, Supersquare, verify_complete_set
 
 
 class ConstructionError(RuntimeError):
@@ -135,15 +135,15 @@ class MubBasis:
         return self.states[0]
 
 
-def _cosets(a1: Subgroup) -> tuple[list[int], tuple[int, ...], list[int]]:
-    """The generators of a1 (greedy independent masks), the coset
-    representatives of its quotient in label order, and the flip signature
+def _cosets(ss: Supersquare) -> tuple[list[int], tuple[int, ...], list[int]]:
+    """The basis of ss's generating subgroup (greedy independent masks), the
+    coset representatives ss caches in label order, and the flip signature
     of every class, 0 for class 1.  Bit j of a signature is set iff T_rep
     anticommutes with the translation of generator j, which is where the
     symplectic form of the two points is 1: the parity of polar & rep."""
-    polars = _polars(a1.field)
-    gens = _independent(a1.masks())
-    _, reps = _quotient(a1)
+    polars = _polars(ss.field)
+    gens = _independent(ss.generator.masks())
+    reps = ss._cosets[1]
     slots = [0] + [
         sum(((polars[g] & rep).bit_count() & 1) << j for j, g in enumerate(gens))
         for rep in reps
@@ -176,14 +176,20 @@ def common_eigenbasis(a1: Subgroup, expansion_basis: FieldBasis) -> MubBasis:
     Distinct assignments make the states pairwise orthogonal;
     certify_bases, which build_mub_set runs, checks that exactly.
     """
+    return _eigenbasis(Supersquare(a1), expansion_basis)
+
+
+def _eigenbasis(ss: Supersquare, expansion_basis: FieldBasis) -> MubBasis:
+    """common_eigenbasis of ss's generator, using the quotient ss caches.
+    The d flip signatures are distinct: the generator A is Lagrangian, so
+    the signature map r -> (omega(g_j, r))_j has kernel A^perp = A."""
+    a1 = ss.generator
     field = a1.field
     d = field.order
-    if a1.order != d:
-        raise ValueError(f"need an order-{d} subgroup")
     if not is_extraordinary(a1):
         raise ValueError("subgroup is not extraordinary: operators do not commute")
     table = translation_table(expansion_basis)
-    gens, reps, slots = _cosets(a1)
+    gens, reps, slots = _cosets(ss)
     ops = [table[g] for g in gens]
     principals = [principal_eigenvalue(x, z) for x, z in ops]
     # the factors (1 + conj(lambda_j) T_(g_j)), the rightmost applied first
@@ -195,10 +201,6 @@ def common_eigenbasis(a1: Subgroup, expansion_basis: FieldBasis) -> MubBasis:
         if any(not e.is_zero for e in col):
             break
     ray = _ray_state(col)
-    if sorted(slots) != list(range(d)):
-        raise ConstructionError(
-            f"flip signatures {slots} do not fill the {d} assignments once each"
-        )
     # a signed permutation keeps the entries units, so only the rotation
     # into the canonical quadrant is left to do
     states: list[UnnormalizedState] = [ray] * d
@@ -229,7 +231,7 @@ def apply_correspondence(basis: MubBasis, ss: Supersquare) -> MubBasis:
     certify_bases checks that the map is a bijection."""
     if ss.generator != basis.source:
         raise ValueError("supersquare generator differs from the basis source")
-    return replace(basis, class_of_state=tuple(_cosets(basis.source)[2]))
+    return replace(basis, class_of_state=tuple(_cosets(ss)[2]))
 
 
 @dataclass(frozen=True)
@@ -385,7 +387,7 @@ def build_mub_set(
             "complete set fails verification: " + "; ".join(report.failures)
         )
     bases = tuple(
-        apply_correspondence(common_eigenbasis(ss.generator, expansion_basis), ss)
+        apply_correspondence(_eigenbasis(ss, expansion_basis), ss)
         for ss in c.supersquares
     )
     _, failures = certify_bases(

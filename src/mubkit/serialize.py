@@ -23,14 +23,20 @@ def dumps_canonical(obj: Any) -> str:
     """Canonical JSON text plus a newline: byte for byte what the standard
     library's encoder writes with sorted keys, a two-space indent and ASCII
     escaping, for values built from dicts with string keys, lists, tuples,
-    strings, ints, bools and None.
+    strings, ints, bools and None."""
+    return "".join(_canonical_pieces(obj))
 
-    The text is gathered as pieces and joined once.  A container that
-    holds containers is encoded once per depth: met again, it reuses its
-    first pieces, joined into one string on the second use.  The memo is
-    keyed by id and depth, which is sound because obj keeps every
-    container alive for the call.  Containers of scalars alone are not
-    memoized: encoding one again costs no more than a memo entry."""
+
+def _canonical_pieces(obj: Any) -> list[str]:
+    """The text of dumps_canonical(obj) as the pieces it joins, so that a
+    writer can emit a large document without holding it as one string.
+
+    A container that holds containers is encoded once per depth: met
+    again, it reuses its first pieces, joined into one string on the
+    second use.  The memo is keyed by id and depth, which is sound because
+    obj keeps every container alive for the call.  Containers of scalars
+    alone are not memoized: encoding one again costs no more than a memo
+    entry."""
     out: list[str] = []
     # (start, end) of a container's pieces in out; its text once reused
     memo: dict[tuple[int, int], tuple[int, int] | str] = {}
@@ -85,7 +91,7 @@ def dumps_canonical(obj: Any) -> str:
     else:
         out.append(top)
     out.append("\n")
-    return "".join(out)
+    return out
 
 
 def _scalar_json(o: Any) -> str | None:

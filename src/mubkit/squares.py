@@ -19,25 +19,24 @@ Every typed set is the image of one base template per type and
 k = det(v1, v2), its generators at (v1, v2) = (e1, e2), under the
 F_d-linear map (x, y) -> x*v1 + y*v2: the constructors build a pair's set
 that way, and the census types a found set by looking it up among the
-images.  The search engine enumerates every tiling by exact-cover
-backtracking over the extraordinary subgroups, held as integer bitsets
-of their points with a bitset of compatible blocks per block.
+images.  The search engine enumerates every tiling by one depth-first
+exact cover in one process over the extraordinary subgroups, held as
+integer bitsets of their points with a bitset of compatible blocks per
+block.  A physical striation is exactly an extraordinary supersquare.
 """
 
 from __future__ import annotations
 
 import enum
-import os
 import random
 import time
-from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import cached_property, partial, reduce
 from itertools import combinations
 from operator import itemgetter, or_
 from typing import Iterable, Sequence
 
-from .gf2n import Field, _independent
+from .gf2n import Field
 from .phasespace import (
     Point,
     Subgroup,
@@ -463,10 +462,9 @@ def verify_square(square: Square) -> SquareReport:
     )
     if not supersquare:
         failures.append("square is not a supersquare")
-    # translations by a basis of the subgroup generate all of them
-    striation = extraordinary and all(
-        labels[m ^ a] == label for a in _independent(gens) for m, label in enumerate(labels)
-    )
+    # an order-d subgroup's translations fix every class of d points iff
+    # every class is one of its cosets
+    striation = extraordinary and supersquare
     if not striation:
         failures.append("square is not a physical striation")
     return SquareReport(
@@ -507,13 +505,11 @@ def verify_squares(squares: Sequence[Square]) -> CompleteSetReport:
     if not cardinality:
         failures.append(f"expected {d + 1} squares, got {len(squares)}")
     reports = [verify_square(sq) for sq in squares]
-    extra_ok = stri_ok = True
+    squares_ok = True  # a striation is an extraordinary supersquare
     for i, report in enumerate(reports, start=1):
-        if not (report.class1_extraordinary and report.supersquare):
-            extra_ok = False
-            failures.append(f"square {i} is not an extraordinary supersquare")
         if not report.physical_striation:
-            stri_ok = False
+            squares_ok = False
+            failures.append(f"square {i} is not an extraordinary supersquare")
             failures.append(f"square {i} fails the striation check")
     orth_ok = inter_ok = True
     for i, j in combinations(range(len(squares)), 2):
@@ -525,7 +521,7 @@ def verify_squares(squares: Sequence[Square]) -> CompleteSetReport:
             inter_ok = False
             failures.append(f"generators {i + 1} and {j + 1} share a nonzero point")
     return CompleteSetReport(
-        cardinality, extra_ok, orth_ok, inter_ok, stri_ok, tuple(failures)
+        cardinality, squares_ok, orth_ok, inter_ok, squares_ok, tuple(failures)
     )
 
 
@@ -639,11 +635,11 @@ def _cover_tables(
     return bits, through, compat
 
 
-def _search_branch(
-    tables: tuple[list[int], list[int], list[int]], deadline: float | None, first: int
+def _search(
+    tables: tuple[list[int], list[int], list[int]], deadline: float | None
 ) -> tuple[list[tuple[int, ...]], bool]:
-    """Every cover containing block ``first``, and whether the branch ran
-    to the end before the absolute ``time.monotonic()`` deadline.
+    """Every cover, and whether the search ran to the end before the
+    absolute ``time.monotonic()`` deadline.
 
     The search state is (covered, alive, chosen): the covered points with
     the origin, the blocks disjoint from every chosen one, and the chosen
@@ -667,32 +663,25 @@ def _search_branch(
             cands ^= low
 
     try:
-        cover(1 | bits[first], compat[first], (first,))
+        cover(1, (1 << len(bits)) - 1, ())
         return solutions, True
     except _Deadline:
         return solutions, False
 
 
-def search_complete_sets(
-    field: Field, workers: int = 1, time_budget: float | None = None
-) -> SearchResult:
+def search_complete_sets(field: Field, time_budget: float | None = None) -> SearchResult:
     """All sets of d+1 extraordinary subgroups with pairwise trivial
     intersections, each once, canonically ordered, and annotated with
     the matching construction type.  A time budget makes the result
     best-effort; the ``exhaustive`` flag reports whether it was hit.
 
-    The search is an exact cover on bitsets, one root branch per block
-    through the point with mask 1.  The branches run in this process, or
-    on a pool of min(workers, CPU count, branch count) processes; all of
-    them share one absolute deadline.  Sets that use the same subgroup
-    share one Supersquare object."""
-    if workers < 1:
-        raise ValueError(f"workers must be at least 1, got {workers}")
+    The search is one depth-first exact cover on bitsets, in this
+    process, and the enumeration and the cover share one absolute
+    deadline.  Sets that use the same subgroup share one Supersquare
+    object."""
     if time_budget is not None and not time_budget >= 0:
         raise ValueError(f"time budget must be non-negative, got {time_budget}")
     deadline = time.monotonic() + time_budget if time_budget is not None else None
-    d = field.order
-
     blocks: list[tuple[int, ...]] = []
     enum_complete = True
     for masks in iter_lagrangian_masks(field):
@@ -701,19 +690,9 @@ def search_complete_sets(
             break
         blocks.append(masks)
 
-    tables = _cover_tables(blocks, d)
-    bits, through = tables[0], tables[1]
-    first = [i for i in range(len(blocks)) if through[1] >> i & 1]
-    branch = partial(_search_branch, tables, deadline)
-    pool_size = min(workers, os.cpu_count() or 1, len(first))
-    solutions: list[tuple[int, ...]] = []
-    search_complete = True
-    if pool_size > 1:  # the pool modules load only when a pool is used
-        from concurrent.futures import ProcessPoolExecutor
-    with ProcessPoolExecutor(pool_size) if pool_size > 1 else nullcontext() as pool:
-        for sols, complete in (map if pool is None else pool.map)(branch, first):
-            solutions.extend(sols)
-            search_complete = search_complete and complete
+    tables = _cover_tables(blocks, field.order)
+    bits = tables[0]
+    solutions, search_complete = _search(tables, deadline)
 
     built: dict[int, tuple[tuple[tuple[int, int], ...], Supersquare]] = {}
     templates = complete_set_templates(field)

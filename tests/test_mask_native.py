@@ -107,16 +107,18 @@ def test_polar_parity_is_the_trace_condition(n):
             assert odd == (not oracles.trace_condition(p, q))
 
 
-@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("n", [2, 3, 4])
 def test_flip_signatures_match_trace_condition(n):
+    """The signatures are distinct on every Lagrangian, which is why the
+    eigenbasis construction need not check it."""
     field = Field(n)
     table = point_table(field)
     subgroups = enumerate_extraordinary_subgroups(field)
-    assert len(subgroups) == {2: 15, 3: 135}[n]
+    assert len(subgroups) == {2: 15, 3: 135, 4: 2295}[n]
     for a1 in subgroups:
-        gens, reps, slots = _cosets(a1)
-        assert [table[g] for g in gens] == list(a1.basis())
         ss = supersquare_from_subgroup(a1)
+        gens, reps, slots = _cosets(ss)
+        assert [table[g] for g in gens] == list(a1.basis())
         assert tuple(table[r] for r in reps) == ss.coset_reps
         assert slots[0] == 0 and sorted(slots) == list(range(field.order))
         for rep, slot in zip(ss.coset_reps, slots[1:]):

@@ -17,6 +17,7 @@ from mubkit import (
     schmidt_rank,
     structure,
     type_I_set,
+    type_II_set_d8,
 )
 
 import refdata
@@ -236,6 +237,28 @@ def test_build_mub_set_type_i(f4):
     cset = type_I_set(Point(f4.one, f4.zero), Point(f4.zero, f4.one))
     mubs = build_mub_set(cset)
     assert len(mubs.bases) == 5
+
+
+def test_build_mub_set_takes_one_quotient_per_basis(f8, monkeypatch):
+    """The verifier, the eigenbases and the correspondence all read the
+    quotient each supersquare caches."""
+    from mubkit import mub, squares
+
+    v1 = refdata.parse_point(f8, refdata.REF_D8_TYPE_II_V1)
+    v2 = refdata.parse_point(f8, refdata.REF_D8_TYPE_II_V2)
+    cset = type_II_set_d8(v1, v2)
+    calls = []
+    real = squares._quotient
+
+    def counting(a1):
+        calls.append(a1)
+        return real(a1)
+
+    for module in (squares, mub):  # every module that binds the name
+        if hasattr(module, "_quotient"):
+            monkeypatch.setattr(module, "_quotient", counting)
+    build_mub_set(cset)
+    assert calls == list(cset.generators)
 
 
 def test_build_rejects_broken_sets(d4_type_ii_set):

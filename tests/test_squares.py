@@ -1,6 +1,5 @@
 """Supersquares, striations, orthogonality, classification, and search."""
 
-import concurrent.futures
 import time
 from dataclasses import replace
 
@@ -30,9 +29,8 @@ from mubkit import (
     verify_complete_set,
     verify_square,
 )
-from mubkit import squares as squares_module
 from mubkit.phasespace import iter_lagrangian_masks, point_to_mask
-from mubkit.squares import CompleteSet, Supersquare, _cover_tables, _search_branch
+from mubkit.squares import CompleteSet, Supersquare, _cover_tables, _search
 
 import oracles
 import refdata
@@ -185,9 +183,11 @@ def half_striated(ss, half_basis):
 
 
 def test_striation_by_basis_matches_every_element(f4, f8, d4_type_ii_set, d8_type_ii_set):
-    """verify_square translates by a basis of the origin class; the oracle
-    by each of its nonzero elements.  Perturbed squares at d = 4 and 8,
-    valid sets at d = 4, 8 and 16."""
+    """verify_square reads the striation verdict off the supersquare
+    verdict, by the theorem that a physical striation is an extraordinary
+    supersquare; the oracle translates by each nonzero element of the
+    origin class.  Perturbed squares at d = 4 and 8, squares striated by
+    half of the origin class only, and valid sets at d = 4, 8 and 16."""
     f16 = Field(4)
     valid = [
         d4_type_ii_set,
@@ -395,34 +395,22 @@ def test_search_d4_census(f4, d4_type_ii_set):
     assert lines_set in keys
 
 
-def test_search_d4_deterministic_across_workers(f4):
-    from mubkit.serialize import complete_set_to_json, dumps_canonical
-
-    single = search_complete_sets(f4, workers=1)
-    multi = search_complete_sets(f4, workers=2)
-    as_text = lambda r: dumps_canonical([complete_set_to_json(c) for c in r.sets])
-    assert as_text(single) == as_text(multi)
-    assert single.exhaustive and multi.exhaustive
-
-
 def test_search_branch_past_deadline_is_incomplete(f4):
     blocks = [g.masks() for g in enumerate_extraordinary_subgroups(f4)]
     tables = _cover_tables(blocks, 4)
-    first = (tables[1][1] & -tables[1][1]).bit_length() - 1  # a block through point 1
-    assert _search_branch(tables, time.monotonic() - 1.0, first) == ([], False)
-    sols, complete = _search_branch(tables, None, first)
-    assert complete and sols
-    assert set(sols) == {s for s in oracles.fewest_candidates_covers(blocks, 4) if first in s}
+    assert _search(tables, time.monotonic() - 1.0) == ([], False)
+    sols, complete = _search(tables, None)
+    assert complete
+    assert sorted(sols) == sorted(oracles.fewest_candidates_covers(blocks, 4))
 
 
 @pytest.mark.parametrize("n, count", [(2, 6), (3, 960)])
 def test_bitset_cover_matches_fewest_candidates_oracle(n, count):
-    """Every root branch together gives the oracle's covers, each once."""
+    """The search gives the oracle's covers, each once."""
     d = 1 << n
     blocks = list(iter_lagrangian_masks(Field(n)))
-    tables = _cover_tables(blocks, d)
-    firsts = [i for i in range(len(blocks)) if tables[1][1] >> i & 1]
-    got = [s for i in firsts for s in _search_branch(tables, None, i)[0]]
+    got, complete = _search(_cover_tables(blocks, d), None)
+    assert complete
     assert len(got) == len(set(got)) == count
     assert set(got) == set(oracles.fewest_candidates_covers(blocks, d))
 
@@ -439,40 +427,7 @@ def test_search_labels_match_template_oracle(n, count):
         assert (c.set_type, c.v1, c.v2) == oracle.get(key, ("Unclassified", None, None))
 
 
-def test_search_d8_deterministic_across_workers(f8, monkeypatch):
-    monkeypatch.setattr(squares_module.os, "cpu_count", lambda: 2)
-    single = search_complete_sets(f8, workers=1)
-    multi = search_complete_sets(f8, workers=2)
-    assert single == multi and multi.exhaustive
-
-
-def test_search_pool_is_clamped(f4, monkeypatch):
-    sizes = []
-
-    class RecordingPool:
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        map = staticmethod(map)
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
-    monkeypatch.setattr(squares_module.os, "cpu_count", lambda: 8)
-    search_complete_sets(f4, workers=8)  # d = 4 has three branches
-    monkeypatch.setattr(squares_module.os, "cpu_count", lambda: 2)
-    search_complete_sets(f4, workers=8)
-    search_complete_sets(f4, workers=1)
-    assert sizes == [3, 2]
-
-
 def test_search_rejects_bad_settings(f4):
-    with pytest.raises(ValueError):
-        search_complete_sets(f4, workers=0)
     with pytest.raises(ValueError):
         search_complete_sets(f4, time_budget=-1.0)
 
