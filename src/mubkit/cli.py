@@ -37,6 +37,7 @@ from .serialize import (
     complete_set_to_json,
     mub_payload_from_json,
     mub_set_to_json,
+    mub_words_from_json,
     search_result_to_json,
     square_to_json,
     squares_payload_from_json,
@@ -272,8 +273,9 @@ def cmd_mub_gen(args: argparse.Namespace) -> int:
 
 
 def cmd_mub_verify(args: argparse.Namespace) -> int:
-    d, bases, maps, triple = mub_payload_from_json(_read_json(args.input))
-    checks, failures = certify_bases(bases, d, maps, triple)
+    doc = _read_json(args.input)
+    d, bases, maps, triple = mub_payload_from_json(doc)
+    checks, failures = certify_bases(bases, d, maps, triple, mub_words_from_json(doc, d))
     return _report(args, checks, failures)
 
 

@@ -7,36 +7,21 @@ integer entries plus the squared norm; the physical vector is
 entries / sqrt(norm_sq), so orthogonality and unbiasedness reduce to
 integer identities (d * |<u,v>|^2 = N_u * N_v for unbiasedness).
 
-Each basis takes one exact rank-one projector: for generators g_1..g_n of
-an extraordinary subgroup at their principal eigenvalues lambda_j, the
-fraction-free product P of the factors (1 + conj(lambda_j) T_(g_j)) is
-d |psi><psi| for a stabilizer state psi, as the T_(g_j) commute.  (Its
-trace is d for any n independent generators, commuting or not, so it is
-no rank test and is not taken.)  The nonzero entries of its first nonzero column
-share the one magnitude d/|supp|; divided by it and rotated into the
-canonical quadrant, that column is the ray state.  Every T is a signed
-permutation (see pauli) whose masks come from one table per expansion
-basis, so column c of P is the n factors applied in turn to e_c, with no
-matrix held, for c = 0, 1, ... up to the first nonzero one.  Everything
-else works on packed point masks: the generators are the greedy
-independent masks of the subgroup, and the other d - 1 states are the ray
-state translated by the coset representatives of the quotient
-(cached on its Supersquare).  T_r negates the eigenvalue of every generator it
-anticommutes with, which is where the symplectic form of r and the
-generator is 1: the parity of the generator's polar mask (phasespace) and
-r.  So the representative's flip signature is both the state's eigenvalue
-assignment and its class.  A signed permutation keeps the entries of the
-ray state units, so a translated state needs only the rotation into the
-canonical quadrant, and every product by a unit is a swap of real and
-imaginary parts and a sign.
+For generators g_1..g_n of an extraordinary subgroup at their principal
+eigenvalues lambda_j, the product P of the commuting factors
+(1 + conj(lambda_j) T_(g_j)) is d |psi><psi| for a stabilizer state psi;
+its first nonzero column, divided by its one magnitude d/|supp| and by
+its first unit, is the ray state.  T_r negates the eigenvalue of each
+generator whose polar mask (phasespace) has odd parity with r, so a coset
+representative's flip signature is both the eigenvalue assignment of the
+state it translates the ray state onto and its class.
 
-Every basis state is a stabilizer state, so its entries lie in
-{0, +-1, +-i}.  The certificate packs each such state once into a support
-mask and two bit-planes of its phases (entry k is i^p with p = lo_k +
-2 hi_k) and reads <u,v> off popcounts of the common support split by the
-phase difference.  A state with any other entry, which only a document
-given to `mub verify` can hold, is not packed, and every pair with it
-takes the entry-by-entry inner product.
+Every basis state is a stabilizer state with entries in {0, +-1, +-i},
+packed into a support mask and two phase bit-planes (entry k is i^p,
+p = lo_k + 2 hi_k).  Translations and eigenvector checks work on the
+planes, and the certificate reads <u,v> off popcounts; a state with any
+other entry, which only a document given to `mub verify` can hold, takes
+the entry-by-entry inner product.
 """
 
 from __future__ import annotations
@@ -47,52 +32,13 @@ from itertools import combinations
 from typing import Sequence
 
 from .gf2n import FieldBasis, _independent, default_selfdual_basis
-from .pauli import (
-    GaussInt,
-    I_UNIT,
-    ONE,
-    PauliWord,
-    UNITS,
-    ZERO,
-    principal_eigenvalue,
-    translate,
-    translation_table,
-)
-from .phasespace import Subgroup, _polars, is_extraordinary, point_table
+from .pauli import GaussInt, PauliWord, UNITS, ZERO, translate_packed, translation_table
+from .phasespace import Subgroup, _polars, is_extraordinary
 from .squares import CompleteSet, Supersquare, verify_complete_set
 
 
 class ConstructionError(RuntimeError):
     """An exactness certificate failed while building a basis or set."""
-
-
-def _canonical_unit(z: GaussInt) -> GaussInt:
-    """The unit u with u*z in the half-open quadrant re > 0, im >= 0."""
-    for u in UNITS:
-        w = u * z
-        if w.re > 0 and w.im >= 0:
-            return u
-    raise ValueError("zero has no canonical unit")
-
-
-def _times_unit(u: GaussInt, v: Sequence[GaussInt]) -> tuple[GaussInt, ...]:
-    """u * v for a unit u, entry by entry as a swap of parts and a sign."""
-    if u == ONE:
-        return tuple(v)
-    if u == I_UNIT:
-        return tuple(GaussInt(-e.im, e.re) for e in v)
-    if u == -ONE:
-        return tuple(GaussInt(-e.re, -e.im) for e in v)
-    if u == -I_UNIT:
-        return tuple(GaussInt(e.im, -e.re) for e in v)
-    raise ValueError(f"{u} is not a unit")
-
-
-def _canonical_rotation(entries: Sequence[GaussInt]) -> tuple[GaussInt, ...]:
-    """entries times the unit that puts the first nonzero one in the
-    canonical quadrant."""
-    first = next(e for e in entries if not e.is_zero)
-    return _times_unit(_canonical_unit(first), entries)
 
 
 @dataclass(frozen=True)
@@ -152,74 +98,95 @@ def _cosets(ss: Supersquare) -> tuple[list[int], tuple[int, ...], list[int]]:
 
 
 def _ray_state(column: Sequence[GaussInt]) -> UnnormalizedState:
-    """A nonzero column of the rank-one projector, reduced to a state.
-
-    The column is d times a stabilizer state times a conjugate entry of
-    it, so its nonzero entries share the one magnitude d/|supp|; divided
-    by it they are units, and the state is rotated into the canonical
-    quadrant.  Any other column raises ConstructionError."""
+    """A nonzero column of the rank-one projector, reduced to a state: it is
+    d times a stabilizer state times a conjugate entry of it, so its nonzero
+    entries share the one magnitude d/|supp|, and divided by it they are
+    units, here divided by the first one, which puts that entry in the
+    canonical quadrant.  Any other column raises ConstructionError."""
     support = sum(not e.is_zero for e in column)
     m = len(column) // max(support, 1)
     units = {GaussInt(m * u.re, m * u.im): u for u in UNITS}
     if support * m != len(column) or not all(e.is_zero or e in units for e in column):
         raise ConstructionError("projector column is not a multiple of a state of units")
-    return UnnormalizedState(_canonical_rotation([units.get(e, ZERO) for e in column]), support)
+    entries = [units.get(e, ZERO) for e in column]
+    first = next(u for u in entries if not u.is_zero).conj()
+    return UnnormalizedState(tuple(u * first for u in entries), support)
+
+
+def _divide_by_first(st: tuple[int, int, int]) -> tuple[int, int, int]:
+    """A packed state divided by its first nonzero entry, into the canonical
+    quadrant: an odd drop of every phase flips lo and borrows from hi."""
+    s, lo, hi = st
+    first = s & -s
+    if lo & first:
+        lo, hi = lo ^ s, hi ^ (s & ~lo)
+    if hi & first:
+        hi ^= s
+    return s, lo, hi
+
+
+def _signature(ops: Sequence[tuple[int, int]], st: tuple[int, int, int], n: int) -> int | None:
+    """Bit j set where X^x Z^z = ops[j] maps the packed state to -i^q times
+    itself, clear where to i^q, q = |x & z| mod 2 (the principal eigenvalue);
+    None if a translation moves the support or shifts its phases unevenly."""
+    s, lo, hi = st
+    signature = 0
+    for j, (x, z) in enumerate(ops):
+        t, tlo, thi = translate_packed(x, z, st, n)
+        dlo, dhi = lo ^ tlo, hi ^ thi ^ (lo & ~tlo)
+        if t != s or dlo not in (0, s) or dhi not in (0, s):
+            return None
+        signature |= (dhi != 0) << j
+    return signature
 
 
 def common_eigenbasis(a1: Subgroup, expansion_basis: FieldBasis) -> MubBasis:
-    """The d common eigenvectors of the translation operators of a1.
-
-    The ray state is the first nonzero column of the exact rank-one
-    projector for the all-principal assignment; state s is the ray state
-    translated by the coset representative whose flip signature is s.  Every state is
-    checked to be a common eigenvector with its assignment's eigenvalues.
-    Distinct assignments make the states pairwise orthogonal;
-    certify_bases, which build_mub_set runs, checks that exactly.
-    """
+    """The d common eigenvectors of the translation operators of a1: state
+    s is the ray state translated by the coset representative whose flip
+    signature is s, and is checked to have that signature."""
     return _eigenbasis(Supersquare(a1), expansion_basis)
 
 
-def _eigenbasis(ss: Supersquare, expansion_basis: FieldBasis) -> MubBasis:
-    """common_eigenbasis of ss's generator, using the quotient ss caches.
+def _eigenbasis(ss: Supersquare, expansion_basis: FieldBasis, cosets=None) -> MubBasis:
+    """common_eigenbasis of ss's generator, from its _cosets unless given.
     The d flip signatures are distinct: the generator A is Lagrangian, so
-    the signature map r -> (omega(g_j, r))_j has kernel A^perp = A."""
+    the map r -> (omega(g_j, r))_j has kernel A^perp = A."""
     a1 = ss.generator
-    field = a1.field
-    d = field.order
+    d, n = a1.field.order, a1.field.n
     if not is_extraordinary(a1):
         raise ValueError("subgroup is not extraordinary: operators do not commute")
     table = translation_table(expansion_basis)
-    gens, reps, slots = _cosets(ss)
+    gens, reps, slots = cosets or _cosets(ss)
     ops = [table[g] for g in gens]
-    principals = [principal_eigenvalue(x, z) for x, z in ops]
-    # the factors (1 + conj(lambda_j) T_(g_j)), the rightmost applied first
-    factors = [(x, z, lam.conj()) for (x, z), lam in zip(ops, principals)][::-1]
     for c in range(d):  # column c of P, up to the first nonzero one
-        col = tuple(ONE if i == c else ZERO for i in range(d))
-        for x, z, w in factors:
-            col = tuple(a + b for a, b in zip(col, _times_unit(w, translate(x, z, col))))
-        if any(not e.is_zero for e in col):
+        # the d products of subsets of the commuting factors, each i^p e_k:
+        # conj(lambda) T e_k = i^(3 (|x & z| mod 2)) (-1)^|z & k| e_(k ^ x)
+        terms = [(c, 0)]
+        for x, z in ops:
+            q = 3 * ((x & z).bit_count() & 1)
+            terms += [(k ^ x, (p + q + 2 * (z & k).bit_count()) & 3) for k, p in terms]
+        column = [ZERO] * d
+        for k, p in terms:
+            column[k] += UNITS[p]
+        if any(not e.is_zero for e in column):
             break
-    ray = _ray_state(col)
-    # a signed permutation keeps the entries units, so only the rotation
-    # into the canonical quadrant is left to do
-    states: list[UnnormalizedState] = [ray] * d
+    ray = pack_state(_ray_state(column))
+    states = [ray] * d
     for s, rep in zip(slots[1:], reps):
-        moved = _canonical_rotation(translate(*table[rep], ray.entries))
-        states[s] = UnnormalizedState(moved, ray.norm_sq)
-    for s, state in enumerate(states):
-        for j, ((x, z), lam) in enumerate(zip(ops, principals)):
-            lam = -lam if s >> j & 1 else lam
-            if translate(x, z, state.entries) != _times_unit(lam, state.entries):
-                raise ConstructionError(
-                    f"state {s} is not a common eigenvector for {point_table(field)[gens[j]]}"
-                )
-
-    words = tuple(PauliWord.from_masks(*table[m], field.n) for m in a1.masks()[1:])
+        states[s] = _divide_by_first(translate_packed(*table[rep], ray, n))
+    for s, st in enumerate(states):
+        if _signature(ops, st, n) != s:
+            raise ConstructionError(f"state {s} is not a common eigenvector with signature {s}")
+    # entry k of a packed state: i^(lo_k + 2 hi_k) on the support, else 0
+    entries = [
+        tuple(UNITS[(lo >> k & 1) + 2 * (hi >> k & 1)] if s >> k & 1 else ZERO for k in range(d))
+        for s, lo, hi in states
+    ]
+    words = tuple(PauliWord.from_masks(*table[m], n) for m in a1.masks()[1:])
     return MubBasis(
         source=a1,
         expansion_basis=expansion_basis,
-        states=tuple(states),
+        states=tuple(UnnormalizedState(e, ray[0].bit_count()) for e in entries),
         operator_words=words,
     )
 
@@ -282,11 +249,28 @@ def packed_inner(a: tuple[int, int, int], b: tuple[int, int, int]) -> tuple[int,
     )
 
 
+def _stabilizer(words, states, packs, d: int) -> list[int] | None:
+    """The masks x << n | z of the first n independent words when the
+    basis has d packed states of d entries with right, nonzero norms and d
+    distinct signatures under them; else None.  The states are then
+    pairwise orthogonal, so the words, diagonal in their basis, commute and
+    generate the stabilizer group of each of them."""
+    n = d.bit_length() - 1
+    gens = _independent(x << n | z for x, z in words if 0 <= x < d and 0 <= z < d)
+    ops = [(m >> n, m & d - 1) for m in gens]
+    fit = all(p and st.dim == d and st.norm_sq == p[0].bit_count() > 0
+              for st, p in zip(states, packs))
+    if d != 1 << n or len(ops) != n or len(states) != d or not fit:
+        return None
+    return gens if len({_signature(ops, p, n) for p in packs} - {None}) == d else None
+
+
 def certify_bases(
     bases: Sequence[Sequence[UnnormalizedState]],
     d: int,
     class_maps: Sequence[Sequence[int] | None],
     expected_structure: Sequence[int] | None = None,
+    words: Sequence[Sequence[tuple[int, int]] | None] | None = None,
 ) -> tuple[dict[str, bool], list[str]]:
     """The exact MUB certificate: d+1 bases of d states of d entries each;
     each norm_sq equal to the recomputed, nonzero squared norm; states
@@ -295,12 +279,16 @@ def certify_bases(
     ``expected_structure``, the entanglement structure recounted from the
     states must equal it, which needs d = 8.  A state without d entries
     fails the cardinality check and is left out of the pair checks.
+    Inner products of packed states are read off popcounts (packed_inner),
+    others taken entry by entry.
 
-    Each state is packed once (pack_state), and the inner product of two
-    packed states is read off popcounts (packed_inner); a pair with a state
-    that has an entry outside {0, +-1, +-i}, such as a valid state scaled
-    by 1 + i, takes UnnormalizedState.inner instead.  Both are exact.
-    Returns the checks and every failure."""
+    ``words`` are untrusted (x, z) masks per basis, of translations claimed
+    to stabilize its states.  A basis they certify (_stabilizer) skips its
+    orthogonality pairs, and two such bases whose 2n generator masks are
+    independent skip their d^2 inner products: stabilizer bases whose
+    groups meet only in the identity are unbiased.  Every other basis and
+    pair is checked, so the result never depends on the words.  Returns
+    the checks and every failure."""
     failures: list[str] = []
     checks = {"cardinality": len(bases) == d + 1}
     if not checks["cardinality"]:
@@ -313,26 +301,34 @@ def certify_bases(
             if st.dim != d:
                 checks["cardinality"] = False
                 failures.append(f"basis {bi} state {si} has {st.dim} entries, expected {d}")
+    packs = [[pack_state(st) for st in states] for states in bases]
     checks["norms"] = True
-    for bi, states in enumerate(bases, start=1):
-        for si, st in enumerate(states):
-            recomputed = sum(e.norm_sq() for e in st.entries)
+    for bi, (states, ps) in enumerate(zip(bases, packs), start=1):
+        for si, (st, p) in enumerate(zip(states, ps)):
+            recomputed = p[0].bit_count() if p else sum(e.norm_sq() for e in st.entries)
             if st.norm_sq != recomputed or recomputed == 0:
                 checks["norms"] = False
                 failures.append(f"basis {bi} state {si} has a bad norm_sq")
+    words = [*(words or ()), *[()] * len(bases)]
+    stabilizers = [_stabilizer(w or (), sts, ps, d) for w, sts, ps in zip(words, bases, packs)]
     # (index, state, packed state or None) of the states the pair checks take
     sized = [
-        [(i, st, pack_state(st)) for i, st in enumerate(states) if st.dim == d]
-        for states in bases
+        [(i, st, p) for i, (st, p) in enumerate(zip(states, ps)) if st.dim == d]
+        for states, ps in zip(bases, packs)
     ]
     checks["orthogonality"] = True
     for bi, states in enumerate(sized, start=1):
+        if stabilizers[bi - 1]:
+            continue
         for (i, u, pu), (j, v, pv) in combinations(states, 2):
             if (packed_inner(pu, pv) if pu and pv else u.inner(v)) != (0, 0):
                 checks["orthogonality"] = False
                 failures.append(f"basis {bi} states {i},{j} not orthogonal")
     checks["unbiasedness"] = True
     for (bi, us), (bj, vs) in combinations(enumerate(sized, start=1), 2):
+        ga, gb = stabilizers[bi - 1], stabilizers[bj - 1]
+        if ga and gb and len(_independent(ga + gb)) == 2 * len(ga):
+            continue
         for i, u, pu in us:
             for j, v, pv in vs:
                 re, im = packed_inner(pu, pv) if pu and pv else u.inner(v)
@@ -377,7 +373,8 @@ def build_mub_set(
 ) -> MubSet:
     """Run the eigenbasis construction and correspondence over every
     square of a verified complete set, then run certify_bases on the
-    result; the first failure raises ConstructionError."""
+    result with each basis's generator translations as its words; the
+    first failure raises ConstructionError."""
     field = c.field
     if expansion_basis is None:
         expansion_basis = default_selfdual_basis(field)
@@ -386,16 +383,19 @@ def build_mub_set(
         raise ValueError(
             "complete set fails verification: " + "; ".join(report.failures)
         )
-    bases = tuple(
-        apply_correspondence(_eigenbasis(ss, expansion_basis), ss)
-        for ss in c.supersquares
-    )
+    table = translation_table(expansion_basis)
+    bases, words = [], []
+    for ss in c.supersquares:
+        cosets = _cosets(ss)
+        basis = replace(_eigenbasis(ss, expansion_basis, cosets), class_of_state=tuple(cosets[2]))
+        bases.append(basis)
+        words.append([table[g] for g in cosets[0]])
     _, failures = certify_bases(
-        [b.states for b in bases], field.order, [b.class_of_state for b in bases]
+        [b.states for b in bases], field.order, [b.class_of_state for b in bases], words=words
     )
     if failures:
         raise ConstructionError(failures[0])
-    return MubSet(bases, c)
+    return MubSet(tuple(bases), c)
 
 
 # ---------------------------------------------------------------------------

@@ -7,19 +7,20 @@ y_i = tr(y e_i) expand the coordinates over a basis E and its dual F.
 Packed into masks x and z with qubit 1 as the most significant bit, the
 operator X^x Z^z is the real signed permutation
 T e_c = (-1)^|z & c| e_(c ^ x) of the computational basis, so it is stored
-as its two masks and applied to a Gaussian-integer vector in O(d); nothing
-is ever rounded.  The bits are GF(2)-linear in the packed point, so one
-table per expansion basis, the XOR span of the 2n unit points' masks,
-holds the masks of every point.  T squares to -I exactly when |x & z| is
-odd (XZ squares to -I).  Operator *names* drop the phase, writing the
-Hermitian letter Y where the raw factor is XZ.
+as its two masks and applied to a packed state (mub.pack_state) by sign
+flips and block swaps of its bit-planes; nothing is ever rounded.  The
+bits are GF(2)-linear in the packed point, so one table per expansion
+basis, the XOR span of the 2n unit points' masks, holds the masks of
+every point.  T squares to -I exactly when |x & z| is odd (XZ squares
+to -I).  Operator *names* drop the phase, writing the Hermitian letter Y
+where the raw factor is XZ.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 from .gf2n import FieldBasis, dual_basis
 
@@ -83,10 +84,6 @@ class PauliWord:
             raise ValueError(f"invalid letters {self.letters!r}")
 
     @classmethod
-    def from_bits(cls, x_bits: Sequence[int], y_bits: Sequence[int]) -> "PauliWord":
-        return cls(tuple(_LETTER_BY_BITS[(x, y)] for x, y in zip(x_bits, y_bits)))
-
-    @classmethod
     def from_masks(cls, x: int, z: int, n: int) -> "PauliWord":
         """The word of X^x Z^z on n qubits, qubit 1 the most significant bit."""
         return cls(tuple(_LETTER_BY_BITS[(x >> k & 1, z >> k & 1)] for k in reversed(range(n))))
@@ -118,14 +115,25 @@ def translation_table(basis_e: FieldBasis) -> tuple[tuple[int, int], ...]:
     return tuple(table)
 
 
-def translate(x: int, z: int, v: Sequence[GaussInt]) -> tuple[GaussInt, ...]:
-    """X^x Z^z v, entry by entry: e_c goes to (-1)^|z & c| e_(c ^ x)."""
-    out = [ZERO] * len(v)
-    for c, e in enumerate(v):
-        out[c ^ x] = -e if (z & c).bit_count() & 1 else e
-    return tuple(out)
+@cache
+def _index_planes(n: int) -> tuple[int, ...]:
+    """Plane j has bit k set for the indices 0 <= k < 2^n with bit j set."""
+    return tuple(sum(1 << k for k in range(1 << n) if k >> j & 1) for j in range(n))
 
 
-def principal_eigenvalue(x: int, z: int) -> GaussInt:
-    """i when X^x Z^z squares to -I, which is when |x & z| is odd; else 1."""
-    return I_UNIT if (x & z).bit_count() & 1 else ONE
+def translate_packed(x: int, z: int, state: tuple[int, int, int], n: int) -> tuple[int, int, int]:
+    """X^x Z^z on a packed n-qubit state (mub.pack_state): e_c goes to
+    (-1)^|z & c| e_(c ^ x), so hi flips on the support where |z & c| is odd,
+    and each bit j of x swaps the blocks of 2^j entries index bit j splits."""
+    s, lo, hi = state
+    planes = _index_planes(n)
+    for j, b in enumerate(planes):
+        if z >> j & 1:
+            hi ^= b & s
+    for j, b in enumerate(planes):
+        if x >> j & 1:
+            w = 1 << j
+            s = (s & b) >> w | (s & ~b) << w
+            lo = (lo & b) >> w | (lo & ~b) << w
+            hi = (hi & b) >> w | (hi & ~b) << w
+    return s, lo, hi

@@ -250,6 +250,25 @@ def mub_payload_from_json(
     return d, bases, maps, None if triple is None else _ints(triple, "structure")
 
 
+# a word's letters -> the bits of its x and of its z mask, qubit 1 first, Y = XZ
+_X_BITS, _Z_BITS = str.maketrans("IXYZ", "0110"), str.maketrans("IXYZ", "0011")
+
+
+def mub_words_from_json(data: Any, d: int) -> list[list[tuple[int, int]]]:
+    """The (x, z) masks of the n-letter "words" of each basis in a MUB
+    document that mub_payload_from_json has read.  They are untrusted hints
+    for certify_bases, so words that do not parse are dropped."""
+    out = []
+    for basis in data["bases"]:
+        try:
+            words = ["".join(w) for w in basis["words"]]
+        except (KeyError, TypeError):
+            words = []
+        words = [w for w in words if 1 << len(w) == d and not w.strip("IXYZ")]
+        out.append([(int(w.translate(_X_BITS), 2), int(w.translate(_Z_BITS), 2)) for w in words])
+    return out
+
+
 def basis_to_json(b: MubBasis) -> dict:
     return {
         "source": subgroup_to_json(b.source),

@@ -22,7 +22,10 @@ square perturbation, partition equality and encoding over frozensets of
 Points (the library reads and writes label tables); expansion bits by
 field arithmetic (the library tabulates them once per expansion basis);
 the field-side commutation criterion (the library reads the parity of a
-polar mask); the content reduction of a ray by Gaussian gcds (the
+polar mask); a translation applied entry by entry to Gaussian integers
+and the rotation into the canonical quadrant by a unit search (the
+library translates packed bit-planes and divides by the first entry);
+the content reduction of a ray by Gaussian gcds (the
 library divides by the one magnitude of a stabilizer column);
 proportionality and the integer unbiasedness test of two states; and the
 rank of a Gaussian matrix by fraction-free elimination (the library
@@ -53,7 +56,6 @@ from mubkit.pauli import I_UNIT, ONE, UNITS, ZERO, GaussInt, PauliWord
 from mubkit.mub import (
     EntanglementStructure,
     UnnormalizedState,
-    _canonical_rotation,
     _class_map_fault,
     separability,
 )
@@ -92,6 +94,22 @@ def gauss_divexact(a: GaussInt, b: GaussInt) -> GaussInt:
     return GaussInt(t.re // nb, t.im // nb)
 
 
+def translate(x: int, z: int, v: Sequence[GaussInt]) -> tuple[GaussInt, ...]:
+    """X^x Z^z v, entry by entry: e_c goes to (-1)^|z & c| e_(c ^ x)."""
+    out = [ZERO] * len(v)
+    for c, e in enumerate(v):
+        out[c ^ x] = -e if (z & c).bit_count() & 1 else e
+    return tuple(out)
+
+
+def canonical_rotation(entries: Sequence[GaussInt]) -> tuple[GaussInt, ...]:
+    """entries times the unit that puts the first nonzero one in the
+    half-open quadrant re > 0, im >= 0."""
+    first = next(e for e in entries if not e.is_zero)
+    unit = next(u for u in UNITS if (w := u * first).re > 0 and w.im >= 0)
+    return tuple(unit * e for e in entries)
+
+
 def content_reduce(entries: Sequence[GaussInt]) -> tuple[GaussInt, ...]:
     """Divide out the Gaussian gcd and rotate by a unit so the first
     nonzero entry lands in the canonical quadrant."""
@@ -101,7 +119,7 @@ def content_reduce(entries: Sequence[GaussInt]) -> tuple[GaussInt, ...]:
             g = e if g.is_zero else gauss_gcd(g, e)
     if g.is_zero:
         raise ValueError("cannot reduce the zero vector")
-    return _canonical_rotation(tuple(gauss_divexact(e, g) for e in entries))
+    return canonical_rotation(tuple(gauss_divexact(e, g) for e in entries))
 
 
 def state_from_raw(entries: Sequence[GaussInt]) -> UnnormalizedState:
@@ -361,8 +379,13 @@ def translation_operator(
     x_bits, y_bits = expansion_bits(p, basis_e, basis_f)
     factors = [_FACTOR_BY_BITS[(x, y)] for x, y in zip(x_bits, y_bits)]
     matrix = reduce(GaussMatrix.kron, factors)
-    word = PauliWord.from_bits(x_bits, y_bits)
+    word = word_from_bits(x_bits, y_bits)
     return TranslationOp(p, basis_e, basis_f, x_bits, y_bits, matrix, word)
+
+
+def word_from_bits(x_bits: Sequence[int], y_bits: Sequence[int]) -> PauliWord:
+    """The word with letter X^x Z^y per qubit, named I, X, Z or Y."""
+    return PauliWord(tuple("IXZY"[x + 2 * y] for x, y in zip(x_bits, y_bits)))
 
 
 def square_sign(t: TranslationOp) -> int:

@@ -6,11 +6,16 @@ popcounts; a pair with any other state takes UnnormalizedState.inner.
 oracles.certify_bases_dense forms every inner product entry by entry.
 The two must return the same (checks, failures), in the same order, on
 valid sets and on sets with entries rotated, replaced or scaled out of
-the unit set, norms made wrong and states cut short.  Hypothesis
-examples are derandomized, so a run is reproducible.
+the unit set, norms made wrong and states cut short.  They must also be
+the same when certify_bases is given each basis's stabilizer words, true
+or tampered with, which let it skip the pair checks of bases it
+certifies on their own.  Hypothesis examples are derandomized, so a run
+is reproducible.
 """
 
 import random
+from functools import reduce
+from operator import xor
 
 import pytest
 from hypothesis import given, settings
@@ -32,11 +37,13 @@ from mubkit import (
     type_III_set_d8,
     type_IV_set_d8,
 )
+from mubkit import mub
 from mubkit.cli import DEFAULT_PAIRS, _parse_point
+from mubkit.gf2n import _independent
 from mubkit.mub import pack_state, packed_inner
-from mubkit.pauli import I_UNIT, ONE, UNITS, ZERO
+from mubkit.pauli import I_UNIT, ONE, UNITS, ZERO, translation_table
 
-from oracles import all_points, certify_bases_dense
+from oracles import all_points, canonical_rotation, certify_bases_dense, translate
 
 INSIDE = (ZERO,) + UNITS
 OUTSIDE = (GaussInt(2, 0), GaussInt(1, 1), GaussInt(0, -3))
@@ -58,18 +65,31 @@ def payload(mubs):
     return [list(b.states) for b in mubs.bases], [b.class_of_state for b in mubs.bases]
 
 
-def assert_same_certificate(bases, d, maps, expected_structure=None):
-    packed = certify_bases(bases, d, maps, expected_structure)
+def true_words(mubs):
+    """Per basis, the (x, z) masks of the translations by its source's
+    independent generators, as build_mub_set passes them."""
+    return [
+        [translation_table(b.expansion_basis)[m] for m in _independent(b.source.masks())]
+        for b in mubs.bases
+    ]
+
+
+def assert_same_certificate(bases, d, maps, expected_structure=None, words=None):
+    packed = certify_bases(bases, d, maps, expected_structure, words)
     assert packed == certify_bases_dense(bases, d, maps, expected_structure)
     return packed
 
 
 @pytest.fixture(scope="module")
 def valid_payloads(d4_type_ii_set, d8_type_ii_set):
-    """(d, bases, class maps, structure) of one valid set per dimension."""
+    """(d, bases, class maps, structure, words) of one valid set per
+    dimension."""
     d4 = build_mub_set(d4_type_ii_set)
     d8 = build_mub_set(d8_type_ii_set)
-    return [(4, *payload(d4), None), (8, *payload(d8), structure(d8).astuple())]
+    return [
+        (4, *payload(d4), None, true_words(d4)),
+        (8, *payload(d8), structure(d8).astuple(), true_words(d8)),
+    ]
 
 
 # -- the packed inner product -------------------------------------------------
@@ -120,7 +140,7 @@ def perturbed(draw, payloads):
     or -3i (norm_sq kept consistent or not), norm_sq off by a few, a state
     cut short, or a basis replaced by a copy of another; and at d = 8 a
     structure claim kept, dropped or changed."""
-    d, bases, maps, triple = draw(st.sampled_from(payloads))
+    d, bases, maps, triple, words = draw(st.sampled_from(payloads))
     bases = [list(b) for b in bases]
     for _ in range(draw(st.integers(1, 4))):
         bi = draw(st.integers(0, len(bases) - 1))
@@ -131,11 +151,12 @@ def perturbed(draw, payloads):
             st.sampled_from(["unit", "entry", "scale", "scale-basis", "norm", "cut", "copy"])
         )
         if kind == "unit":
-            k = draw(st.integers(0, d - 1))
+            k = draw(st.integers(0, len(entries) - 1))
             entries[k] = entries[k] * draw(st.sampled_from(UNITS[1:]))
             bases[bi][si] = UnnormalizedState(tuple(entries), old.norm_sq)
         elif kind == "entry":
-            entries[draw(st.integers(0, d - 1))] = draw(st.sampled_from(INSIDE + OUTSIDE))
+            k = draw(st.integers(0, len(entries) - 1))
+            entries[k] = draw(st.sampled_from(INSIDE + OUTSIDE))
             bases[bi][si] = UnnormalizedState(tuple(entries), old.norm_sq)
         elif kind in ("scale", "scale-basis"):
             f = draw(st.sampled_from(OUTSIDE[1:] + (GaussInt(2, 0),)))
@@ -153,14 +174,15 @@ def perturbed(draw, payloads):
             bases[bi] = list(bases[draw(st.integers(0, len(bases) - 1))])
     if triple is not None:
         triple = draw(st.sampled_from([None, triple, (9, 0, 0), (0, 0, 9)]))
-    return d, bases, maps, triple
+    return d, bases, maps, triple, words
 
 
 @ORACLE
 @given(data=st.data())
 def test_certificate_matches_dense_oracle_on_perturbed_sets(valid_payloads, data):
-    d, bases, maps, triple = data.draw(perturbed(valid_payloads))
+    d, bases, maps, triple, words = data.draw(perturbed(valid_payloads))
     assert_same_certificate(bases, d, maps, triple)
+    assert_same_certificate(bases, d, maps, triple, words)
 
 
 # -- fixed cases -----------------------------------------------------------------
@@ -245,3 +267,176 @@ def test_d32_type_i_set_packed_inner_products():
         re, im = packed_inner(packed[bi][i], packed[bj][j])
         assert (re, im) == u.inner(v)
         assert 32 * (re * re + im * im) == u.norm_sq * v.norm_sq
+
+
+# -- the structural route: stabilizer words ---------------------------------------
+
+
+@pytest.fixture(scope="module")
+def type_i_sets():
+    """The type I MUB set on the axes at d = 4, 8 and 16, by dimension."""
+    sets = {}
+    for n in (2, 3, 4):
+        f = Field(n)
+        sets[f.order] = build_mub_set(type_I_set(Point(f.one, f.zero), Point(f.zero, f.one)))
+    return sets
+
+
+def anticommuting(word):
+    """A word that anticommutes with the nonzero word (x, z)."""
+    x, z = word
+    return (0, x & -x) if x else (z & -z, 0)
+
+
+def times_i(st_, entry=None):
+    """The state with every entry, or only its nonzero entry number
+    ``entry``, times i."""
+    ks = [k for k, e in enumerate(st_.entries) if not e.is_zero]
+    entries = [
+        e * I_UNIT if entry is None or k == ks[entry] else e for k, e in enumerate(st_.entries)
+    ]
+    return UnnormalizedState(tuple(entries), st_.norm_sq)
+
+
+def tamper(kind, bases, words):
+    """Apply one tampering to the payload in place; the bases (from 0) it
+    leaves without a structural certificate."""
+    (x0, z0), (x1, z1) = words[1][:2]
+    if kind == "swapped-words":
+        words[1], words[2] = words[2], words[1]
+        return [1, 2]
+    if kind == "anticommuting-word":
+        words[1][0] = anticommuting(words[1][1])
+        return [1]
+    if kind == "dependent-word":  # the product of the other words
+        others = words[1][:-1]
+        words[1][-1] = tuple(reduce(xor, masks) for masks in zip(*others))
+        return [1]
+    if kind == "too-few-words":
+        words[1].pop()
+        return [1]
+    if kind == "extra-word":  # dependent on the others, so it changes nothing
+        words[1].append((x0 ^ x1, z0 ^ z1))
+        return []
+    if kind == "no-words":
+        words[1] = None
+        return [1]
+    if kind == "state-times-i":  # a global phase: still a valid set
+        bases[1][2] = times_i(bases[1][2])
+        return []
+    if kind == "entry-times-i":
+        bases[1][2] = times_i(bases[1][2], entry=0)
+        return [1]
+    if kind == "bad-norm":
+        bases[1][2] = UnnormalizedState(bases[1][2].entries, bases[1][2].norm_sq + 1)
+        return [1]
+    if kind == "repeated-basis":  # certified, but its pair with basis 3 is not skipped
+        bases[1], words[1] = list(bases[2]), list(words[2])
+        return []
+    if kind == "swapped-states":  # the states keep their signatures
+        bases[1][0], bases[1][1] = bases[1][1], bases[1][0]
+        return []
+    if kind == "repeated-state":  # two states share a signature
+        bases[1][1] = bases[1][0]
+        return [1]
+    if kind == "cut-state":
+        bases[1][2] = UnnormalizedState(bases[1][2].entries[:-1], bases[1][2].norm_sq)
+        return [1]
+    assert kind == "valid"
+    return []
+
+
+TAMPERINGS = [
+    "valid", "swapped-words", "anticommuting-word", "dependent-word", "too-few-words",
+    "extra-word", "no-words", "state-times-i", "entry-times-i", "bad-norm",
+    "repeated-basis", "swapped-states", "repeated-state", "cut-state",
+]
+
+
+@pytest.mark.parametrize("kind", TAMPERINGS)
+@pytest.mark.parametrize("d", [4, 8, 16])
+def test_certificate_with_words_matches_dense_oracle(type_i_sets, d, kind):
+    mubs = type_i_sets[d]
+    bases, maps = payload(mubs)
+    words = true_words(mubs)
+    uncertified = tamper(kind, bases, words)
+    packs = [[pack_state(st_) for st_ in b] for b in bases]
+    route = [mub._stabilizer(w or (), b, p, d) for w, b, p in zip(words, bases, packs)]
+    assert [i for i, r in enumerate(route) if r is None] == uncertified
+    checks, failures = assert_same_certificate(bases, d, maps, None, words)
+    valid = kind in ("valid", "swapped-words", "anticommuting-word", "dependent-word",
+                     "too-few-words", "extra-word", "no-words", "state-times-i",
+                     "swapped-states")
+    assert (failures == []) == valid
+    if kind == "repeated-basis":
+        assert failures[0] == "bases 2,3 biased at states (0,0)"
+
+
+def count_pair_checks(monkeypatch):
+    """A list that gets one entry per packed_inner call."""
+    calls = []
+    real = mub.packed_inner
+
+    def counting(a, b):
+        calls.append(1)
+        return real(a, b)
+
+    monkeypatch.setattr(mub, "packed_inner", counting)
+    return calls
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_build_mub_set_takes_the_structural_route(n, monkeypatch):
+    """Every basis of a valid type I set is certified by its generator
+    words and every pair skipped, so no inner product is taken: a silent
+    fall-back to the pair checks fails here."""
+    f = Field(n)
+    for v1, v2 in [
+        (Point(f.one, f.zero), Point(f.zero, f.one)),
+        (Point(f.element(3), f.element(1)), Point(f.element(2), f.element(5))),
+    ]:
+        calls = count_pair_checks(monkeypatch)
+        mubs = build_mub_set(type_I_set(v1, v2))
+        assert calls == [] and len(mubs.bases) == f.order + 1
+
+
+def oracle_signature(ops, entries):
+    """Bit j set where translation j maps the entries to minus its
+    principal eigenvalue times themselves; None if it maps them to no
+    unit multiple of themselves."""
+    signature = 0
+    for j, (x, z) in enumerate(ops):
+        moved = translate(x, z, entries)
+        phases = [u for u in UNITS if moved == tuple(u * e for e in entries)]
+        if not phases:
+            return None
+        principal = I_UNIT if (x & z).bit_count() & 1 else ONE
+        signature |= (phases[0] != principal) << j
+    return signature
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_signatures_and_division_on_planes_match_entries(n, type_i_sets):
+    """The eigenvector check and the division by the first entry on packed
+    planes against the same on Gaussian integers, over the states of a
+    type I set and seeded states of units and zeros, for seeded word
+    pairs and each basis's own words."""
+    d = 1 << n
+    rng = random.Random(d)
+    mubs = type_i_sets[d]
+    states = [st_.entries for b in mubs.bases for st_ in b.states]
+    states += [tuple(rng.choice(INSIDE) for _ in range(d)) for _ in range(60)]
+    states = [v for v in states if any(not e.is_zero for e in v)]
+    ops_sets = true_words(mubs) + [
+        [(rng.randrange(d), rng.randrange(d)) for _ in range(n)] for _ in range(20)
+    ]
+    seen = set()
+    for v in states:
+        packed = pack_state(UnnormalizedState(v, 0))
+        rotated = mub._divide_by_first(packed)
+        assert rotated == pack_state(UnnormalizedState(canonical_rotation(v), 0))
+        for ops in ops_sets:
+            signature = mub._signature(ops, packed, n)
+            assert signature == oracle_signature(ops, v)
+            seen.add(signature is None)
+    assert seen == {True, False}

@@ -10,10 +10,13 @@ import pytest
 
 import mubkit
 from mubkit import CompleteSet, Point, type_I_set, verify_complete_set
-from mubkit.cli import main
+from mubkit.cli import DEFAULT_PAIRS, _parse_point, main
+from mubkit.pauli import translation_table
 from mubkit.serialize import (
     complete_set_to_json,
     dumps_canonical,
+    mub_set_to_json,
+    mub_words_from_json,
     square_to_json,
     squares_payload_from_json,
 )
@@ -216,6 +219,90 @@ def test_mub_verify_detects_bias(capsys, tmp_path):
     code, out, _ = run(capsys, "mub", "verify", str(path))
     assert code == 1
     assert "unbiasedness: FAIL" in out
+
+
+@pytest.fixture(scope="module")
+def d16_document():
+    """The type I MUB document on the axes at d = 16, built by the library
+    since `mub gen` stops at d = 8."""
+    f16 = mubkit.Field(4)
+    v1, v2 = Point(f16.one, f16.zero), Point(f16.zero, f16.one)
+    mubs = mubkit.build_mub_set(type_I_set(v1, v2))
+    return mubs, json.loads(dumps_canonical(mub_set_to_json(mubs, None)))
+
+
+@pytest.fixture(scope="module")
+def d8_mubs_by_type():
+    f8 = mubkit.Field(3)
+    ctors = {
+        "I": mubkit.type_I_set,
+        "II": mubkit.type_II_set_d8,
+        "III": mubkit.type_III_set_d8,
+        "IV": mubkit.type_IV_set_d8,
+    }
+    return [
+        mubkit.build_mub_set(ctor(*(_parse_point(f8, t) for t in DEFAULT_PAIRS[(8, name)])))
+        for name, ctor in ctors.items()
+    ]
+
+
+def test_mub_words_from_json_reads_every_word(d16_document, d8_mubs_by_type):
+    for mubs, doc in [d16_document] + [(m, mub_set_to_json(m, None)) for m in d8_mubs_by_type]:
+        masks = mub_words_from_json(doc, mubs.d)
+        assert masks == [
+            [translation_table(b.expansion_basis)[m] for m in b.source.masks()[1:]]
+            for b in mubs.bases
+        ]
+
+
+WORD_TAMPERINGS = ["swapped", "missing", "malformed", "not-a-list", "all-dropped"]
+
+
+def tamper_words(bases, kind):
+    if kind == "swapped":
+        bases[0]["words"], bases[1]["words"] = bases[1]["words"], bases[0]["words"]
+    elif kind == "missing":
+        del bases[0]["words"]
+    elif kind == "malformed":
+        bases[0]["words"] = [["Q"] * 4, 5, [[1]], "XX"]
+    elif kind == "not-a-list":
+        bases[1]["words"] = {"X": 1}
+    else:
+        for basis in bases:
+            del basis["words"]
+
+
+@pytest.mark.parametrize("phase", ["valid", "entry-times-i"])
+def test_mub_verify_words_never_change_the_report(
+    capsys, tmp_path, monkeypatch, d16_document, phase
+):
+    """The document's words send a d = 16 set down the structural route,
+    which takes no inner product when the set is valid; swapped, missing
+    or malformed words send bases to the pair checks, with the same
+    report and exit code."""
+    from mubkit import mub
+
+    _, doc = d16_document
+    doc = json.loads(json.dumps(doc))
+    if phase == "entry-times-i":
+        num = doc["bases"][0]["states"][0]["num"]
+        k = next(k for k, e in enumerate(num) if e != [0, 0])
+        num[k] = [-num[k][1], num[k][0]]
+    calls = []
+    real = mub.packed_inner
+    monkeypatch.setattr(mub, "packed_inner", lambda a, b: calls.append(1) or real(a, b))
+    path = tmp_path / "m16.json"
+    path.write_text(json.dumps(doc))
+    want = run(capsys, "mub", "verify", str(path))
+    assert want[0] == (0 if phase == "valid" else 1)
+    assert (calls == []) == (phase == "valid")
+    for kind in WORD_TAMPERINGS:
+        tampered = json.loads(json.dumps(doc))
+        tamper_words(tampered["bases"], kind)
+        path.write_text(json.dumps(tampered))
+        calls.clear()
+        assert run(capsys, "mub", "verify", str(path)) == want, kind
+        assert calls, kind
 
 
 @pytest.mark.parametrize("kept", [1, 3])

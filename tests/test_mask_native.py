@@ -89,7 +89,7 @@ def test_translation_table_matches_expansion_bits(n):
             x, z = table[point_to_mask(p)]
             assert (x, z) == oracles.translation_masks(p, basis, basis_f)
             bits = oracles.expansion_bits(p, basis, basis_f)
-            assert PauliWord.from_masks(x, z, n) == PauliWord.from_bits(*bits)
+            assert PauliWord.from_masks(x, z, n) == oracles.word_from_bits(*bits)
 
 
 # -- flip signatures -----------------------------------------------------------------

@@ -261,6 +261,26 @@ def test_build_mub_set_takes_one_quotient_per_basis(f8, monkeypatch):
     assert calls == list(cset.generators)
 
 
+def test_build_mub_set_derives_each_basis_generators_once(f8, monkeypatch):
+    """The eigenbasis, the correspondence and the certificate's words all
+    come from one _cosets call per supersquare."""
+    from mubkit import mub
+
+    v1 = refdata.parse_point(f8, refdata.REF_D8_TYPE_II_V1)
+    v2 = refdata.parse_point(f8, refdata.REF_D8_TYPE_II_V2)
+    cset = type_II_set_d8(v1, v2)
+    calls = []
+    real = mub._cosets
+
+    def counting(ss):
+        calls.append(ss)
+        return real(ss)
+
+    monkeypatch.setattr(mub, "_cosets", counting)
+    build_mub_set(cset)
+    assert calls == list(cset.supersquares)
+
+
 def test_build_rejects_broken_sets(d4_type_ii_set):
     from mubkit.squares import CompleteSet
 

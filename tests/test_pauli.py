@@ -1,6 +1,7 @@
 """Gaussian-integer matrices, translation operators, and the commutation
 criterion."""
 
+import random
 from itertools import permutations
 
 import pytest
@@ -8,16 +9,11 @@ import pytest
 from mubkit import (
     FieldBasis,
     GaussInt,
+    UnnormalizedState,
     default_selfdual_basis,
 )
-from mubkit.pauli import (
-    I_UNIT,
-    ONE,
-    ZERO,
-    principal_eigenvalue,
-    translate,
-    translation_table,
-)
+from mubkit.mub import pack_state
+from mubkit.pauli import I_UNIT, ONE, UNITS, ZERO, translate_packed, translation_table
 from mubkit.phasespace import point_to_mask
 
 import refdata
@@ -31,6 +27,7 @@ from oracles import (
     square_sign,
     tensor,
     trace_condition,
+    translate,
     translation_operator,
     unit_multiple,
 )
@@ -166,8 +163,8 @@ def test_square_sign(f4):
 def test_signed_permutations_match_dense_operators(n):
     """X^x Z^z applied to each e_c is column c of the dense Kronecker
     product, for every point, over the default selfdual basis in each of
-    its orders (d = 4, 8) or as it is (d = 16); its square sign and
-    principal eigenvalue agree with the dense operator's."""
+    its orders (d = 4, 8) or as it is (d = 16); it squares to -I exactly
+    when |x & z| is odd."""
     from mubkit import Field
 
     field = Field(n)
@@ -182,11 +179,27 @@ def test_signed_permutations_match_dense_operators(n):
             op = translation_operator(p, basis)
             x, z = table[point_to_mask(p)]
             sign = square_sign(op)
-            assert principal_eigenvalue(x, z) == (I_UNIT if sign < 0 else ONE)
+            assert (x & z).bit_count() & 1 == (sign < 0)
             for c, e_c in enumerate(units):
                 moved = translate(x, z, e_c)
                 assert moved == op.matrix.column(c)
                 assert translate(x, z, moved) == tuple(GaussInt(sign * e.re, 0) for e in e_c)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_translate_packed_matches_translate(n):
+    """The bit-plane translation of a packed state against the entry-by-entry
+    one, for every (x, z) on seeded states of units and zeros."""
+    d = 1 << n
+    rng = random.Random(n)
+    states = [tuple(rng.choice((ZERO,) + UNITS) for _ in range(d)) for _ in range(12)]
+    states.append(tuple(UNITS[k % 4] for k in range(d)))
+    for v in states:
+        packed = pack_state(UnnormalizedState(v, 0))
+        for x in range(d):
+            for z in range(d):
+                moved = pack_state(UnnormalizedState(translate(x, z, v), 0))
+                assert translate_packed(x, z, packed, n) == moved
 
 
 def test_commutes_examples(f4, d4_type_ii_set):
