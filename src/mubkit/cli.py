@@ -382,7 +382,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE
-    except (json.JSONDecodeError, ValueError, OSError) as exc:
+    except (json.JSONDecodeError, ValueError, RecursionError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE
 

@@ -176,13 +176,6 @@ class Field:
             return self.from_power(exp)
         return self.element(int(token))
 
-    def to_json(self) -> dict:
-        return {"n": self.n, "poly": self.poly}
-
-    @classmethod
-    def from_json(cls, data: dict) -> "Field":
-        return cls(int(data["n"]), int(data["poly"]))
-
 
 def field_for_dimension(d: int) -> Field:
     """The canonical GF(d) for d = 2^n, 4 <= d <= 32."""

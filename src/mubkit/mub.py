@@ -10,11 +10,11 @@ integer identities (d * |<u,v>|^2 = N_u * N_v for unbiasedness).
 For generators g_1..g_n of an extraordinary subgroup at their principal
 eigenvalues lambda_j, the product P of the commuting factors
 (1 + conj(lambda_j) T_(g_j)) is d |psi><psi| for a stabilizer state psi;
-its first nonzero column, divided by its one magnitude d/|supp| and by
-its first unit, is the ray state.  T_r negates the eigenvalue of each
-generator whose polar mask (phasespace) has odd parity with r, so a coset
-representative's flip signature is both the eigenvalue assignment of the
-state it translates the ray state onto and its class.
+the ray state is P e_c for the first c where that is nonzero, taken one
+factor at a time, so that its entry c is 1.  T_r negates the eigenvalue
+of each generator whose polar mask (phasespace) has odd parity with r, so
+a coset representative's flip signature is both the eigenvalue
+assignment of the state it translates the ray state onto and its class.
 
 Every basis state is a stabilizer state with entries in {0, +-1, +-i},
 packed into a support mask and two phase bit-planes (entry k is i^p,
@@ -97,32 +97,49 @@ def _cosets(ss: Supersquare) -> tuple[list[int], tuple[int, ...], list[int]]:
     return gens, reps, slots
 
 
-def _ray_state(column: Sequence[GaussInt]) -> UnnormalizedState:
-    """A nonzero column of the rank-one projector, reduced to a state: it is
-    d times a stabilizer state times a conjugate entry of it, so its nonzero
-    entries share the one magnitude d/|supp|, and divided by it they are
-    units, here divided by the first one, which puts that entry in the
-    canonical quadrant.  Any other column raises ConstructionError."""
-    support = sum(not e.is_zero for e in column)
-    m = len(column) // max(support, 1)
-    units = {GaussInt(m * u.re, m * u.im): u for u in UNITS}
-    if support * m != len(column) or not all(e.is_zero or e in units for e in column):
-        raise ConstructionError("projector column is not a multiple of a state of units")
-    entries = [units.get(e, ZERO) for e in column]
-    first = next(u for u in entries if not u.is_zero).conj()
-    return UnnormalizedState(tuple(u * first for u in entries), support)
+def _times_minus_i(st: tuple[int, int, int]) -> tuple[int, int, int]:
+    """A packed state times -i: every phase on the support drops by one,
+    which flips lo and borrows from hi where lo was clear."""
+    s, lo, hi = st
+    return s, lo ^ s, hi ^ (s & ~lo)
 
 
 def _divide_by_first(st: tuple[int, int, int]) -> tuple[int, int, int]:
     """A packed state divided by its first nonzero entry, into the canonical
-    quadrant: an odd drop of every phase flips lo and borrows from hi."""
+    quadrant: times -i where that entry's phase is odd, then times -1
+    where it is 2."""
     s, lo, hi = st
     first = s & -s
     if lo & first:
-        lo, hi = lo ^ s, hi ^ (s & ~lo)
+        s, lo, hi = _times_minus_i(st)
     if hi & first:
         hi ^= s
     return s, lo, hi
+
+
+def _ray_planes(ops: Sequence[tuple[int, int]], d: int, n: int) -> tuple[int, int, int]:
+    """The ray state on planes: P e_c for the first c where it is nonzero,
+    the factors 1 + conj(lambda_j) T_j of P applied one at a time.  A
+    translation moves the support, a coset of the x masks' span so far,
+    onto a disjoint one, where the sum is the union of the planes, or
+    gives +-1 times the state, which keeps it or annihilates it.  Entry c
+    is then 1, the canonical quadrant.  Any other image raises
+    ConstructionError."""
+    for c in range(d):
+        st = (1 << c, 0, 0)
+        for x, z in ops:
+            t = translate_packed(x, z, st, n)
+            if (x & z).bit_count() & 1:
+                t = _times_minus_i(t)
+            if t[0] != st[0]:
+                st = (st[0] | t[0], st[1] | t[1], st[2] | t[2])
+            elif t != st:
+                if t != (st[0], st[1], st[2] ^ st[0]):
+                    raise ConstructionError("translations do not commute on the ray state")
+                break
+        else:
+            return st
+    raise ConstructionError("the projector of the eigenvalue assignment is zero")
 
 
 def _signature(ops: Sequence[tuple[int, int]], st: tuple[int, int, int], n: int) -> int | None:
@@ -143,7 +160,8 @@ def _signature(ops: Sequence[tuple[int, int]], st: tuple[int, int, int], n: int)
 def common_eigenbasis(a1: Subgroup, expansion_basis: FieldBasis) -> MubBasis:
     """The d common eigenvectors of the translation operators of a1: state
     s is the ray state translated by the coset representative whose flip
-    signature is s, and is checked to have that signature."""
+    signature is s: the flip identity, a tested theorem.  Only
+    build_mub_set's certify_bases checks states against the generators."""
     return _eigenbasis(Supersquare(a1), expansion_basis)
 
 
@@ -157,26 +175,10 @@ def _eigenbasis(ss: Supersquare, expansion_basis: FieldBasis, cosets=None) -> Mu
         raise ValueError("subgroup is not extraordinary: operators do not commute")
     table = translation_table(expansion_basis)
     gens, reps, slots = cosets or _cosets(ss)
-    ops = [table[g] for g in gens]
-    for c in range(d):  # column c of P, up to the first nonzero one
-        # the d products of subsets of the commuting factors, each i^p e_k:
-        # conj(lambda) T e_k = i^(3 (|x & z| mod 2)) (-1)^|z & k| e_(k ^ x)
-        terms = [(c, 0)]
-        for x, z in ops:
-            q = 3 * ((x & z).bit_count() & 1)
-            terms += [(k ^ x, (p + q + 2 * (z & k).bit_count()) & 3) for k, p in terms]
-        column = [ZERO] * d
-        for k, p in terms:
-            column[k] += UNITS[p]
-        if any(not e.is_zero for e in column):
-            break
-    ray = pack_state(_ray_state(column))
+    ray = _ray_planes([table[g] for g in gens], d, n)
     states = [ray] * d
     for s, rep in zip(slots[1:], reps):
         states[s] = _divide_by_first(translate_packed(*table[rep], ray, n))
-    for s, st in enumerate(states):
-        if _signature(ops, st, n) != s:
-            raise ConstructionError(f"state {s} is not a common eigenvector with signature {s}")
     # entry k of a packed state: i^(lo_k + 2 hi_k) on the support, else 0
     entries = [
         tuple(UNITS[(lo >> k & 1) + 2 * (hi >> k & 1)] if s >> k & 1 else ZERO for k in range(d))

@@ -80,7 +80,7 @@ class PauliWord:
     letters: tuple[str, ...]
 
     def __post_init__(self) -> None:
-        if any(c not in "IXYZ" for c in self.letters):
+        if any(c not in {"I", "X", "Y", "Z"} for c in self.letters):
             raise ValueError(f"invalid letters {self.letters!r}")
 
     @classmethod

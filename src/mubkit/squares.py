@@ -222,16 +222,13 @@ def classify(square: Square) -> SquareKind:
 GRID_HEADER = "row=x2 bottom-up, col=x1 left-right"
 
 
-def render_ascii(square: Square, mark_class_1: bool = True) -> str:
+def render_ascii(square: Square) -> str:
     """Grid text, top row printed first; class-1 cells get a '*' suffix."""
     grid = square.grid()
-    width = len(str(square.d)) + (1 if mark_class_1 else 0)
+    width = len(str(square.d)) + 1
     lines = [GRID_HEADER]
     for row in reversed(grid):
-        cells = [
-            (f"{label}*" if mark_class_1 and label == 1 else str(label)).rjust(width)
-            for label in row
-        ]
+        cells = [(f"{label}*" if label == 1 else str(label)).rjust(width) for label in row]
         lines.append(" ".join(cells))
     return "\n".join(lines)
 

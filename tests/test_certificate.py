@@ -400,6 +400,23 @@ def test_build_mub_set_takes_the_structural_route(n, monkeypatch):
         assert calls == [] and len(mubs.bases) == f.order + 1
 
 
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_build_mub_set_checks_each_signature_once(n, monkeypatch):
+    """The certificate is the one eigenvector check of a build: one
+    signature per state, d (d + 1) in all."""
+    calls = []
+    real = mub._signature
+
+    def counting(ops, st_, n_):
+        calls.append(1)
+        return real(ops, st_, n_)
+
+    monkeypatch.setattr(mub, "_signature", counting)
+    f = Field(n)
+    build_mub_set(type_I_set(Point(f.one, f.zero), Point(f.zero, f.one)))
+    assert len(calls) == f.order * (f.order + 1) == {3: 72, 4: 272, 5: 1056}[n]
+
+
 def oracle_signature(ops, entries):
     """Bit j set where translation j maps the entries to minus its
     principal eigenvalue times themselves; None if it maps them to no

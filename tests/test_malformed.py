@@ -109,6 +109,16 @@ def test_mutated_mub_file_never_escapes_main(tmp_path, mub_doc, data):
     assert run(tmp_path, doc, COMMANDS[2]) in (0, 1, 2)
 
 
+def test_deeply_nested_json_exits_2_with_one_line(tmp_path):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100000 + "]" * 100000)
+    for command in COMMANDS:
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            assert main([*command, str(path)]) == 2, command
+        assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
+
+
 def test_reported_malformed_documents_exit_2(tmp_path, mub_doc):
     bad_map = json.loads(json.dumps(mub_doc))
     bad_map["bases"][0]["class_of_state"] = ["a", 1]

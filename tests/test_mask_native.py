@@ -2,9 +2,10 @@
 
 The library reads a translation's (x, z) masks and Pauli word off one
 table per expansion basis, a flip signature off the parity of a polar
-mask, and reduces a projector column by its one common magnitude; the
-oracles expand each point by field arithmetic, test tr(x1 y2) = tr(x2 y1)
-and divide out a Gaussian gcd.  Two-row ranks are read off 2x2 minors and
+mask, and builds the ray state on bit-planes one projector factor at a
+time; the oracles expand each point by field arithmetic, test
+tr(x1 y2) = tr(x2 y1) and divide the dense projector's first nonzero
+column by its Gaussian gcd.  Two-row ranks are read off 2x2 minors and
 checked against fraction-free elimination.  Squares hold label tables
 only; their perturbation, partition equality and JSON form are checked
 against the same operations on frozensets of Points.  Hypothesis examples
@@ -41,7 +42,7 @@ from mubkit.mub import (
     BIPARTITIONS,
     ConstructionError,
     _cosets,
-    _ray_state,
+    _ray_planes,
     _two_row_rank,
     schmidt_rank,
     two_qubit_rank,
@@ -126,11 +127,12 @@ def test_flip_signatures_match_trace_condition(n):
             assert slot == sum(flip << j for j, flip in enumerate(flips))
 
 
-# -- ray normalization ----------------------------------------------------------------
+# -- ray state ---------------------------------------------------------------------------
 
 
-def dense_projector_columns(a1, basis_e):
-    """The nonzero columns of the all-principal projector, formed densely."""
+def dense_ray_column(a1, basis_e):
+    """The first nonzero column of the all-principal projector, formed
+    densely."""
     d = a1.order
     ident = GaussMatrix.identity(d)
     num = ident
@@ -138,50 +140,55 @@ def dense_projector_columns(a1, basis_e):
         op = translation_operator(g, basis_e)
         lam = GaussInt(0, -1) if square_sign(op) < 0 else ONE  # conj of the principal
         num = num @ (ident + op.matrix.scale(lam))
-    columns = [num.column(c) for c in range(d)]
-    return [c for c in columns if any(not e.is_zero for e in c)]
+    columns = (num.column(c) for c in range(d))
+    return next(c for c in columns if any(not e.is_zero for e in c))
 
 
-def census_and_typed_generators(f4, f8):
+def ray_cases(f4, f8):
+    """(generator, expansion basis) over the d = 4 census and the typed
+    d = 8 sets in the default basis, the d = 16 type I set, and one d = 4
+    and one d = 8 set in the polynomial basis, which is not selfdual."""
     for cset in search_complete_sets(f4).sets:
-        yield from cset.generators
+        yield from ((a1, default_selfdual_basis(f4)) for a1 in cset.generators)
     for cset in typed_d8_sets(f8):
-        yield from cset.generators
+        yield from ((a1, default_selfdual_basis(f8)) for a1 in cset.generators)
+    f16 = Field(4)
+    for a1 in type_I_set(Point(f16.one, f16.zero), Point(f16.zero, f16.one)).generators:
+        yield a1, default_selfdual_basis(f16)
+    for f, cset in [(f4, search_complete_sets(f4).sets[0]), (f8, next(typed_d8_sets(f8)))]:
+        poly = FieldBasis(tuple(f.element(1 << i) for i in range(f.n)))
+        yield from ((a1, poly) for a1 in cset.generators)
 
 
 def test_ray_state_matches_content_reduce(f4, f8):
+    """The ray state built on planes is the dense projector's first nonzero
+    column, content-reduced."""
     checked = 0
-    for a1 in census_and_typed_generators(f4, f8):
-        basis_e = default_selfdual_basis(a1.field)
-        columns = dense_projector_columns(a1, basis_e)
-        for col in columns:
-            ray = _ray_state(col)
-            assert ray == oracles.state_from_raw(col)
-        assert common_eigenbasis(a1, basis_e).ray_state == oracles.state_from_raw(columns[0])
+    for a1, basis_e in ray_cases(f4, f8):
+        column = dense_ray_column(a1, basis_e)
+        assert common_eigenbasis(a1, basis_e).ray_state == oracles.state_from_raw(column)
         checked += 1
-    assert checked == 6 * 5 + 4 * 9
+    assert checked == 6 * 5 + 4 * 9 + 17 + 5 + 9
 
 
 @pytest.mark.parametrize(
-    "column",
+    "ops",
     [
-        [(2, 0), (1, 0), (0, 0), (0, 0)],  # magnitudes 2 and 1
-        [(2, 0), (1, 1), (0, 0), (0, 0)],  # |1 + i| is not 2
-        [(1, 0), (0, 1), (-1, 0), (0, 0)],  # a support of 3 does not divide 4
-        [(0, 0), (0, 0), (0, 0), (0, 0)],
-        [(4, 0), (0, 0), (0, 0), (0, 0), (0, 0), (0, 0), (0, 0), (0, 2)],
+        [(1, 0), (0, 1)],  # X and Z on one qubit
+        [(2, 0), (1, 1), (0, 1)],  # I x XZ and I x Z, once the support is full
     ],
 )
-def test_ray_state_rejects_columns_of_mixed_magnitude(column):
-    with pytest.raises(ConstructionError):
-        _ray_state([GaussInt(*e) for e in column])
+def test_ray_planes_rejects_anticommuting_generators(ops):
+    n = max(x | z for x, z in ops).bit_length()
+    with pytest.raises(ConstructionError, match="do not commute"):
+        _ray_planes(ops, 1 << n, n)
 
 
-def test_ray_state_divides_by_the_common_magnitude():
-    column = [GaussInt(*e) for e in [(0, 0), (0, -2), (2, 0), (0, 0)]]
-    ray = _ray_state(column)
-    assert ray.entries == (ZERO, ONE, GaussInt(0, 1), ZERO)
-    assert ray.norm_sq == 2
+def test_ray_planes_rejects_a_zero_projector():
+    """X x Z, Z x X and XZ x XZ commute, but the first two multiply to
+    -(XZ x XZ), so no state has eigenvalue 1 under all three."""
+    with pytest.raises(ConstructionError, match="projector"):
+        _ray_planes([(2, 1), (1, 2), (3, 3)], 4, 2)
 
 
 # -- two-row rank ------------------------------------------------------------------------

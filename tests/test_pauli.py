@@ -13,7 +13,7 @@ from mubkit import (
     default_selfdual_basis,
 )
 from mubkit.mub import pack_state
-from mubkit.pauli import I_UNIT, ONE, UNITS, ZERO, translate_packed, translation_table
+from mubkit.pauli import I_UNIT, ONE, UNITS, ZERO, PauliWord, translate_packed, translation_table
 from mubkit.phasespace import point_to_mask
 
 import refdata
@@ -115,6 +115,12 @@ def test_translation_matrices_match_tensors(f4):
     yy = translation_operator(refdata.parse_point(f4, ("1", "1")), basis)
     assert str(yy.word) == "YxY"
     assert yy.matrix == tensor(pauli_matrix("Y"), pauli_matrix("Y")).scale(-ONE)
+
+
+@pytest.mark.parametrize("letters", [("XY", "Z"), ("", "X")])
+def test_pauli_word_takes_single_letters_only(letters):
+    with pytest.raises(ValueError):
+        PauliWord(letters)
 
 
 def test_non_dual_expansion_bases_rejected(f4):
