@@ -17,7 +17,6 @@ Display form writes elements as powers of mu: "0", "1", "m", "m2", ...
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 DEFAULT_POLYS = {2: 0b111, 3: 0b1011, 4: 0b10011, 5: 0b100101}
@@ -185,10 +184,21 @@ def field_for_dimension(d: int) -> Field:
     return Field(n)
 
 
-@dataclass(frozen=True)
 class FieldElement:
-    field: Field
-    mask: int
+    __slots__ = ("field", "mask")
+
+    def __init__(self, field: Field, mask: int) -> None:
+        self.field = field
+        self.mask = mask
+
+    def __eq__(self, other: object) -> bool:
+        return (
+            other.__class__ is FieldElement
+            and (self.field, self.mask) == (other.field, other.mask)
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.field, self.mask))
 
     @property
     def is_zero(self) -> bool:
@@ -226,15 +236,13 @@ class FieldElement:
         return f"<{self} in GF(2^{self.field.n})>"
 
 
-@dataclass(frozen=True)
 class FieldBasis:
     """A tuple of F_2-linearly independent field elements, one per degree."""
 
-    elements: tuple[FieldElement, ...]
+    __slots__ = ("elements",)
 
-    def __post_init__(self) -> None:
-        elements = tuple(self.elements)
-        object.__setattr__(self, "elements", elements)
+    def __init__(self, elements: Iterable[FieldElement]) -> None:
+        self.elements = elements = tuple(elements)
         if not elements:
             raise ValueError("basis cannot be empty")
         field = elements[0].field
@@ -244,6 +252,12 @@ class FieldBasis:
             raise ValueError(f"basis needs {field.n} elements, got {len(elements)}")
         if len(_independent([e.mask for e in elements])) != len(elements):
             raise ValueError("basis elements are linearly dependent over F_2")
+
+    def __eq__(self, other: object) -> bool:
+        return other.__class__ is FieldBasis and self.elements == other.elements
+
+    def __hash__(self) -> int:
+        return hash((self.elements,))
 
     @property
     def field(self) -> Field:

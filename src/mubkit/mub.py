@@ -27,7 +27,6 @@ the entry-by-entry inner product.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, replace
 from itertools import combinations
 from typing import Sequence
 
@@ -41,12 +40,23 @@ class ConstructionError(RuntimeError):
     """An exactness certificate failed while building a basis or set."""
 
 
-@dataclass(frozen=True)
 class UnnormalizedState:
     """Integer entries with implicit 1/sqrt(norm_sq) normalization."""
 
-    entries: tuple[GaussInt, ...]
-    norm_sq: int
+    __slots__ = ("entries", "norm_sq")
+
+    def __init__(self, entries: tuple[GaussInt, ...], norm_sq: int) -> None:
+        self.entries = entries
+        self.norm_sq = norm_sq
+
+    def __eq__(self, other: object) -> bool:
+        return (
+            other.__class__ is UnnormalizedState
+            and (self.entries, self.norm_sq) == (other.entries, other.norm_sq)
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.entries, self.norm_sq))
 
     @property
     def dim(self) -> int:
@@ -61,16 +71,40 @@ class UnnormalizedState:
         return GaussInt(re, im)
 
 
-@dataclass(frozen=True)
 class MubBasis:
     """State s carries, for generator j of ``source.basis()``, the principal
     eigenvalue negated when bit j of s is set; state 0 is the ray state."""
 
-    source: Subgroup
-    expansion_basis: FieldBasis
-    states: tuple[UnnormalizedState, ...]
-    operator_words: tuple[PauliWord, ...]
-    class_of_state: tuple[int, ...] | None = None
+    __slots__ = ("source", "expansion_basis", "states", "operator_words", "class_of_state")
+
+    def __init__(
+        self,
+        source: Subgroup,
+        expansion_basis: FieldBasis,
+        states: tuple[UnnormalizedState, ...],
+        operator_words: tuple[PauliWord, ...],
+        class_of_state: tuple[int, ...] | None = None,
+    ) -> None:
+        self.source = source
+        self.expansion_basis = expansion_basis
+        self.states = states
+        self.operator_words = operator_words
+        self.class_of_state = class_of_state
+
+    def _key(self) -> tuple:
+        return (
+            self.source,
+            self.expansion_basis,
+            self.states,
+            self.operator_words,
+            self.class_of_state,
+        )
+
+    def __eq__(self, other: object) -> bool:
+        return other.__class__ is MubBasis and self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
 
     @property
     def d(self) -> int:
@@ -165,8 +199,11 @@ def common_eigenbasis(a1: Subgroup, expansion_basis: FieldBasis) -> MubBasis:
     return _eigenbasis(Supersquare(a1), expansion_basis)
 
 
-def _eigenbasis(ss: Supersquare, expansion_basis: FieldBasis, cosets=None) -> MubBasis:
-    """common_eigenbasis of ss's generator, from its _cosets unless given.
+def _eigenbasis(
+    ss: Supersquare, expansion_basis: FieldBasis, cosets=None, class_of_state=None
+) -> MubBasis:
+    """common_eigenbasis of ss's generator, from its _cosets unless given,
+    with the class map if given.
     The d flip signatures are distinct: the generator A is Lagrangian, so
     the map r -> (omega(g_j, r))_j has kernel A^perp = A."""
     a1 = ss.generator
@@ -190,6 +227,7 @@ def _eigenbasis(ss: Supersquare, expansion_basis: FieldBasis, cosets=None) -> Mu
         expansion_basis=expansion_basis,
         states=tuple(UnnormalizedState(e, ray[0].bit_count()) for e in entries),
         operator_words=words,
+        class_of_state=class_of_state,
     )
 
 
@@ -200,13 +238,25 @@ def apply_correspondence(basis: MubBasis, ss: Supersquare) -> MubBasis:
     certify_bases checks that the map is a bijection."""
     if ss.generator != basis.source:
         raise ValueError("supersquare generator differs from the basis source")
-    return replace(basis, class_of_state=tuple(_cosets(ss)[2]))
+    cmap = tuple(_cosets(ss)[2])
+    return MubBasis(basis.source, basis.expansion_basis, basis.states, basis.operator_words, cmap)
 
 
-@dataclass(frozen=True)
 class MubSet:
-    bases: tuple[MubBasis, ...]
-    source_set: CompleteSet
+    __slots__ = ("bases", "source_set")
+
+    def __init__(self, bases: tuple[MubBasis, ...], source_set: CompleteSet) -> None:
+        self.bases = bases
+        self.source_set = source_set
+
+    def __eq__(self, other: object) -> bool:
+        return (
+            other.__class__ is MubSet
+            and (self.bases, self.source_set) == (other.bases, other.source_set)
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.bases, self.source_set))
 
     @property
     def d(self) -> int:
@@ -389,8 +439,7 @@ def build_mub_set(
     bases, words = [], []
     for ss in c.supersquares:
         cosets = _cosets(ss)
-        basis = replace(_eigenbasis(ss, expansion_basis, cosets), class_of_state=tuple(cosets[2]))
-        bases.append(basis)
+        bases.append(_eigenbasis(ss, expansion_basis, cosets, tuple(cosets[2])))
         words.append([table[g] for g in cosets[0]])
     _, failures = certify_bases(
         [b.states for b in bases], field.order, [b.class_of_state for b in bases], words=words
@@ -483,11 +532,19 @@ def classify_basis(basis: MubBasis) -> Separability:
     return kind
 
 
-@dataclass(frozen=True)
 class EntanglementStructure:
-    n_f: int
-    n_b: int
-    n_ns: int
+    __slots__ = ("n_f", "n_b", "n_ns")
+
+    def __init__(self, n_f: int, n_b: int, n_ns: int) -> None:
+        self.n_f = n_f
+        self.n_b = n_b
+        self.n_ns = n_ns
+
+    def __eq__(self, other: object) -> bool:
+        return other.__class__ is EntanglementStructure and self.astuple() == other.astuple()
+
+    def __hash__(self) -> int:
+        return hash(self.astuple())
 
     @classmethod
     def count(cls, kinds: Sequence[Separability]) -> "EntanglementStructure":

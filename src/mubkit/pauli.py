@@ -18,7 +18,6 @@ where the raw factor is XZ.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache
 from typing import NamedTuple
 
@@ -73,15 +72,21 @@ UNITS = (ONE, I_UNIT, -ONE, -I_UNIT)
 _LETTER_BY_BITS = {(0, 0): "I", (1, 0): "X", (0, 1): "Z", (1, 1): "Y"}
 
 
-@dataclass(frozen=True)
 class PauliWord:
     """Per-qubit letters of the Hermitian (phase-free) operator name."""
 
-    letters: tuple[str, ...]
+    __slots__ = ("letters",)
 
-    def __post_init__(self) -> None:
-        if any(c not in {"I", "X", "Y", "Z"} for c in self.letters):
-            raise ValueError(f"invalid letters {self.letters!r}")
+    def __init__(self, letters: tuple[str, ...]) -> None:
+        if any(c not in {"I", "X", "Y", "Z"} for c in letters):
+            raise ValueError(f"invalid letters {letters!r}")
+        self.letters = letters
+
+    def __eq__(self, other: object) -> bool:
+        return other.__class__ is PauliWord and self.letters == other.letters
+
+    def __hash__(self) -> int:
+        return hash((self.letters,))
 
     @classmethod
     def from_masks(cls, x: int, z: int, n: int) -> "PauliWord":

@@ -14,7 +14,6 @@ subgroups are its Lagrangian subspaces, enumerated by isotropic extension.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache
 from itertools import combinations
 from typing import Iterable, Iterator
@@ -22,14 +21,20 @@ from typing import Iterable, Iterator
 from .gf2n import Field, FieldElement, _independent
 
 
-@dataclass(frozen=True)
 class Point:
-    x: FieldElement
-    y: FieldElement
+    __slots__ = ("x", "y")
 
-    def __post_init__(self) -> None:
-        if self.x.field != self.y.field:
+    def __init__(self, x: FieldElement, y: FieldElement) -> None:
+        if x.field != y.field:
             raise ValueError("point coordinates must share one field")
+        self.x = x
+        self.y = y
+
+    def __eq__(self, other: object) -> bool:
+        return other.__class__ is Point and (self.x, self.y) == (other.x, other.y)
+
+    def __hash__(self) -> int:
+        return hash((self.x, self.y))
 
     @property
     def field(self) -> Field:

@@ -247,7 +247,7 @@ def mub_payload_from_json(
         cmap = basis.get("class_of_state")
         maps.append(None if cmap is None else _ints(cmap, "class_of_state"))
     triple = data.get("structure")
-    return d, bases, maps, None if triple is None else _ints(triple, "structure")
+    return d, bases, maps, None if triple is None else _ints(triple, "structure", 3)
 
 
 # a word's letters -> the bits of its x and of its z mask, qubit 1 first, Y = XZ

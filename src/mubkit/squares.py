@@ -30,7 +30,6 @@ from __future__ import annotations
 import enum
 import random
 import time
-from dataclasses import dataclass
 from functools import cached_property, partial, reduce
 from itertools import combinations
 from operator import itemgetter, or_
@@ -125,17 +124,23 @@ class Square:
         return f"Square(d={self.d})"
 
 
-@dataclass(frozen=True)
 class Supersquare:
     """The quotient by ``generator``; its square and coset representatives
     are derived from the generator on first use."""
 
-    generator: Subgroup
+    __slots__ = ("generator", "__dict__")  # the cached properties live in __dict__
 
-    def __post_init__(self) -> None:
-        d = self.generator.field.order
-        if self.generator.order != d:
+    def __init__(self, generator: Subgroup) -> None:
+        d = generator.field.order
+        if generator.order != d:
             raise ValueError(f"generating subgroup must have {d} elements")
+        self.generator = generator
+
+    def __eq__(self, other: object) -> bool:
+        return other.__class__ is Supersquare and self.generator == other.generator
+
+    def __hash__(self) -> int:
+        return hash((self.generator,))
 
     @property
     def field(self) -> Field:
@@ -233,12 +238,29 @@ def render_ascii(square: Square) -> str:
     return "\n".join(lines)
 
 
-@dataclass(frozen=True)
 class CompleteSet:
-    set_type: str
-    v1: Point | None
-    v2: Point | None
-    supersquares: tuple[Supersquare, ...]
+    __slots__ = ("set_type", "v1", "v2", "supersquares")
+
+    def __init__(
+        self,
+        set_type: str,
+        v1: Point | None,
+        v2: Point | None,
+        supersquares: tuple[Supersquare, ...],
+    ) -> None:
+        self.set_type = set_type
+        self.v1 = v1
+        self.v2 = v2
+        self.supersquares = supersquares
+
+    def _key(self) -> tuple:
+        return (self.set_type, self.v1, self.v2, self.supersquares)
+
+    def __eq__(self, other: object) -> bool:
+        return other.__class__ is CompleteSet and self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
 
     @property
     def field(self) -> Field:
@@ -414,17 +436,50 @@ def type_IV_set_d8(v1: Point, v2: Point) -> CompleteSet:
     return _d8_set("IV", v1, v2)
 
 
-@dataclass(frozen=True)
 class SquareReport:
     """The single-square checks; ``generator`` is the origin class as a
     subgroup, or None when it is not one."""
 
-    generator: Subgroup | None
-    class1_subgroup: bool
-    class1_extraordinary: bool
-    supersquare: bool
-    physical_striation: bool
-    failures: tuple[str, ...]
+    __slots__ = (
+        "generator",
+        "class1_subgroup",
+        "class1_extraordinary",
+        "supersquare",
+        "physical_striation",
+        "failures",
+    )
+
+    def __init__(
+        self,
+        generator: Subgroup | None,
+        class1_subgroup: bool,
+        class1_extraordinary: bool,
+        supersquare: bool,
+        physical_striation: bool,
+        failures: tuple[str, ...],
+    ) -> None:
+        self.generator = generator
+        self.class1_subgroup = class1_subgroup
+        self.class1_extraordinary = class1_extraordinary
+        self.supersquare = supersquare
+        self.physical_striation = physical_striation
+        self.failures = failures
+
+    def _key(self) -> tuple:
+        return (
+            self.generator,
+            self.class1_subgroup,
+            self.class1_extraordinary,
+            self.supersquare,
+            self.physical_striation,
+            self.failures,
+        )
+
+    def __eq__(self, other: object) -> bool:
+        return other.__class__ is SquareReport and self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
 
     def checks(self) -> dict[str, bool]:
         return {
@@ -469,14 +524,47 @@ def verify_square(square: Square) -> SquareReport:
     )
 
 
-@dataclass(frozen=True)
 class CompleteSetReport:
-    cardinality: bool
-    extraordinary_supersquares: bool
-    orthogonality: bool
-    trivial_intersections: bool
-    striations: bool
-    failures: tuple[str, ...]
+    __slots__ = (
+        "cardinality",
+        "extraordinary_supersquares",
+        "orthogonality",
+        "trivial_intersections",
+        "striations",
+        "failures",
+    )
+
+    def __init__(
+        self,
+        cardinality: bool,
+        extraordinary_supersquares: bool,
+        orthogonality: bool,
+        trivial_intersections: bool,
+        striations: bool,
+        failures: tuple[str, ...],
+    ) -> None:
+        self.cardinality = cardinality
+        self.extraordinary_supersquares = extraordinary_supersquares
+        self.orthogonality = orthogonality
+        self.trivial_intersections = trivial_intersections
+        self.striations = striations
+        self.failures = failures
+
+    def _key(self) -> tuple:
+        return (
+            self.cardinality,
+            self.extraordinary_supersquares,
+            self.orthogonality,
+            self.trivial_intersections,
+            self.striations,
+            self.failures,
+        )
+
+    def __eq__(self, other: object) -> bool:
+        return other.__class__ is CompleteSetReport and self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
 
     @property
     def passed(self) -> bool:
@@ -552,10 +640,21 @@ def perturb_supersquare(ss: Supersquare, seed: int) -> Square:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class SearchResult:
-    sets: tuple[CompleteSet, ...]
-    exhaustive: bool
+    __slots__ = ("sets", "exhaustive")
+
+    def __init__(self, sets: tuple[CompleteSet, ...], exhaustive: bool) -> None:
+        self.sets = sets
+        self.exhaustive = exhaustive
+
+    def __eq__(self, other: object) -> bool:
+        return (
+            other.__class__ is SearchResult
+            and (self.sets, self.exhaustive) == (other.sets, other.exhaustive)
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.sets, self.exhaustive))
 
     def census(self) -> dict[str, int]:
         counts: dict[str, int] = {}

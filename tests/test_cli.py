@@ -371,6 +371,24 @@ def test_mub_verify_rejects_a_structure_claim_off_d8(capsys, tmp_path):
     assert failures == ["  - structure is defined for d = 8 only, document has d = 4"]
 
 
+@pytest.mark.parametrize(
+    "d, triple",
+    [(8, []), (8, [0, 9]), (8, [0, 9, 0, 0]), (4, [1, 2])],
+    ids=["d8-empty", "d8-short", "d8-long", "d4-short"],
+)
+def test_mub_verify_rejects_a_structure_of_the_wrong_length(capsys, tmp_path, d, triple):
+    # a structure is an (n_f, n_b, n_ns) triple: any other length is
+    # malformed input, whatever the dimension
+    path = tmp_path / "mubs.json"
+    run(capsys, "mub", "gen", "--d", str(d), "--format", "json", "--out", str(path))
+    data = json.loads(path.read_text())
+    data["structure"] = triple
+    path.write_text(json.dumps(data))
+    code, out, err = run(capsys, "mub", "verify", str(path))
+    assert (code, out) == (2, "")
+    assert err == f"error: structure: expected 3 entries, got {len(triple)}\n"
+
+
 ONE_ENTRY_BASIS = {"states": [{"num": [[1, 0]], "norm_sq": 1}], "class_of_state": [0]}
 
 
@@ -444,11 +462,10 @@ def test_d8_mub_commands_classify_each_basis_once(capsys, monkeypatch, argv):
 
 
 def test_cli_import_leaves_pool_modules_unloaded():
-    # a start-up guard: importing the CLI loads no process machinery
-    probe = (
-        "import sys, mubkit.cli; "
-        "print(sorted({'concurrent.futures.process', 'multiprocessing'} & set(sys.modules)))"
-    )
+    # a start-up guard: importing the CLI loads no process machinery, and
+    # neither dataclasses nor the inspect module it pulls in
+    unloaded = {"concurrent.futures.process", "multiprocessing", "dataclasses", "inspect"}
+    probe = f"import sys, mubkit.cli; print(sorted({unloaded!r} & set(sys.modules)))"
     src = str(Path(mubkit.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     out = subprocess.run(

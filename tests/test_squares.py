@@ -1,7 +1,6 @@
 """Supersquares, striations, orthogonality, classification, and search."""
 
 import time
-from dataclasses import replace
 
 import pytest
 
@@ -354,7 +353,7 @@ def test_supersquare_is_derived_from_its_generator(f8):
     gives the quotient by the new one, representatives included."""
     cset = type_I_set(Point(f8.one, f8.zero), Point(f8.zero, f8.one))
     ss, g = cset.supersquares[1], cset.generators[2]
-    moved = replace(ss, generator=g)
+    moved = Supersquare(g)
     assert moved == supersquare_from_subgroup(g) != ss
     # the quotient by g in Point arithmetic: class 1 is g, and the cosets
     # are labelled in order of their minimal representatives
