@@ -20,42 +20,17 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 from .gf2n import Field, FieldBasis, default_selfdual_basis, field_for_dimension, is_selfdual
-from .mub import (
-    EntanglementStructure,
-    MubSet,
-    build_mub_set,
-    certify_bases,
-    classify_basis,
-    two_qubit_rank,
-)
 from .phasespace import Point, trace_zero_subgroup
-from .serialize import (
-    _canonical_pieces,
-    complete_set_to_json,
-    mub_payload_from_json,
-    mub_set_to_json,
-    mub_words_from_json,
-    search_result_to_json,
-    square_to_json,
-    squares_payload_from_json,
-)
-from .squares import (
-    CompleteSet,
-    classify,
-    perturb_supersquare,
-    render_ascii,
-    search_complete_sets,
-    type_I_set,
-    type_II_set_d4,
-    type_II_set_d8,
-    type_III_set_d8,
-    type_IV_set_d8,
-    verify_square,
-    verify_squares,
-)
+
+# Each command imports the modules it runs, before it reads its input:
+# squares commands never load mub or pauli, and `mub verify` never loads
+# squares.
+if TYPE_CHECKING:
+    from .mub import MubSet
+    from .squares import CompleteSet
 
 PASS, FAIL, USAGE, INCOMPLETE = 0, 1, 2, 3
 
@@ -94,6 +69,14 @@ def _parse_basis(field: Field, text: str | None) -> FieldBasis:
 
 
 def _build_set(args: argparse.Namespace) -> CompleteSet:
+    from .squares import (
+        type_I_set,
+        type_II_set_d4,
+        type_II_set_d8,
+        type_III_set_d8,
+        type_IV_set_d8,
+    )
+
     d = args.d
     set_type = args.type
     if d not in (4, 8):
@@ -129,6 +112,8 @@ def _emit(args: argparse.Namespace, pieces: Iterable[str]) -> None:
 
 
 def cmd_field_info(args: argparse.Namespace) -> int:
+    from .serialize import _canonical_pieces
+
     field = field_for_dimension(args.d)
     basis = default_selfdual_basis(field)
     kset = sorted(trace_zero_subgroup(field), key=lambda e: e.mask)
@@ -167,6 +152,9 @@ def cmd_field_info(args: argparse.Namespace) -> int:
 
 
 def cmd_squares_gen(args: argparse.Namespace) -> int:
+    from .serialize import _canonical_pieces, complete_set_to_json, square_to_json
+    from .squares import classify, perturb_supersquare, render_ascii
+
     cset = _build_set(args)
     if args.perturb:
         perturbed = perturb_supersquare(cset.supersquares[0], args.seed)
@@ -189,6 +177,8 @@ def cmd_squares_gen(args: argparse.Namespace) -> int:
 
 
 def _report(args: argparse.Namespace, checks: dict[str, bool], failures: list[str]) -> int:
+    from .serialize import _canonical_pieces
+
     ok = all(checks.values())
     if args.format == "json":
         _emit(args, _canonical_pieces({"checks": checks, "failures": failures, "pass": ok}))
@@ -206,12 +196,18 @@ def _read_json(path: str):
 
 
 def cmd_squares_verify(args: argparse.Namespace) -> int:
+    from .serialize import squares_payload_from_json
+    from .squares import verify_square, verify_squares
+
     kind, payload = squares_payload_from_json(_read_json(args.input))
     report = verify_square(payload) if kind == "square" else verify_squares(payload[3])
     return _report(args, report.checks(), list(report.failures))
 
 
 def cmd_squares_classify(args: argparse.Namespace) -> int:
+    from .serialize import _canonical_pieces, squares_payload_from_json
+    from .squares import classify
+
     kind, payload = squares_payload_from_json(_read_json(args.input))
     squares = [payload] if kind == "square" else payload[3]
     kinds = [classify(sq).value for sq in squares]
@@ -223,6 +219,9 @@ def cmd_squares_classify(args: argparse.Namespace) -> int:
 
 
 def cmd_squares_search(args: argparse.Namespace) -> int:
+    from .serialize import _canonical_pieces, search_result_to_json
+    from .squares import search_complete_sets
+
     field = field_for_dimension(args.d)
     result = search_complete_sets(field, time_budget=args.time_budget)
     if args.format == "json":
@@ -240,11 +239,16 @@ def cmd_squares_search(args: argparse.Namespace) -> int:
 
 
 def _build_mubs(args: argparse.Namespace) -> MubSet:
+    from .mub import build_mub_set
+
     cset = _build_set(args)
     return build_mub_set(cset, _parse_basis(cset.field, args.basis))
 
 
 def cmd_mub_gen(args: argparse.Namespace) -> int:
+    from .mub import EntanglementStructure, classify_basis, two_qubit_rank
+    from .serialize import _canonical_pieces, mub_set_to_json
+
     mubs = _build_mubs(args)
     field = mubs.source_set.field
     kinds = [classify_basis(b) for b in mubs.bases] if field.order == 8 else None
@@ -273,6 +277,9 @@ def cmd_mub_gen(args: argparse.Namespace) -> int:
 
 
 def cmd_mub_verify(args: argparse.Namespace) -> int:
+    from .mub import certify_bases
+    from .serialize import mub_payload_from_json, mub_words_from_json
+
     doc = _read_json(args.input)
     d, bases, maps, triple = mub_payload_from_json(doc)
     checks, failures = certify_bases(bases, d, maps, triple, mub_words_from_json(doc, d))
@@ -280,6 +287,9 @@ def cmd_mub_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_mub_structure(args: argparse.Namespace) -> int:
+    from .mub import EntanglementStructure, classify_basis
+    from .serialize import _canonical_pieces
+
     if args.d != 8:
         raise UsageError("entanglement structure is defined for d = 8")
     mubs = _build_mubs(args)

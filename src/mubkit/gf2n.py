@@ -17,6 +17,7 @@ Display form writes elements as powers of mu: "0", "1", "m", "m2", ...
 
 from __future__ import annotations
 
+from functools import cache
 from typing import Iterable, Iterator
 
 DEFAULT_POLYS = {2: 0b111, 3: 0b1011, 4: 0b10011, 5: 0b100101}
@@ -176,8 +177,9 @@ class Field:
         return self.element(int(token))
 
 
+@cache
 def field_for_dimension(d: int) -> Field:
-    """The canonical GF(d) for d = 2^n, 4 <= d <= 32."""
+    """The canonical GF(d) for d = 2^n, 4 <= d <= 32, built once per d."""
     n = d.bit_length() - 1
     if d < 1 or d != 1 << n:
         raise ValueError(f"dimension {d} is not a power of 2")

@@ -28,12 +28,14 @@ from __future__ import annotations
 
 import enum
 from itertools import combinations
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from .gf2n import FieldBasis, _independent, default_selfdual_basis
 from .pauli import GaussInt, PauliWord, UNITS, ZERO, translate_packed, translation_table
 from .phasespace import Subgroup, _polars, is_extraordinary
-from .squares import CompleteSet, Supersquare, verify_complete_set
+
+if TYPE_CHECKING:  # imported where a set is built, so certify_bases never loads squares
+    from .squares import CompleteSet, Supersquare
 
 
 class ConstructionError(RuntimeError):
@@ -196,6 +198,8 @@ def common_eigenbasis(a1: Subgroup, expansion_basis: FieldBasis) -> MubBasis:
     s is the ray state translated by the coset representative whose flip
     signature is s: the flip identity, a tested theorem.  Only
     build_mub_set's certify_bases checks states against the generators."""
+    from .squares import Supersquare
+
     return _eigenbasis(Supersquare(a1), expansion_basis)
 
 
@@ -427,6 +431,8 @@ def build_mub_set(
     square of a verified complete set, then run certify_bases on the
     result with each basis's generator translations as its words; the
     first failure raises ConstructionError."""
+    from .squares import verify_complete_set
+
     field = c.field
     if expansion_basis is None:
         expansion_basis = default_selfdual_basis(field)

@@ -19,7 +19,7 @@ where the raw factor is XZ.
 from __future__ import annotations
 
 from functools import cache
-from typing import NamedTuple
+from typing import Iterable, NamedTuple
 
 from .gf2n import FieldBasis, dual_basis
 
@@ -77,7 +77,8 @@ class PauliWord:
 
     __slots__ = ("letters",)
 
-    def __init__(self, letters: tuple[str, ...]) -> None:
+    def __init__(self, letters: Iterable[str]) -> None:
+        letters = tuple(letters)
         if any(c not in {"I", "X", "Y", "Z"} for c in letters):
             raise ValueError(f"invalid letters {letters!r}")
         self.letters = letters

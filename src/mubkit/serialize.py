@@ -10,13 +10,14 @@ dimension.
 from __future__ import annotations
 
 from json.encoder import encode_basestring_ascii
-from typing import Any, Callable
+from typing import TYPE_CHECKING, Any, Callable
 
 from .gf2n import Field, field_for_dimension
-from .mub import MubBasis, MubSet, UnnormalizedState
-from .pauli import GaussInt
 from .phasespace import Point, Subgroup
-from .squares import CompleteSet, SearchResult, Square
+
+if TYPE_CHECKING:  # a decoder imports the module of the type it builds
+    from .mub import MubBasis, MubSet, UnnormalizedState
+    from .squares import CompleteSet, SearchResult, Square
 
 
 def dumps_canonical(obj: Any) -> str:
@@ -160,6 +161,8 @@ def square_to_json(s: Square) -> dict:
 
 
 def square_from_json(data: Any) -> Square:
+    from .squares import Square
+
     data = _expect(data, dict, "a square")
     field = field_for_dimension(_expect(data.get("d"), int, "d"))
     classes = [
@@ -225,6 +228,9 @@ def state_to_json(s: UnnormalizedState) -> dict:
 
 
 def state_from_json(data: Any) -> UnnormalizedState:
+    from .mub import UnnormalizedState
+    from .pauli import GaussInt
+
     data = _expect(data, dict, "a state")
     entries = tuple(
         GaussInt(*_ints(e, "an entry", 2)) for e in _expect(data.get("num"), list, "num")

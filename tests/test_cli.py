@@ -461,14 +461,88 @@ def test_d8_mub_commands_classify_each_basis_once(capsys, monkeypatch, argv):
     assert calls == [8] * 9
 
 
+def _probe(code: str) -> str:
+    """The stripped stdout of code run in a fresh interpreter on this mubkit."""
+    src = str(Path(mubkit.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    return subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env
+    ).stdout.strip()
+
+
 def test_cli_import_leaves_pool_modules_unloaded():
     # a start-up guard: importing the CLI loads no process machinery, and
     # neither dataclasses nor the inspect module it pulls in
     unloaded = {"concurrent.futures.process", "multiprocessing", "dataclasses", "inspect"}
-    probe = f"import sys, mubkit.cli; print(sorted({unloaded!r} & set(sys.modules)))"
-    src = str(Path(mubkit.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    out = subprocess.run(
-        [sys.executable, "-c", probe], capture_output=True, text=True, check=True, env=env
-    ).stdout
-    assert out.strip() == "[]"
+    assert _probe(f"import sys, mubkit.cli; print(sorted({unloaded!r} & set(sys.modules)))") == "[]"
+
+
+def _loaded_by(*argv: str) -> set[str]:
+    """The mubkit modules loaded by running the CLI on argv in a fresh
+    interpreter; the command must exit 0."""
+    out = _probe(
+        "import contextlib, io, sys, mubkit.cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    code = mubkit.cli.main({list(argv)!r})\n"
+        "print(code, *sorted(m for m in sys.modules if m.startswith('mubkit')))"
+    ).split()
+    assert out[0] == "0"
+    return set(out[1:])
+
+
+@pytest.mark.parametrize("command", ["verify", "classify", "search"])
+def test_squares_commands_load_no_mub_modules(tmp_path, command):
+    path = tmp_path / "set.json"
+    argv = ["squares", "gen", "--d", "8", "--type", "III", "--format", "json", "--out", str(path)]
+    assert main(argv) == 0
+    loaded = _loaded_by("squares", command, *(["--d", "4"] if command == "search" else [str(path)]))
+    assert "mubkit.squares" in loaded
+    assert not loaded & {"mubkit.mub", "mubkit.pauli"}
+
+
+def test_mub_verify_loads_no_squares_module(tmp_path):
+    path = tmp_path / "mubs.json"
+    assert main(["mub", "gen", "--d", "8", "--format", "json", "--out", str(path)]) == 0
+    loaded = _loaded_by("mub", "verify", str(path))
+    assert "mubkit.mub" in loaded
+    assert "mubkit.squares" not in loaded
+
+
+def test_bare_package_import_loads_no_submodule():
+    assert _probe("import sys, mubkit; print(sorted(m for m in sys.modules if 'mubkit' in m))") == (
+        "['mubkit']"
+    )
+
+
+def test_every_public_name_is_the_object_of_its_home_module():
+    # resolved lazily in a fresh interpreter, each name must be the very
+    # object its home module holds, and a class or function must be
+    # defined there, not imported into it
+    out = _probe(
+        "import importlib, mubkit\n"
+        "for name in mubkit.__all__:\n"
+        "    home = importlib.import_module('mubkit.' + mubkit._HOME[name])\n"
+        "    value = getattr(mubkit, name)\n"
+        "    where = value.__module__ if callable(value) else home.__name__\n"
+        "    if value is not getattr(home, name) or where != home.__name__:\n"
+        "        print(name)\n"
+        "print(len(mubkit.__all__))"
+    )
+    assert out == "56"
+
+
+def test_submodules_resolve_as_package_attributes():
+    out = _probe(
+        "import sys, mubkit\n"
+        "names = 'gf2n phasespace squares pauli mub serialize cli'.split()\n"
+        "print(all(getattr(mubkit, m) is sys.modules['mubkit.' + m] for m in names))\n"
+        "print(set(names) <= set(dir(mubkit)), set(mubkit.__all__) <= set(dir(mubkit)))"
+    )
+    assert out.split() == ["True"] * 3
+
+
+def test_unknown_package_attribute_raises_attribute_error():
+    with pytest.raises(AttributeError, match="has no attribute 'no_such_name'"):
+        mubkit.no_such_name
+    with pytest.raises(ImportError):
+        from mubkit import no_such_name  # noqa: F401

@@ -302,6 +302,7 @@ def test_display_and_parse_roundtrip(f8):
 
 def test_field_for_dimension():
     assert field_for_dimension(8).n == 3
+    assert field_for_dimension(8) is field_for_dimension(8)  # built once per d
     with pytest.raises(ValueError):
         field_for_dimension(7)
     with pytest.raises(ValueError):

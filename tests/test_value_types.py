@@ -130,6 +130,15 @@ def test_field_basis_keeps_its_elements_as_a_tuple(f4):
     assert basis.elements == (f4.element(1), f4.element(2))
 
 
+@pytest.mark.parametrize("letters", [["X", "Z"], "XZ", iter("XZ")], ids=["list", "str", "iter"])
+def test_pauli_word_keeps_its_letters_as_a_tuple(letters):
+    word, want = PauliWord(letters), PauliWord(("X", "Z"))
+    assert word.letters == ("X", "Z")
+    assert word == want
+    assert hash(word) == hash(want)
+    assert str(word) == str(want) == "XxZ"
+
+
 def test_entanglement_structure_outputs():
     kinds = [Separability.BISEPARABLE] * 8 + [Separability.NONSEPARABLE]
     es = EntanglementStructure.count(kinds)
