@@ -100,9 +100,13 @@ def _build_set(args: argparse.Namespace) -> CompleteSet:
 
 
 def _emit(args: argparse.Namespace, pieces: Iterable[str]) -> None:
-    """Write the pieces of a document in turn, never joined into one string."""
+    """Write the pieces of a document in turn, never joined into one string.
+
+    A file takes them through a 64 KiB buffer, so the 41 MB census makes
+    one write call per 64 KiB rather than per 8 KiB.  Larger buffers gain
+    little more and add their size to peak memory."""
     if getattr(args, "out", None):
-        with open(args.out, "w", encoding="utf-8") as fh:
+        with open(args.out, "w", encoding="utf-8", buffering=1 << 16) as fh:
             fh.writelines(pieces)
     else:
         sys.stdout.writelines(pieces)

@@ -35,15 +35,22 @@ def _canonical_pieces(obj: Any) -> list[str]:
     A container that holds containers is encoded once per depth: met
     again, it reuses its first pieces, joined into one string on the
     second use.  The memo is keyed by id and depth, which is sound because
-    obj keeps every container alive for the call.  Containers of scalars
-    alone are not memoized: encoding one again costs no more than a memo
-    entry."""
+    obj keeps every container alive for the call.
+
+    A leaf, a non-empty list or tuple of exact ints such as a point
+    [x, y], is one piece whose text depends only on its values and its
+    depth, so each depth keeps a table of leaf texts keyed by the value
+    tuple.  Only exact ints qualify: True and 1.0 hash like 1, but True
+    prints as true and 1.0 is no JSON this encoder writes, so a bool, a
+    float or an int subclass sends its list down the general path."""
     out: list[str] = []
     # (start, end) of a container's pieces in out; its text once reused
     memo: dict[tuple[int, int], tuple[int, int] | str] = {}
     # per depth k: the separator before an item at depth k + 1, and the
     # openers and closers of a list and a dict at depth k
     punctuation: list[tuple[str, str, str, str, str]] = []
+    # per depth k: the text of each leaf met at depth k, by its values
+    leaves: list[dict[tuple[int, ...], str]] = []
 
     def container(o: dict | list | tuple, depth: int) -> None:
         key = (id(o), depth)
@@ -56,11 +63,14 @@ def _canonical_pieces(obj: Any) -> list[str]:
         if not o:
             out.append("{}" if isinstance(o, dict) else "[]")
             return
-        while len(punctuation) <= depth:
+        while len(punctuation) <= depth + 1:
             k = len(punctuation)
             inner, outer = "\n" + "  " * (k + 1), "\n" + "  " * k
             punctuation.append(("," + inner, "[" + inner, "{" + inner, outer + "]", outer + "}"))
+            leaves.append({})
         sep, open_list, open_dict, close_list, close_dict = punctuation[depth]
+        leaf_sep, leaf_open, _, leaf_close, _ = punctuation[depth + 1]
+        leaf_texts = leaves[depth + 1]
         if isinstance(o, dict):
             pairs = sorted(o.items())  # a key that is no str raises TypeError
             labels = [encode_basestring_ascii(k) + ": " for k, _ in pairs]
@@ -74,13 +84,28 @@ def _canonical_pieces(obj: Any) -> list[str]:
         for i, v in enumerate(values):
             if labels:
                 prefix += labels[i]
-            text = _scalar_json(v)
-            if text is None:
-                out.append(prefix)
-                container(v, depth + 1)
+            kind = type(v)
+            if kind is int:
+                out.append(prefix + int.__repr__(v))
+            elif kind is str:
+                out.append(prefix + encode_basestring_ascii(v))
+            elif (kind is list or kind is tuple) and {*map(type, v)} == _INT_ONLY:
+                leaf = tuple(v)
+                text = leaf_texts.get(leaf)
+                if text is None:
+                    text = leaf_texts[leaf] = (
+                        leaf_open + leaf_sep.join(map(int.__repr__, leaf)) + leaf_close
+                    )
+                out.append(prefix + text)
                 nested = True
             else:
-                out.append(prefix + text)
+                text = _scalar_json(v)
+                if text is None:
+                    out.append(prefix)
+                    container(v, depth + 1)
+                    nested = True
+                else:
+                    out.append(prefix + text)
             prefix = sep
         out.append(close)
         if nested:
@@ -93,6 +118,9 @@ def _canonical_pieces(obj: Any) -> list[str]:
         out.append(top)
     out.append("\n")
     return out
+
+
+_INT_ONLY = frozenset({int})  # the item types of a leaf
 
 
 def _scalar_json(o: Any) -> str | None:

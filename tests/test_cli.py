@@ -145,6 +145,25 @@ def test_classify_command(capsys, tmp_path):
     assert out.splitlines() == ["Latin", "ColumnLatin", "Plain", "RowLatin", "Plain"]
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("squares", "search", "--d", "4"),
+        ("mub", "gen", "--d", "8", "--format", "json"),
+        ("mub", "structure", "--format", "json"),
+        ("field-info", "--d", "8", "--format", "json"),
+    ],
+)
+def test_out_file_bytes_equal_stdout_bytes(capsys, tmp_path, argv):
+    """A document written to --out and the same document on stdout go
+    through different writers; their bytes must agree."""
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    path = tmp_path / "doc.json"
+    assert run(capsys, *argv, "--out", str(path)) == (0, "", "")
+    assert path.read_bytes() == out.encode("utf-8")
+
+
 def test_search_census_d4(capsys):
     code, out, _ = run(capsys, "squares", "search", "--d", "4")
     assert code == 0
