@@ -42,7 +42,9 @@ def _canonical_pieces(obj: Any) -> list[str]:
     depth, so each depth keeps a table of leaf texts keyed by the value
     tuple.  Only exact ints qualify: True and 1.0 hash like 1, but True
     prints as true and 1.0 is no JSON this encoder writes, so a bool, a
-    float or an int subclass sends its list down the general path."""
+    float or an int subclass sends its list down the general path.  Any
+    other item of exact type int, str, dict, list or tuple is dispatched
+    on its type; the rest, subclasses included, go through _scalar_json."""
     out: list[str] = []
     # (start, end) of a container's pieces in out; its text once reused
     memo: dict[tuple[int, int], tuple[int, int] | str] = {}
@@ -97,6 +99,10 @@ def _canonical_pieces(obj: Any) -> list[str]:
                         leaf_open + leaf_sep.join(map(int.__repr__, leaf)) + leaf_close
                     )
                 out.append(prefix + text)
+                nested = True
+            elif kind is dict or kind is list or kind is tuple:
+                out.append(prefix)
+                container(v, depth + 1)
                 nested = True
             else:
                 text = _scalar_json(v)
@@ -171,7 +177,8 @@ def point_from_json(field: Field, data: Any) -> Point:
 
 
 def subgroup_to_json(g: Subgroup) -> list[list[int]]:
-    return [point_to_json(p) for p in g.points]
+    lo, n = g.field.order - 1, g.field.n
+    return [[m & lo, m >> n] for m in g.masks()]
 
 
 def subgroup_from_json(field: Field, data: Any) -> Subgroup:

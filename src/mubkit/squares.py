@@ -292,12 +292,6 @@ def _scale(field: Field, p: int, c: int) -> int:
     return mul(p & (field.order - 1), c) | mul(p >> field.n, c) << field.n
 
 
-def _det(field: Field, p: int, q: int) -> int:
-    """det of two packed points, as an element mask."""
-    lo, n, mul = field.order - 1, field.n, field._mul_mask
-    return mul(p & lo, q >> n) ^ mul(q & lo, p >> n)
-
-
 def _recipes(field: Field, set_type: str, k: int) -> list[_Recipe]:
     """The generators of the typed set of a pair with det(v1, v2) = k, at
     (v1, v2) = (e1, e2).  Every table is F_d-linear in (v1, v2), with
@@ -585,7 +579,9 @@ def verify_squares(squares: Sequence[Square]) -> CompleteSetReport:
     supersquares that are physical striations, pairwise orthogonal, with
     generators meeting only in the origin."""
     failures: list[str] = []
-    d = squares[0].d
+    field, d = squares[0].field, squares[0].d
+    if any(sq.field != field for sq in squares):
+        raise ValueError("squares must share one field")
     cardinality = len(squares) == d + 1
     if not cardinality:
         failures.append(f"expected {d + 1} squares, got {len(squares)}")
@@ -598,11 +594,18 @@ def verify_squares(squares: Sequence[Square]) -> CompleteSetReport:
             failures.append(f"square {i} fails the striation check")
     orth_ok = inter_ok = True
     for i, j in combinations(range(len(squares)), 2):
-        if not are_orthogonal(squares[i], squares[j]):
+        gi, gj = reports[i].generator, reports[j].generator
+        meet = gi is not None and gj is not None and not gi.intersects_trivially(gj)
+        # the quotients by two order-d subgroups are orthogonal exactly when
+        # the subgroups meet only in the origin
+        if reports[i].supersquare and reports[j].supersquare:
+            orthogonal = not meet
+        else:
+            orthogonal = are_orthogonal(squares[i], squares[j])
+        if not orthogonal:
             orth_ok = False
             failures.append(f"squares {i + 1} and {j + 1} are not orthogonal")
-        gi, gj = reports[i].generator, reports[j].generator
-        if gi is not None and gj is not None and not gi.intersects_trivially(gj):
+        if meet:
             inter_ok = False
             failures.append(f"generators {i + 1} and {j + 1} share a nonzero point")
     return CompleteSetReport(
@@ -668,46 +671,99 @@ def complete_set_templates(field: Field) -> dict[frozenset[int], tuple[str, Poin
     m set for every nonzero packed point m); first match wins, scanning
     types in order I, II, III, IV over all valid (v1, v2) pairs in
     canonical point order.  A pair's template is the image of the base
-    generators of _recipes, read off the scalar multiples of v1 and v2."""
-    d, n = field.order, field.n
+    generators of _recipes, read off the scalar multiples of v1 and v2;
+    _template_scan skips the pairs whose template is known to repeat."""
     table = point_table(field)
-    # nonzero packed points in canonical (x mask, y mask) order
-    points = [x | y << n for x in range(d) for y in range(d)][1:]
-    multiples = [[_scale(field, u, c) for c in range(d)] for u in range(d * d)]
     lines = frozenset(
         sum(1 << m for m in _recipe_masks(field, r)[1:]) for r in _recipes(field, "I", 1)
     )
-    templates = {lines: ("I", table[1], table[1 << n])}
+    templates = {lines: ("I", table[1], table[1 << field.n])}
+    for set_type, pairs in _template_scan(field)[0].items():  # types in order II, III, IV
+        for key, (v1, v2) in pairs.items():
+            templates.setdefault(key, (set_type, table[v1], table[v2]))
+    return templates
+
+
+def _template_scan(
+    field: Field,
+) -> tuple[
+    dict[str, dict[frozenset[int], tuple[int, int]]],
+    dict[tuple[str, int], set[tuple[int, int, int, int]]],
+]:
+    """The first pair (v1, v2) of each type II-IV template, per type, in
+    canonical pair order, and the maps learned on the way.
+
+    A map B = (x1, y1, x2, y2) takes a pair p = (v1, v2) to p.B =
+    (x1*v1 + y1*v2, x2*v1 + y2*v2).  Pair p's template is the image of the
+    base template at k = det p under (x, y) -> x*v1 + y*v2, so if B keeps
+    a type's template at one pair of det k, it keeps it at every valid
+    pair of det k.  keeps[type, k] holds such maps, each learned from two
+    pairs whose keys were equal: when pair q repeats the template first
+    met at pair f, B = f^-1.q goes to keeps[type, det f] and its inverse to
+    keeps[type, det q].  After computing the key of a pair p, the scan
+    marks p.B for every B in keeps[type, det p]; a marked pair's template
+    was met at an earlier pair, so its key is never computed and the first
+    pairs are those of the full scan."""
+    d, n = field.order, field.n
+    types = {4: ("II",), 8: ("II", "III", "IV")}.get(d)
+    if types is None:
+        return {}, {}
+    lo, n2 = d - 1, 2 * n
+    exp, log = field._exp, field._log
+    # nonzero packed points in canonical (x mask, y mask) order
+    points = [x | y << n for x in range(d) for y in range(d)][1:]
+    multiples = [[_scale(field, u, c) for c in range(d)] for u in range(d * d)]
+    times = multiples[:d]  # the points (a, 0): times[a][b] = a*b in F_d
 
     def base(recipes: list[_Recipe]) -> list[itemgetter]:
         """Each subgroup at (e1, e2) as a getter of its nonzero points'
         entries in a pair's image row, indexed x*d + y."""
         return [
-            itemgetter(*[(m & d - 1) * d + (m >> n) for m in _recipe_masks(field, r)[1:]])
+            itemgetter(*[(m & lo) * d + (m >> n) for m in _recipe_masks(field, r)[1:]])
             for r in recipes
         ]
 
-    types = {4: ("II",), 8: ("II", "III", "IV")}.get(d)
-    if types is None:
-        return templates
+    def map_to(p1: int, p2: int, q1: int, q2: int) -> tuple[int, int, int, int]:
+        """The map B with (p1, p2).B = (q1, q2): q1 and q2 each written as
+        x*p1 + y*p2 by Cramer's rule over det(p1, p2)."""
+        a1, b1, a2, b2 = p1 & lo, p1 >> n, p2 & lo, p2 >> n
+        c1, e1, c2, e2 = q1 & lo, q1 >> n, q2 & lo, q2 >> n
+        over = times[exp[-log[times[a1][b2] ^ times[a2][b1]] % lo]]  # times 1/det
+        return (
+            over[times[c1][b2] ^ times[a2][e1]],
+            over[times[a1][e1] ^ times[c1][b1]],
+            over[times[c2][b2] ^ times[a2][e2]],
+            over[times[a1][e2] ^ times[c2][b1]],
+        )
+
     dets = [1] if d == 4 else [k for k in range(1, d) if not field._trace[k]]
     bases = {k: [(t, base(_recipes(field, t, k))) for t in types] for k in dets}
-    # the first pair of each template, per type
-    firsts: dict[str, dict[frozenset[int], tuple[int, int]]] = {}
+    firsts: dict[str, dict[frozenset[int], tuple[int, int]]] = {t: {} for t in types}
+    keeps = {(t, k): set() for t in types for k in dets}
+    marks = {t: bytearray(d**4) for t in types}
     for v1 in points:
-        s1 = multiples[v1]
+        s1, times_x, times_y = multiples[v1], times[v1 & lo], times[v1 >> n]
         for v2 in points:
-            by_type = bases.get(_det(field, v1, v2))
+            k = times_x[v2 >> n] ^ times_y[v2 & lo]  # det(v1, v2)
+            by_type = bases.get(k)
             if by_type is None:
                 continue
-            row = [1 << (a ^ b) for a in s1 for b in multiples[v2]]
+            s2, pair, row = multiples[v2], v1 << n2 | v2, None
             for set_type, getters in by_type:
+                marked = marks[set_type]
+                if marked[pair]:
+                    continue
+                if row is None:
+                    row = [1 << (a ^ b) for a in s1 for b in s2]
                 key = frozenset([sum(g(row)) for g in getters])
-                firsts.setdefault(set_type, {}).setdefault(key, (v1, v2))
-    for set_type, pairs in firsts.items():  # types in order II, III, IV
-        for key, (v1, v2) in pairs.items():
-            templates.setdefault(key, (set_type, table[v1], table[v2]))
-    return templates
+                f1, f2 = firsts[set_type].setdefault(key, (v1, v2))
+                if f1 != v1 or f2 != v2:
+                    fk = times[f1 & lo][f2 >> n] ^ times[f2 & lo][f1 >> n]  # det(f1, f2)
+                    keeps[set_type, fk].add(map_to(f1, f2, v1, v2))
+                    keeps[set_type, k].add(map_to(v1, v2, f1, f2))  # its inverse
+                for x1, y1, x2, y2 in keeps[set_type, k]:
+                    marked[(s1[x1] ^ s2[y1]) << n2 | s1[x2] ^ s2[y2]] = 1
+    return firsts, keeps
 
 
 class _Deadline(Exception):

@@ -60,7 +60,7 @@ from mubkit.mub import (
     separability,
 )
 from mubkit.phasespace import Point, point_table
-from mubkit.squares import SquareReport
+from mubkit.squares import CompleteSetReport, SquareReport, are_orthogonal
 
 
 # -- Gaussian-integer arithmetic and states ------------------------------------
@@ -574,6 +574,38 @@ def verify_square(square):
         failures.append("square is not a physical striation")
     return SquareReport(
         sub, sub is not None, extraordinary, supersquare, striation, tuple(failures)
+    )
+
+
+def verify_squares_by_grids(squares):
+    """verify_squares with every pair's orthogonality read off the two
+    label grids by are_orthogonal: the same checks, keys and failure
+    strings."""
+    from mubkit import verify_square as verify_one
+
+    failures = []
+    d = squares[0].d
+    cardinality = len(squares) == d + 1
+    if not cardinality:
+        failures.append(f"expected {d + 1} squares, got {len(squares)}")
+    reports = [verify_one(sq) for sq in squares]
+    squares_ok = True
+    for i, report in enumerate(reports, start=1):
+        if not report.physical_striation:
+            squares_ok = False
+            failures.append(f"square {i} is not an extraordinary supersquare")
+            failures.append(f"square {i} fails the striation check")
+    orth_ok = inter_ok = True
+    for i, j in combinations(range(len(squares)), 2):
+        if not are_orthogonal(squares[i], squares[j]):
+            orth_ok = False
+            failures.append(f"squares {i + 1} and {j + 1} are not orthogonal")
+        gi, gj = reports[i].generator, reports[j].generator
+        if gi is not None and gj is not None and not gi.intersects_trivially(gj):
+            inter_ok = False
+            failures.append(f"generators {i + 1} and {j + 1} share a nonzero point")
+    return CompleteSetReport(
+        cardinality, squares_ok, orth_ok, inter_ok, squares_ok, tuple(failures)
     )
 
 

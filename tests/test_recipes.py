@@ -17,6 +17,7 @@ from mubkit import (
     Field,
     Point,
     complete_set_templates,
+    det,
     type_I_set,
     type_II_set_d4,
     type_II_set_d8,
@@ -24,7 +25,11 @@ from mubkit import (
     type_IV_set_d8,
 )
 
+from mubkit.phasespace import point_to_mask
+from mubkit.squares import _template_scan
+
 from oracles import (
+    ORACLE_TYPES,
     Oracle,
     complete_set_templates_by_recipes,
     oracle_recipes,
@@ -76,3 +81,31 @@ def test_templates_equal_the_oracle_table(n):
         for key, label in complete_set_templates_by_recipes(field).items()
     }
     assert complete_set_templates(field) == expected
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_learned_maps_keep_every_template(n):
+    """The scan skips a pair once a learned map B carries an earlier pair
+    of its det onto it.  Every learned B must keep the template of every
+    valid pair of its det, templates taken from the Point-arithmetic
+    recipes, and the first pair of each template, per type, must be the
+    first in canonical order."""
+    field = Field(n)
+    oracle = Oracle(field)
+    firsts, keeps = _template_scan(field)
+    for set_type in ORACLE_TYPES[field.order]:
+        templates = {}
+        expected = {}
+        for v1, v2, k in valid_pairs(field, set_type):
+            key = frozenset(map(oracle.masks, oracle_recipes(set_type, v1, v2, k)))
+            templates[v1, v2] = key
+            bits = frozenset(sum(1 << m for m in masks if m) for masks in key)
+            expected.setdefault(bits, (point_to_mask(v1), point_to_mask(v2)))
+        assert firsts[set_type] == expected
+        for (v1, v2), key in templates.items():
+            maps = keeps[set_type, det(v1, v2).mask]
+            assert maps
+            for x1, y1, x2, y2 in maps:
+                w1 = v1.scale(field.element(x1)) + v2.scale(field.element(y1))
+                w2 = v1.scale(field.element(x2)) + v2.scale(field.element(y2))
+                assert templates[w1, w2] == key

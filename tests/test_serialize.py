@@ -73,10 +73,19 @@ class Letter(enum.IntEnum):
     A = 1
 
 
+class Mapping(dict):
+    pass
+
+
+class Points(list):
+    pass
+
+
 def test_leaves_of_equal_hash_keep_their_own_text():
     """A list or tuple of exact ints is encoded once per depth and values.
     [1, 0], [True, 0], (1, 0) and [Letter.A, 0] hash alike, and 1.0 hashes
-    like 1, but only the exact ints may share the text of [1, 0]."""
+    like 1, but only the exact ints may share the text of [1, 0].  Dict
+    and list subclasses take the general path, not the exact-type one."""
     pair = [7, -3]
     value = {
         "same": [[1, 0], [True, 0], (1, 0), [Letter.A, 0], [1, 0], [False, 0]],
@@ -84,6 +93,7 @@ def test_leaves_of_equal_hash_keep_their_own_text():
         "big": [[-(10**30), 10**30], [-1, 0], [0, -1]],
         "depths": [pair, [pair, [pair]], {"p": pair}],
         "mixed": [[1, [2]], [1, "2"], [1, None], [[1, 0]]],
+        "subclasses": [Mapping(b=[1, 0], a=Points([[1, 0]])), Points([1, 0]), Points()],
     }
     text = dumps_canonical(value)
     assert text == oracle(value)

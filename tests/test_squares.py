@@ -27,6 +27,7 @@ from mubkit import (
     type_IV_set_d8,
     verify_complete_set,
     verify_square,
+    verify_squares,
 )
 from mubkit.phasespace import iter_lagrangian_masks, point_to_mask
 from mubkit.squares import CompleteSet, Supersquare, _cover_tables, _search
@@ -346,6 +347,47 @@ def test_verify_complete_set_flags_failures(d4_type_ii_set):
     assert not report.passed
     assert not report.orthogonality
     assert any("not orthogonal" in f for f in report.failures)
+
+
+def test_set_reports_match_the_all_grid_oracle(f4, f8, d4_type_ii_set, d8_type_ii_set):
+    """verify_squares reads the orthogonality of two supersquares off their
+    generators and compares label grids for every other pair; the reports
+    equal those of are_orthogonal on every pair, over swapped, repeated,
+    perturbed and foreign squares at d = 4, 8 and 16."""
+    f16 = Field(4)
+    base = [
+        d4_type_ii_set,
+        type_I_set(Point(f4.one, f4.zero), Point(f4.zero, f4.one)),
+        d8_type_ii_set,
+        type_III_set_d8(*pair_with_det_in_k(f8, 1)[0]),
+        type_I_set(Point(f16.one, f16.zero), Point(f16.zero, f16.one)),
+    ]
+    # the quotient by {0, (1, 0), (0, mu), (1, mu)}, which is no striation
+    plain = Supersquare(Subgroup.span([Point(f4.one, f4.zero), Point(f4.zero, f4.mu)])).square
+    variants = []
+    for seed, cset in enumerate(base):
+        sq = list(cset.squares)
+        others = [c for c in base if c.field == cset.field and c is not cset]
+        variants += [
+            sq,
+            sq[::-1],
+            sq[1:2] + sq[:1] + sq[2:],
+            sq[:1] + sq[:-1],
+            sq[:3] + sq[2:],
+            sq[:-1],
+            sq[:2] + [perturb_supersquare(cset.supersquares[2], seed)] + sq[3:],
+            [perturb_supersquare(ss, seed + i) for i, ss in enumerate(cset.supersquares[:3])],
+            sq[:1] + list(others[0].squares[1:3]) + sq[3:] if others else sq[:1],
+        ]
+        if cset.field == f4:
+            variants.append(sq[:4] + [plain])
+    for squares in variants:
+        assert verify_squares(squares) == oracles.verify_squares_by_grids(squares)
+    assert not verify_squares(variants[3]).orthogonality
+    mixed = list(base[0].squares[:4]) + [base[2].squares[0]]
+    for verify in (verify_squares, oracles.verify_squares_by_grids):
+        with pytest.raises(ValueError, match="squares must share one field"):
+            verify(mixed)
 
 
 def test_supersquare_is_derived_from_its_generator(f8):
