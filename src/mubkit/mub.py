@@ -197,17 +197,18 @@ def common_eigenbasis(a1: Subgroup, expansion_basis: FieldBasis) -> MubBasis:
     """The d common eigenvectors of the translation operators of a1: state
     s is the ray state translated by the coset representative whose flip
     signature is s: the flip identity, a tested theorem.  Only
-    build_mub_set's certify_bases checks states against the generators."""
+    build_mub_set's certificate checks states against the generators."""
     from .squares import Supersquare
 
-    return _eigenbasis(Supersquare(a1), expansion_basis)
+    return _eigenbasis(Supersquare(a1), expansion_basis)[0]
 
 
 def _eigenbasis(
-    ss: Supersquare, expansion_basis: FieldBasis, cosets=None, class_of_state=None
-) -> MubBasis:
-    """common_eigenbasis of ss's generator, from its _cosets unless given,
-    with the class map if given.
+    ss: Supersquare, expansion_basis: FieldBasis, correspond: bool = False
+) -> tuple[MubBasis, list[tuple[int, int, int]], list[tuple[int, int]]]:
+    """common_eigenbasis of ss's generator, with apply_correspondence's
+    class map if correspond; then its states as the planes they were
+    unpacked from, and the (x, z) masks of its generator translations.
     The d flip signatures are distinct: the generator A is Lagrangian, so
     the map r -> (omega(g_j, r))_j has kernel A^perp = A."""
     a1 = ss.generator
@@ -215,8 +216,9 @@ def _eigenbasis(
     if not is_extraordinary(a1):
         raise ValueError("subgroup is not extraordinary: operators do not commute")
     table = translation_table(expansion_basis)
-    gens, reps, slots = cosets or _cosets(ss)
-    ray = _ray_planes([table[g] for g in gens], d, n)
+    gens, reps, slots = _cosets(ss)
+    ops = [table[g] for g in gens]
+    ray = _ray_planes(ops, d, n)
     states = [ray] * d
     for s, rep in zip(slots[1:], reps):
         states[s] = _divide_by_first(translate_packed(*table[rep], ray, n))
@@ -231,8 +233,8 @@ def _eigenbasis(
         expansion_basis=expansion_basis,
         states=tuple(UnnormalizedState(e, ray[0].bit_count()) for e in entries),
         operator_words=words,
-        class_of_state=class_of_state,
-    )
+        class_of_state=tuple(slots) if correspond else None,
+    ), states, ops
 
 
 def apply_correspondence(basis: MubBasis, ss: Supersquare) -> MubBasis:
@@ -345,6 +347,13 @@ def certify_bases(
     groups meet only in the identity are unbiased.  Every other basis and
     pair is checked, so the result never depends on the words.  Returns
     the checks and every failure."""
+    packs = [[pack_state(st) for st in states] for states in bases]
+    return _certify(bases, packs, d, class_maps, expected_structure, words)
+
+
+def _certify(bases, packs, d: int, class_maps, expected_structure, words):
+    """certify_bases, given packs[b][s]: the planes of bases[b][s], or None
+    where it has an entry outside {0, +-1, +-i}."""
     failures: list[str] = []
     checks = {"cardinality": len(bases) == d + 1}
     if not checks["cardinality"]:
@@ -357,7 +366,6 @@ def certify_bases(
             if st.dim != d:
                 checks["cardinality"] = False
                 failures.append(f"basis {bi} state {si} has {st.dim} entries, expected {d}")
-    packs = [[pack_state(st) for st in states] for states in bases]
     checks["norms"] = True
     for bi, (states, ps) in enumerate(zip(bases, packs), start=1):
         for si, (st, p) in enumerate(zip(states, ps)):
@@ -428,9 +436,9 @@ def build_mub_set(
     c: CompleteSet, expansion_basis: FieldBasis | None = None
 ) -> MubSet:
     """Run the eigenbasis construction and correspondence over every
-    square of a verified complete set, then run certify_bases on the
-    result with each basis's generator translations as its words; the
-    first failure raises ConstructionError."""
+    square of a verified complete set, then certify the result as
+    certify_bases does, on the planes its states were unpacked from and
+    its generator translations; the first failure raises ConstructionError."""
     from .squares import verify_complete_set
 
     field = c.field
@@ -441,18 +449,12 @@ def build_mub_set(
         raise ValueError(
             "complete set fails verification: " + "; ".join(report.failures)
         )
-    table = translation_table(expansion_basis)
-    bases, words = [], []
-    for ss in c.supersquares:
-        cosets = _cosets(ss)
-        bases.append(_eigenbasis(ss, expansion_basis, cosets, tuple(cosets[2])))
-        words.append([table[g] for g in cosets[0]])
-    _, failures = certify_bases(
-        [b.states for b in bases], field.order, [b.class_of_state for b in bases], words=words
-    )
+    bases, packs, words = zip(*(_eigenbasis(ss, expansion_basis, True) for ss in c.supersquares))
+    states, maps = [b.states for b in bases], [b.class_of_state for b in bases]
+    _, failures = _certify(states, packs, field.order, maps, None, words)
     if failures:
         raise ConstructionError(failures[0])
-    return MubSet(tuple(bases), c)
+    return MubSet(bases, c)
 
 
 # ---------------------------------------------------------------------------

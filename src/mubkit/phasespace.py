@@ -261,5 +261,6 @@ def iter_lagrangian_masks(field: Field) -> Iterator[tuple[int, ...]]:
 def enumerate_extraordinary_subgroups(field: Field) -> list[Subgroup]:
     """The order-d subgroups on which tr(det) vanishes, canonically sorted."""
     out = [Subgroup.from_masks(field, masks) for masks in iter_lagrangian_masks(field)]
-    out.sort(key=lambda s: s.sort_key)
+    rank = _point_rank(field).__getitem__  # orders points as sort_key does
+    out.sort(key=lambda s: tuple(map(rank, s.masks())))
     return out

@@ -4,16 +4,19 @@ Field elements serialize as integer bitmasks, points as [x, y] mask
 pairs, subgroups as sorted point arrays, squares as class lists in label
 order, and states as {"num": [[re, im], ...], "norm_sq": N}.  Square
 payloads carry only "d"; the field modulus is the canonical one for that
-dimension.
+dimension.  The *_to_json documents share their leaves: one (x, y) tuple
+per point of a field, built on first use, and one (re, im) tuple per
+entry 0, +-1, +-i.  A tuple prints as a JSON array; json.loads gives lists.
 """
 
 from __future__ import annotations
 
+from functools import cache
 from json.encoder import encode_basestring_ascii
 from typing import TYPE_CHECKING, Any, Callable
 
 from .gf2n import Field, field_for_dimension
-from .phasespace import Point, Subgroup
+from .phasespace import Point, Subgroup, point_to_mask
 
 if TYPE_CHECKING:  # a decoder imports the module of the type it builds
     from .mub import MubBasis, MubSet, UnnormalizedState
@@ -37,22 +40,21 @@ def _canonical_pieces(obj: Any) -> list[str]:
     second use.  The memo is keyed by id and depth, which is sound because
     obj keeps every container alive for the call.
 
-    A leaf, a non-empty list or tuple of exact ints such as a point
-    [x, y], is one piece whose text depends only on its values and its
-    depth, so each depth keeps a table of leaf texts keyed by the value
-    tuple.  Only exact ints qualify: True and 1.0 hash like 1, but True
-    prints as true and 1.0 is no JSON this encoder writes, so a bool, a
-    float or an int subclass sends its list down the general path.  Any
-    other item of exact type int, str, dict, list or tuple is dispatched
-    on its type; the rest, subclasses included, go through _scalar_json."""
+    A leaf, a non-empty list or tuple of exact ints such as a point, is one
+    piece, its text kept per depth by id as the memo's is: a shared leaf is
+    typed and joined once per depth.  Only exact ints qualify: True prints
+    as true and 1.0 is no JSON this encoder writes, so a bool, a float or
+    an int subclass sends its list down the general path.  Any other item
+    of exact type int, str, dict, list or tuple is dispatched on its type;
+    the rest, subclasses included, go through _scalar_json."""
     out: list[str] = []
     # (start, end) of a container's pieces in out; its text once reused
     memo: dict[tuple[int, int], tuple[int, int] | str] = {}
     # per depth k: the separator before an item at depth k + 1, and the
     # openers and closers of a list and a dict at depth k
     punctuation: list[tuple[str, str, str, str, str]] = []
-    # per depth k: the text of each leaf met at depth k, by its values
-    leaves: list[dict[tuple[int, ...], str]] = []
+    # per depth k: the text of each leaf met at depth k, by its id
+    leaves: list[dict[int, str]] = []
 
     def container(o: dict | list | tuple, depth: int) -> None:
         key = (id(o), depth)
@@ -91,12 +93,12 @@ def _canonical_pieces(obj: Any) -> list[str]:
                 out.append(prefix + int.__repr__(v))
             elif kind is str:
                 out.append(prefix + encode_basestring_ascii(v))
-            elif (kind is list or kind is tuple) and {*map(type, v)} == _INT_ONLY:
-                leaf = tuple(v)
-                text = leaf_texts.get(leaf)
+            elif (kind is list or kind is tuple) and (
+                (text := leaf_texts.get(id(v))) or {*map(type, v)} == _INT_ONLY
+            ):
                 if text is None:
-                    text = leaf_texts[leaf] = (
-                        leaf_open + leaf_sep.join(map(int.__repr__, leaf)) + leaf_close
+                    text = leaf_texts[id(v)] = (
+                        leaf_open + leaf_sep.join(map(int.__repr__, v)) + leaf_close
                     )
                 out.append(prefix + text)
                 nested = True
@@ -167,8 +169,15 @@ def _ints(data: Any, what: str, length: int | None = None) -> list[int]:
     return items
 
 
-def point_to_json(p: Point) -> list[int]:
-    return [p.x.mask, p.y.mask]
+@cache
+def _point_leaves(field: Field) -> tuple[tuple[int, int], ...]:
+    """The (x, y) leaf of each packed point mask x | y << n of the field."""
+    lo, n = field.order - 1, field.n
+    return tuple((m & lo, m >> n) for m in range(field.order * field.order))
+
+
+def point_to_json(p: Point) -> tuple[int, int]:
+    return _point_leaves(p.field)[point_to_mask(p)]
 
 
 def point_from_json(field: Field, data: Any) -> Point:
@@ -176,9 +185,8 @@ def point_from_json(field: Field, data: Any) -> Point:
     return Point(field.element(x), field.element(y))
 
 
-def subgroup_to_json(g: Subgroup) -> list[list[int]]:
-    lo, n = g.field.order - 1, g.field.n
-    return [[m & lo, m >> n] for m in g.masks()]
+def subgroup_to_json(g: Subgroup) -> list[tuple[int, int]]:
+    return list(map(_point_leaves(g.field).__getitem__, g.masks()))
 
 
 def subgroup_from_json(field: Field, data: Any) -> Subgroup:
@@ -187,11 +195,10 @@ def subgroup_from_json(field: Field, data: Any) -> Subgroup:
 
 def square_to_json(s: Square) -> dict:
     """Classes in label order, each its points in canonical (x, y) order."""
-    d, n, labels = s.d, s.field.n, s._labels
-    classes: list[list[list[int]]] = [[] for _ in range(d)]
-    for x in range(d):
-        for y in range(d):
-            classes[labels[x | y << n] - 1].append([x, y])
+    d, n, labels, leaves = s.d, s.field.n, s._labels, _point_leaves(s.field)
+    classes: list[list[tuple[int, int]]] = [[] for _ in range(d)]
+    for m in (x | y << n for x in range(d) for y in range(d)):  # canonical order
+        classes[labels[m] - 1].append(leaves[m])
     return {"d": d, "classes": classes}
 
 
@@ -258,8 +265,13 @@ def squares_payload_from_json(data: Any) -> tuple[str, Any]:
     raise ValueError("payload is neither a square nor a complete set")
 
 
+# the shared leaf of each entry 0, 1, i, -1, -i, found by the equal GaussInt
+_UNIT_LEAVES = {e: e for e in ((0, 0), (1, 0), (0, 1), (-1, 0), (0, -1))}
+
+
 def state_to_json(s: UnnormalizedState) -> dict:
-    return {"num": [[e.re, e.im] for e in s.entries], "norm_sq": s.norm_sq}
+    num = [_UNIT_LEAVES.get(e) or (e.re, e.im) for e in s.entries]
+    return {"num": num, "norm_sq": s.norm_sq}
 
 
 def state_from_json(data: Any) -> UnnormalizedState:

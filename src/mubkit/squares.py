@@ -614,9 +614,24 @@ def verify_squares(squares: Sequence[Square]) -> CompleteSetReport:
 
 
 def verify_complete_set(c: CompleteSet) -> CompleteSetReport:
-    """verify_squares on the set's squares, each the quotient by its
-    supersquare's generator."""
-    return verify_squares(c.squares)
+    """verify_squares(c.squares) read off the generators: each quotient is a
+    supersquare, a striation iff its generator is extraordinary, and two are
+    orthogonal iff their generators meet only in the origin."""
+    gens, d = c.generators, c.d
+    if any(g.field != c.field for g in gens):
+        raise ValueError("squares must share one field")
+    failures = [] if len(gens) == d + 1 else [f"expected {d + 1} squares, got {len(gens)}"]
+    striations = list(map(is_extraordinary, gens))
+    for i in (i for i, ok in enumerate(striations, start=1) if not ok):
+        failures.append(f"square {i} is not an extraordinary supersquare")
+        failures.append(f"square {i} fails the striation check")
+    meets = [(i, j) for (i, g), (j, h) in combinations(enumerate(gens, start=1), 2)
+             if not g.intersects_trivially(h)]
+    for i, j in meets:
+        failures.append(f"squares {i} and {j} are not orthogonal")
+        failures.append(f"generators {i} and {j} share a nonzero point")
+    ok = all(striations)
+    return CompleteSetReport(len(gens) == d + 1, ok, not meets, not meets, ok, tuple(failures))
 
 
 def perturb_supersquare(ss: Supersquare, seed: int) -> Square:

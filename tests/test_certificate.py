@@ -9,8 +9,11 @@ valid sets and on sets with entries rotated, replaced or scaled out of
 the unit set, norms made wrong and states cut short.  They must also be
 the same when certify_bases is given each basis's stabilizer words, true
 or tampered with, which let it skip the pair checks of bases it
-certifies on their own.  Hypothesis examples are derandomized, so a run
-is reproducible.
+certifies on their own.  build_mub_set certifies the planes its states
+were unpacked from (mub._certify) without packing them again: on every
+built set here, and on planes with one bit flipped, that gives what
+certify_bases and the dense oracle give.  Hypothesis examples are
+derandomized, so a run is reproducible.
 """
 
 import random
@@ -39,7 +42,7 @@ from mubkit import (
 )
 from mubkit import mub
 from mubkit.cli import DEFAULT_PAIRS, _parse_point
-from mubkit.gf2n import _independent
+from mubkit.gf2n import _independent, default_selfdual_basis
 from mubkit.mub import pack_state, packed_inner
 from mubkit.pauli import I_UNIT, ONE, UNITS, ZERO, translation_table
 
@@ -202,6 +205,7 @@ def test_every_valid_d4_set(f4):
                 bases, maps = payload(build_mub_set(cset))
                 checks, failures = assert_same_certificate(bases, 4, maps)
                 assert all(checks.values()) and failures == []
+                assert_trusted_route_agrees(cset)
     assert counts == {"I": 180, "II": 60}
 
 
@@ -219,6 +223,7 @@ def test_d8_set_of_each_type(f8, set_type):
         "cardinality", "norms", "orthogonality", "unbiasedness", "class_maps", "structure",
     ]
     assert all(checks.values()) and failures == []
+    assert_trusted_route_agrees(cset)
 
 
 @pytest.fixture(scope="module")
@@ -457,3 +462,82 @@ def test_signatures_and_division_on_planes_match_entries(n, type_i_sets):
             assert signature == oracle_signature(ops, v)
             seen.add(signature is None)
     assert seen == {True, False}
+
+
+# -- the trusted route: build_mub_set's planes ------------------------------------
+
+
+def trusted_payload(cset):
+    """What build_mub_set certifies: per basis its states, the planes
+    _eigenbasis unpacked them from, its class map and its generator words."""
+    basis_e = default_selfdual_basis(cset.field)
+    built = [mub._eigenbasis(ss, basis_e, True) for ss in cset.supersquares]
+    states = [list(basis.states) for basis, _, _ in built]
+    maps = [basis.class_of_state for basis, _, _ in built]
+    return states, [list(p) for _, p, _ in built], maps, [list(w) for _, _, w in built]
+
+
+def assert_trusted_route_agrees(cset, dense=True):
+    """The certificate of a built set on its trusted planes equals the one
+    that re-packs its states (certify_bases) and, where asked, the dense
+    oracle; the planes are the packed states."""
+    states, planes, maps, words = trusted_payload(cset)
+    assert planes == [[pack_state(st_) for st_ in b] for b in states]
+    d = cset.d
+    trusted = mub._certify(states, planes, d, maps, None, words)
+    assert trusted == certify_bases(states, d, maps, words=words)
+    if dense:
+        assert trusted == certify_bases_dense(states, d, maps)
+    assert all(trusted[0].values()) and trusted[1] == []
+
+
+@pytest.mark.parametrize("n", [4, 5])
+def test_trusted_planes_on_type_i_sets(n):
+    """d = 16 and 32; the dense oracle, d^2 (d + 1) d / 2 entry products,
+    runs at d = 16 only."""
+    f = Field(n)
+    for v1, v2 in [
+        (Point(f.one, f.zero), Point(f.zero, f.one)),
+        (Point(f.element(3), f.element(1)), Point(f.element(2), f.element(5))),
+    ]:
+        assert_trusted_route_agrees(type_I_set(v1, v2), dense=n == 4)
+
+
+def unpacked(plane, d, norm_sq):
+    """The state of d entries that the packed planes hold."""
+    s, lo, hi = plane
+    entries = tuple(
+        UNITS[(lo >> k & 1) + 2 * (hi >> k & 1)] if s >> k & 1 else ZERO for k in range(d)
+    )
+    return UnnormalizedState(entries, norm_sq)
+
+
+@pytest.mark.parametrize("plane", ["support", "lo", "hi"])
+@pytest.mark.parametrize("d", [8, 16])
+def test_trusted_planes_with_one_flipped_bit(type_i_sets, d8_type_ii_set, d, plane):
+    """One bit of one state's planes flipped, and the state unpacked from
+    the flipped planes with its norm kept: the trusted route fails it as
+    the re-packing route and the dense oracle do.  A support bit turned
+    off drops that entry's phase bits, which keeps the planes canonical;
+    a phase bit is flipped only in a state of two or more nonzero entries,
+    where it is no global phase."""
+    cset = d8_type_ii_set if d == 8 else type_i_sets[16].source_set
+    states, planes, maps, words = trusted_payload(cset)
+    rng = random.Random(d)
+    spread = [(b, i) for b in range(d + 1) for i in range(d) if planes[b][i][0].bit_count() > 1]
+    for b, i in rng.sample(spread, 4):
+        s, lo, hi = planes[b][i]
+        bit = 1 << rng.choice([k for k in range(d) if s >> k & 1])
+        if plane == "support":
+            s ^= 1 << rng.randrange(d)
+            flipped = (s, lo & s, hi & s)
+        else:
+            flipped = (s, lo ^ bit, hi) if plane == "lo" else (s, lo, hi ^ bit)
+        bad_states = [list(col) for col in states]
+        bad_planes = [list(col) for col in planes]
+        bad_planes[b][i] = flipped
+        bad_states[b][i] = unpacked(flipped, d, states[b][i].norm_sq)
+        trusted = mub._certify(bad_states, bad_planes, d, maps, None, words)
+        assert trusted == certify_bases(bad_states, d, maps, words=words)
+        assert trusted == certify_bases_dense(bad_states, d, maps)
+        assert trusted[1], (b, i, flipped)

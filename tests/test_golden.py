@@ -3,7 +3,9 @@
 The six CLI commands recorded in perfbench/golden.json run through
 cli.main, and the d = 16 enumeration is encoded as the benchmark's
 `lib enumerate` op encodes it; each must reproduce the recorded sha256
-digest and byte count.  The file is only read.  The d = 8 search builds
+digest and byte count.  The file is only read.  The type I MUB
+documents at d = 16 and 32, built through the library, have pinned
+digests of their own.  The d = 8 search builds
 one Supersquare per distinct extraordinary subgroup and shares it
 between the sets.
 """
@@ -16,13 +18,16 @@ import pytest
 
 from mubkit import (
     Field,
+    Point,
+    build_mub_set,
     enumerate_extraordinary_subgroups,
     search_complete_sets,
     supersquare_from_subgroup,
+    type_I_set,
     verify_complete_set,
 )
 from mubkit.cli import main
-from mubkit.serialize import dumps_canonical, subgroup_to_json
+from mubkit.serialize import dumps_canonical, mub_set_to_json, subgroup_to_json
 
 GOLDEN = json.loads(
     (Path(__file__).resolve().parents[1] / "perfbench" / "golden.json").read_text()
@@ -52,6 +57,23 @@ def test_lib_enumerate_matches_golden():
     data = dumps_canonical(doc).encode("utf-8")
     assert len(data) == GOLDEN["lib enumerate"]["bytes"]
     assert hashlib.sha256(data).hexdigest() == GOLDEN["lib enumerate"]["sha256"]
+
+
+# The type I MUB documents on the axes (e1, e2), which `mub gen` cannot
+# write: (d, bytes, sha256).
+PINNED_MUB_DOCUMENTS = [
+    (16, 611_580, "573b8cecbbe01602da65ae4f8c7229997706d3cc43e090182ad1621da4538981"),
+    (32, 4_523_981, "d6471d3f110feffe6f42e62088e83ca4cfee60b85e8a0cafd4b8bd1b02ed7f35"),
+]
+
+
+@pytest.mark.parametrize("d, size, digest", PINNED_MUB_DOCUMENTS)
+def test_type_i_mub_document_bytes_are_pinned(d, size, digest):
+    f = Field(d.bit_length() - 1)
+    mubs = build_mub_set(type_I_set(Point(f.one, f.zero), Point(f.zero, f.one)))
+    data = dumps_canonical(mub_set_to_json(mubs, None)).encode("utf-8")
+    assert len(data) == size
+    assert hashlib.sha256(data).hexdigest() == digest
 
 
 @pytest.fixture(scope="module")

@@ -82,11 +82,13 @@ class Points(list):
 
 
 def test_leaves_of_equal_hash_keep_their_own_text():
-    """A list or tuple of exact ints is encoded once per depth and values.
-    [1, 0], [True, 0], (1, 0) and [Letter.A, 0] hash alike, and 1.0 hashes
-    like 1, but only the exact ints may share the text of [1, 0].  Dict
-    and list subclasses take the general path, not the exact-type one."""
+    """A list or tuple of exact ints is encoded once per depth and object,
+    as a shared point tuple is.  [1, 0], [True, 0], (1, 0) and
+    [Letter.A, 0] are equal, but only the exact ints are leaves; one tuple
+    met at several depths keeps each depth's text.  Dict and list
+    subclasses take the general path, not the exact-type one."""
     pair = [7, -3]
+    shared = (7, -3)  # a tuple leaf's text is kept by id, per depth
     value = {
         "same": [[1, 0], [True, 0], (1, 0), [Letter.A, 0], [1, 0], [False, 0]],
         "empty": [[], (), [[]]],
@@ -94,6 +96,10 @@ def test_leaves_of_equal_hash_keep_their_own_text():
         "depths": [pair, [pair, [pair]], {"p": pair}],
         "mixed": [[1, [2]], [1, "2"], [1, None], [[1, 0]]],
         "subclasses": [Mapping(b=[1, 0], a=Points([[1, 0]])), Points([1, 0]), Points()],
+        "tuples": [
+            shared, pair, [shared, pair, (shared, [shared])], {"t": shared, "l": pair},
+            (True, 0), (1, 0), (Letter.A, 0), (True, 0), (), ((),), [(), ()], shared,
+        ],
     }
     text = dumps_canonical(value)
     assert text == oracle(value)
@@ -102,11 +108,14 @@ def test_leaves_of_equal_hash_keep_their_own_text():
         dumps_canonical([[1, 0], [1.0, 0]])
 
 
-# Lists of a few small ints, nested at several depths, so that one leaf
-# recurs at different depths and positions of one document.
+# Lists of a few small ints, and tuples drawn from a small pool of shared
+# objects (as the documents share one tuple per point and unit entry),
+# nested at several depths, so that one leaf recurs at different depths
+# and positions of one document.
 small_leaves = st.lists(st.integers(-2, 2), min_size=1, max_size=3)
+SHARED_LEAVES = [(0, 0), (1, 0), (0, -1), (2, 1, 0), (True, 0), (Letter.A, 1), ()]
 leafy_values = st.recursive(
-    small_leaves | st.integers(-2, 2),
+    small_leaves | st.sampled_from(SHARED_LEAVES) | st.integers(-2, 2),
     lambda children: st.lists(children, max_size=4)
     | st.dictionaries(st.sampled_from("abc"), children, max_size=3),
     max_leaves=20,

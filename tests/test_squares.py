@@ -1,5 +1,6 @@
 """Supersquares, striations, orthogonality, classification, and search."""
 
+import random
 import time
 
 import pytest
@@ -386,6 +387,59 @@ def test_set_reports_match_the_all_grid_oracle(f4, f8, d4_type_ii_set, d8_type_i
     assert not verify_squares(variants[3]).orthogonality
     mixed = list(base[0].squares[:4]) + [base[2].squares[0]]
     for verify in (verify_squares, oracles.verify_squares_by_grids):
+        with pytest.raises(ValueError, match="squares must share one field"):
+            verify(mixed)
+
+
+def not_lagrangian(field, seed):
+    """An order-d subgroup that is not extraordinary: the span of seeded
+    random points, redrawn until it has d points and a pair with nonzero
+    trace form."""
+    rng = random.Random(seed)
+    while True:
+        span = {0}
+        for m in rng.sample(range(1, field.order**2), field.n):
+            span |= {p ^ m for p in span}
+        g = Subgroup.from_masks(field, span)
+        if g.order == field.order and not is_extraordinary(g):
+            return g
+
+
+def test_generator_report_matches_verify_squares(f4, f8, d4_type_ii_set, d8_type_ii_set):
+    """verify_complete_set reads its report off the generators; it equals
+    verify_squares on the built squares, failure lines and their order
+    included, over swapped, repeated, non-extraordinary and miscounted
+    generators at d = 4, 8 and 16, and both reject mixed fields alike."""
+    f16 = Field(4)
+    base = [
+        d4_type_ii_set,
+        type_I_set(Point(f4.one, f4.zero), Point(f4.zero, f4.one)),
+        d8_type_ii_set,
+        type_IV_set_d8(*pair_with_det_in_k(f8, 1)[0]),
+        type_I_set(Point(f16.one, f16.zero), Point(f16.zero, f16.one)),
+    ]
+    seen_failures = set()
+    for seed, cset in enumerate(base):
+        ss = list(cset.supersquares)
+        odd = Supersquare(not_lagrangian(cset.field, seed))
+        for variant in [
+            ss,
+            ss[::-1],
+            ss[1:2] + ss[:1] + ss[2:],
+            ss[:1] + ss[:-1],
+            ss[:3] + ss[2:],
+            ss[:-1],
+            ss + ss[:1],
+            ss[:2] + [odd] + ss[3:],
+            [odd] + ss,
+        ]:
+            c = CompleteSet(cset.set_type, cset.v1, cset.v2, tuple(variant))
+            report = verify_complete_set(c)
+            assert report == verify_squares(c.squares)
+            seen_failures.update(f.split(" ", 1)[0] for f in report.failures)
+    assert seen_failures == {"expected", "square", "squares", "generators"}
+    mixed = CompleteSet("I", None, None, base[0].supersquares[:4] + base[2].supersquares[:1])
+    for verify in (verify_complete_set, lambda c: verify_squares(c.squares)):
         with pytest.raises(ValueError, match="squares must share one field"):
             verify(mixed)
 
