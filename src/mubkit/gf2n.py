@@ -18,6 +18,7 @@ Display form writes elements as powers of mu: "0", "1", "m", "m2", ...
 from __future__ import annotations
 
 from functools import cache
+from operator import attrgetter
 from typing import Iterable, Iterator
 
 DEFAULT_POLYS = {2: 0b111, 3: 0b1011, 4: 0b10011, 5: 0b100101}
@@ -42,6 +43,23 @@ def _poly_mod(a: int, m: int) -> int:
     while a and _poly_deg(a) >= dm:
         a ^= m << (_poly_deg(a) - dm)
     return a
+
+
+class Value:
+    """A value equal to another of its exact class when their ``_key``s
+    are equal.  ``_key`` reads every slot unless the class names its own."""
+
+    __slots__ = ()
+
+    def __init_subclass__(cls) -> None:
+        if "_key" not in cls.__dict__:
+            cls._key = attrgetter(*cls.__slots__)
+
+    def __eq__(self, other: object) -> bool:
+        return other.__class__ is self.__class__ and self._key(self) == other._key(other)
+
+    def __hash__(self) -> int:
+        return hash(self._key(self))
 
 
 class Field:
@@ -186,21 +204,14 @@ def field_for_dimension(d: int) -> Field:
     return Field(n)
 
 
-class FieldElement:
+class FieldElement(Value):
     __slots__ = ("field", "mask")
 
     def __init__(self, field: Field, mask: int) -> None:
+        if mask.__class__ is not int or not 0 <= mask < field.order:
+            raise ValueError(f"mask {mask} out of range for GF(2^{field.n})")
         self.field = field
         self.mask = mask
-
-    def __eq__(self, other: object) -> bool:
-        return (
-            other.__class__ is FieldElement
-            and (self.field, self.mask) == (other.field, other.mask)
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.field, self.mask))
 
     @property
     def is_zero(self) -> bool:
@@ -238,7 +249,7 @@ class FieldElement:
         return f"<{self} in GF(2^{self.field.n})>"
 
 
-class FieldBasis:
+class FieldBasis(Value):
     """A tuple of F_2-linearly independent field elements, one per degree."""
 
     __slots__ = ("elements",)
@@ -254,12 +265,6 @@ class FieldBasis:
             raise ValueError(f"basis needs {field.n} elements, got {len(elements)}")
         if len(_independent([e.mask for e in elements])) != len(elements):
             raise ValueError("basis elements are linearly dependent over F_2")
-
-    def __eq__(self, other: object) -> bool:
-        return other.__class__ is FieldBasis and self.elements == other.elements
-
-    def __hash__(self) -> int:
-        return hash((self.elements,))
 
     @property
     def field(self) -> Field:

@@ -30,7 +30,7 @@ import enum
 from itertools import combinations
 from typing import TYPE_CHECKING, Sequence
 
-from .gf2n import FieldBasis, _independent, default_selfdual_basis
+from .gf2n import FieldBasis, Value, _independent, default_selfdual_basis
 from .pauli import GaussInt, PauliWord, UNITS, ZERO, translate_packed, translation_table
 from .phasespace import Subgroup, _polars, is_extraordinary
 
@@ -42,7 +42,7 @@ class ConstructionError(RuntimeError):
     """An exactness certificate failed while building a basis or set."""
 
 
-class UnnormalizedState:
+class UnnormalizedState(Value):
     """Integer entries with implicit 1/sqrt(norm_sq) normalization."""
 
     __slots__ = ("entries", "norm_sq")
@@ -50,15 +50,6 @@ class UnnormalizedState:
     def __init__(self, entries: tuple[GaussInt, ...], norm_sq: int) -> None:
         self.entries = entries
         self.norm_sq = norm_sq
-
-    def __eq__(self, other: object) -> bool:
-        return (
-            other.__class__ is UnnormalizedState
-            and (self.entries, self.norm_sq) == (other.entries, other.norm_sq)
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.entries, self.norm_sq))
 
     @property
     def dim(self) -> int:
@@ -73,7 +64,7 @@ class UnnormalizedState:
         return GaussInt(re, im)
 
 
-class MubBasis:
+class MubBasis(Value):
     """State s carries, for generator j of ``source.basis()``, the principal
     eigenvalue negated when bit j of s is set; state 0 is the ray state."""
 
@@ -92,21 +83,6 @@ class MubBasis:
         self.states = states
         self.operator_words = operator_words
         self.class_of_state = class_of_state
-
-    def _key(self) -> tuple:
-        return (
-            self.source,
-            self.expansion_basis,
-            self.states,
-            self.operator_words,
-            self.class_of_state,
-        )
-
-    def __eq__(self, other: object) -> bool:
-        return other.__class__ is MubBasis and self._key() == other._key()
-
-    def __hash__(self) -> int:
-        return hash(self._key())
 
     @property
     def d(self) -> int:
@@ -248,21 +224,12 @@ def apply_correspondence(basis: MubBasis, ss: Supersquare) -> MubBasis:
     return MubBasis(basis.source, basis.expansion_basis, basis.states, basis.operator_words, cmap)
 
 
-class MubSet:
+class MubSet(Value):
     __slots__ = ("bases", "source_set")
 
     def __init__(self, bases: tuple[MubBasis, ...], source_set: CompleteSet) -> None:
         self.bases = bases
         self.source_set = source_set
-
-    def __eq__(self, other: object) -> bool:
-        return (
-            other.__class__ is MubSet
-            and (self.bases, self.source_set) == (other.bases, other.source_set)
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.bases, self.source_set))
 
     @property
     def d(self) -> int:
@@ -540,19 +507,13 @@ def classify_basis(basis: MubBasis) -> Separability:
     return kind
 
 
-class EntanglementStructure:
+class EntanglementStructure(Value):
     __slots__ = ("n_f", "n_b", "n_ns")
 
     def __init__(self, n_f: int, n_b: int, n_ns: int) -> None:
         self.n_f = n_f
         self.n_b = n_b
         self.n_ns = n_ns
-
-    def __eq__(self, other: object) -> bool:
-        return other.__class__ is EntanglementStructure and self.astuple() == other.astuple()
-
-    def __hash__(self) -> int:
-        return hash(self.astuple())
 
     @classmethod
     def count(cls, kinds: Sequence[Separability]) -> "EntanglementStructure":

@@ -21,7 +21,7 @@ from __future__ import annotations
 from functools import cache
 from typing import Iterable, NamedTuple
 
-from .gf2n import FieldBasis, dual_basis
+from .gf2n import FieldBasis, Value, dual_basis
 
 
 class GaussInt(NamedTuple):
@@ -72,7 +72,7 @@ UNITS = (ONE, I_UNIT, -ONE, -I_UNIT)
 _LETTER_BY_BITS = {(0, 0): "I", (1, 0): "X", (0, 1): "Z", (1, 1): "Y"}
 
 
-class PauliWord:
+class PauliWord(Value):
     """Per-qubit letters of the Hermitian (phase-free) operator name."""
 
     __slots__ = ("letters",)
@@ -82,12 +82,6 @@ class PauliWord:
         if any(c not in {"I", "X", "Y", "Z"} for c in letters):
             raise ValueError(f"invalid letters {letters!r}")
         self.letters = letters
-
-    def __eq__(self, other: object) -> bool:
-        return other.__class__ is PauliWord and self.letters == other.letters
-
-    def __hash__(self) -> int:
-        return hash((self.letters,))
 
     @classmethod
     def from_masks(cls, x: int, z: int, n: int) -> "PauliWord":

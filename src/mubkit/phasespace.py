@@ -16,12 +16,13 @@ from __future__ import annotations
 
 from functools import cache
 from itertools import combinations
+from operator import attrgetter
 from typing import Iterable, Iterator
 
-from .gf2n import Field, FieldElement, _independent
+from .gf2n import Field, FieldElement, Value, _independent
 
 
-class Point:
+class Point(Value):
     __slots__ = ("x", "y")
 
     def __init__(self, x: FieldElement, y: FieldElement) -> None:
@@ -29,12 +30,6 @@ class Point:
             raise ValueError("point coordinates must share one field")
         self.x = x
         self.y = y
-
-    def __eq__(self, other: object) -> bool:
-        return other.__class__ is Point and (self.x, self.y) == (other.x, other.y)
-
-    def __hash__(self) -> int:
-        return hash((self.x, self.y))
 
     @property
     def field(self) -> Field:
@@ -88,11 +83,12 @@ def trace_zero_subgroup(field: Field) -> frozenset[FieldElement]:
     return frozenset(a for a in field.elements() if field._trace[a.mask] == 0)
 
 
-class Subgroup:
+class Subgroup(Value):
     """An additively closed subset of F_d x F_d containing the origin, held
     as packed point masks in canonical point order."""
 
     __slots__ = ("field", "_masks", "_set")
+    _key = attrgetter("field", "_masks")  # _set is derived from _masks
 
     def __init__(self, points: Iterable[Point]) -> None:
         pts = list(points)
@@ -181,16 +177,6 @@ class Subgroup:
     def sort_key(self) -> tuple[tuple[int, int], ...]:
         lo, n = self.field.order - 1, self.field.n
         return tuple((m & lo, m >> n) for m in self._masks)
-
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, Subgroup)
-            and self.field == other.field
-            and self._masks == other._masks
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.field, self._masks))
 
     def __repr__(self) -> str:
         return "{" + ", ".join(str(p) for p in self.points) + "}"

@@ -32,10 +32,10 @@ import random
 import time
 from functools import cached_property, partial, reduce
 from itertools import combinations
-from operator import itemgetter, or_
+from operator import attrgetter, itemgetter, or_
 from typing import Iterable, Sequence
 
-from .gf2n import Field
+from .gf2n import Field, Value
 from .phasespace import (
     Point,
     Subgroup,
@@ -47,7 +47,7 @@ from .phasespace import (
 )
 
 
-class Square:
+class Square(Value):
     """A partition of F_d x F_d into d classes of d points each, held as
     the label of every packed point mask."""
 
@@ -110,37 +110,22 @@ class Square:
         pairs = set(zip(self._labels, other._labels))
         return self.field == other.field and len(pairs) == self.d and (1, 1) in pairs
 
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, Square)
-            and self.field == other.field
-            and self._labels == other._labels
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.field, self._labels))
-
     def __repr__(self) -> str:
         return f"Square(d={self.d})"
 
 
-class Supersquare:
+class Supersquare(Value):
     """The quotient by ``generator``; its square and coset representatives
     are derived from the generator on first use."""
 
     __slots__ = ("generator", "__dict__")  # the cached properties live in __dict__
+    _key = attrgetter("generator")  # not the cache in __dict__
 
     def __init__(self, generator: Subgroup) -> None:
         d = generator.field.order
         if generator.order != d:
             raise ValueError(f"generating subgroup must have {d} elements")
         self.generator = generator
-
-    def __eq__(self, other: object) -> bool:
-        return other.__class__ is Supersquare and self.generator == other.generator
-
-    def __hash__(self) -> int:
-        return hash((self.generator,))
 
     @property
     def field(self) -> Field:
@@ -238,7 +223,7 @@ def render_ascii(square: Square) -> str:
     return "\n".join(lines)
 
 
-class CompleteSet:
+class CompleteSet(Value):
     __slots__ = ("set_type", "v1", "v2", "supersquares")
 
     def __init__(
@@ -252,15 +237,6 @@ class CompleteSet:
         self.v1 = v1
         self.v2 = v2
         self.supersquares = supersquares
-
-    def _key(self) -> tuple:
-        return (self.set_type, self.v1, self.v2, self.supersquares)
-
-    def __eq__(self, other: object) -> bool:
-        return other.__class__ is CompleteSet and self._key() == other._key()
-
-    def __hash__(self) -> int:
-        return hash(self._key())
 
     @property
     def field(self) -> Field:
@@ -430,7 +406,7 @@ def type_IV_set_d8(v1: Point, v2: Point) -> CompleteSet:
     return _d8_set("IV", v1, v2)
 
 
-class SquareReport:
+class SquareReport(Value):
     """The single-square checks; ``generator`` is the origin class as a
     subgroup, or None when it is not one."""
 
@@ -458,22 +434,6 @@ class SquareReport:
         self.supersquare = supersquare
         self.physical_striation = physical_striation
         self.failures = failures
-
-    def _key(self) -> tuple:
-        return (
-            self.generator,
-            self.class1_subgroup,
-            self.class1_extraordinary,
-            self.supersquare,
-            self.physical_striation,
-            self.failures,
-        )
-
-    def __eq__(self, other: object) -> bool:
-        return other.__class__ is SquareReport and self._key() == other._key()
-
-    def __hash__(self) -> int:
-        return hash(self._key())
 
     def checks(self) -> dict[str, bool]:
         return {
@@ -518,7 +478,7 @@ def verify_square(square: Square) -> SquareReport:
     )
 
 
-class CompleteSetReport:
+class CompleteSetReport(Value):
     __slots__ = (
         "cardinality",
         "extraordinary_supersquares",
@@ -543,22 +503,6 @@ class CompleteSetReport:
         self.trivial_intersections = trivial_intersections
         self.striations = striations
         self.failures = failures
-
-    def _key(self) -> tuple:
-        return (
-            self.cardinality,
-            self.extraordinary_supersquares,
-            self.orthogonality,
-            self.trivial_intersections,
-            self.striations,
-            self.failures,
-        )
-
-    def __eq__(self, other: object) -> bool:
-        return other.__class__ is CompleteSetReport and self._key() == other._key()
-
-    def __hash__(self) -> int:
-        return hash(self._key())
 
     @property
     def passed(self) -> bool:
@@ -658,21 +602,12 @@ def perturb_supersquare(ss: Supersquare, seed: int) -> Square:
 # ---------------------------------------------------------------------------
 
 
-class SearchResult:
+class SearchResult(Value):
     __slots__ = ("sets", "exhaustive")
 
     def __init__(self, sets: tuple[CompleteSet, ...], exhaustive: bool) -> None:
         self.sets = sets
         self.exhaustive = exhaustive
-
-    def __eq__(self, other: object) -> bool:
-        return (
-            other.__class__ is SearchResult
-            and (self.sets, self.exhaustive) == (other.sets, other.exhaustive)
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.sets, self.exhaustive))
 
     def census(self) -> dict[str, int]:
         counts: dict[str, int] = {}

@@ -18,6 +18,7 @@ from mubkit import (
     Point,
     SearchResult,
     Separability,
+    Square,
     SquareReport,
     Subgroup,
     Supersquare,
@@ -161,3 +162,57 @@ def test_supersquare_caches_on_the_instance(d4_type_ii_set):
     assert ss.square is ss.square
     assert ss.coset_reps is ss.coset_reps
     assert set(vars(ss)) == {"square", "coset_reps", "_cosets"}
+
+
+def test_field_element_rejects_a_mask_outside_the_field(f4):
+    for mask in (-1, 4, 7, 1.0, True, "1"):
+        assert message(lambda: FieldElement(f4, mask)) == (
+            f"mask {mask} out of range for GF(2^2)"
+        )
+    with pytest.raises(ValueError) as info:
+        f4.element(7)
+    assert message(lambda: FieldElement(f4, 7)) == str(info.value)
+    assert FieldElement(f4, 3) == f4.element(3)
+
+
+def test_the_value_base_covers_the_value_types(cases):
+    from mubkit.gf2n import Value
+
+    assert set(Value.__subclasses__()) == set(cases) | {Square, Subgroup}
+
+
+class _Probe:
+    """Records the attributes that a key reads."""
+
+    def __init__(self):
+        self.read = []
+
+    def __getattr__(self, name):
+        self.read.append(name)
+        return name
+
+
+def test_each_key_reads_every_slot_but_derived_ones():
+    from mubkit.gf2n import Value
+
+    derived = {Subgroup: {"_set"}, Supersquare: {"__dict__"}}
+    for cls in Value.__subclasses__():
+        probe = _Probe()
+        cls._key(probe)
+        want = [s for s in cls.__slots__ if s not in derived.get(cls, ())]
+        assert probe.read == want, cls
+
+
+def test_square_and_subgroup_compare_by_field_and_data(f4, f8, d4_type_ii_set):
+    sq = d4_type_ii_set.squares[0]
+    g = d4_type_ii_set.generators[0]
+    same_sq, same_g = Square(f4, sq.classes), Subgroup.from_masks(f4, g.masks())
+    assert same_sq == sq and hash(same_sq) == hash(sq)
+    assert same_g == g and hash(same_g) == hash(g)
+    # other labels, other masks, another field
+    assert d4_type_ii_set.squares[1] != sq
+    assert d4_type_ii_set.generators[1] != g
+    assert Square._from_labels(f8, sq._labels) != sq
+    assert Subgroup.from_masks(f8, g.masks()) != g
+    # neither is its own key
+    assert sq != (sq.field, sq._labels) and g != (g.field, g.masks())
