@@ -133,12 +133,29 @@ class Subgroup(Value):
 
     @classmethod
     def from_masks(cls, field: Field, masks: Iterable[int]) -> "Subgroup":
-        ms = set(masks)
-        bad = next((m for m in ms if not 0 <= m < field.order * field.order), None)
-        if bad is not None:
-            raise ValueError(f"packed point mask {bad} out of range")
+        ms = set()
+        for m in masks:
+            if m.__class__ is not int or not 0 <= m < field.order * field.order:
+                raise ValueError(f"packed point mask {m} out of range")
+            ms.add(m)
         g = cls.__new__(cls)
         g._setup(field, ms)
+        return g
+
+    @classmethod
+    def _walked(cls, field: Field, masks: Iterable[int]) -> "Subgroup":
+        """The span of n isotropic rows, as iter_lagrangian_masks gives it,
+        unvalidated but for its d distinct points: closed under XOR by
+        construction, such a span has them exactly when its rows are
+        independent."""
+        ms = tuple(sorted(masks, key=_point_rank(field).__getitem__))
+        mset = frozenset(ms)
+        if len(mset) != field.order:
+            raise ValueError(f"walked span has {len(mset)} points, expected {field.order}")
+        g = cls.__new__(cls)
+        g.field = field
+        g._masks = ms
+        g._set = mset
         return g
 
     def masks(self) -> tuple[int, ...]:
@@ -209,36 +226,63 @@ def is_extraordinary(g: Subgroup) -> bool:
     )
 
 
+def _isotropic_rows(p: int, free: int, chosen: list[int], polars: tuple[int, ...]) -> list[int]:
+    """The rows 1 << p | x, x a subset of the bits of free, on which the form
+    vanishes against every chosen row, in ascending order.
+
+    Each chosen q asks parity(polars[q] & row) == 0: one linear equation in
+    the free bits, with bit p of polars[q] as its constant.  The equations
+    are reduced on the lowest free bit of each (none left means no row when
+    the constant is 1); the other free bits are set at will and each fixes
+    the reduced bits below it, so counting over them counts upwards."""
+    eqs: list[tuple[int, int]] = []  # (pivot bit, equation), fully reduced
+    for q in chosen:
+        e = polars[q] & (free | 1 << p)
+        for bit, a in eqs:
+            if e & bit:
+                e ^= a
+        if not e & free:
+            if e:
+                return []
+            continue
+        low = e & free & -(e & free)
+        eqs = [(bit, a ^ e if a & low else a) for bit, a in eqs]
+        eqs.append((low, e))
+    rows = [1 << p | sum(bit for bit, a in eqs if a >> p & 1)]
+    rest = free & ~sum(bit for bit, _ in eqs)
+    while rest:
+        f = rest & -rest
+        step = f | sum(bit for bit, a in eqs if a & f)
+        rows += [r ^ step for r in rows]
+        rest ^= f
+    return rows
+
+
 def iter_lagrangian_masks(field: Field) -> Iterator[tuple[int, ...]]:
     """Sorted point masks of every extraordinary order-d subgroup, i.e.
     every Lagrangian subspace of F_2^2n under the form tr(det).
 
     Each n-dimensional subspace has one reduced-row-echelon basis: row i
     has its lowest bit at pivot i and zeros at the other pivots.  The rows
-    are chosen one at a time, fewest candidates first, and a row is kept
-    only if the form vanishes against every row already chosen; the form
-    being bilinear and alternating, that makes the whole span isotropic."""
+    are chosen one at a time, highest pivot first, each from the solutions
+    of the form vanishing against every row already chosen
+    (_isotropic_rows); the form being bilinear and alternating, that makes
+    the whole span isotropic."""
     n = field.n
     m = 2 * n
     polars = _polars(field)
     for pivots in combinations(range(m), n):
-        taken = set(pivots)
-        choices = []
-        for p in reversed(pivots):
-            rows = [1 << p]
-            for j in range(p + 1, m):
-                if j not in taken:
-                    rows += [r | 1 << j for r in rows]
-            choices.append(rows)
+        taken = sum(1 << p for p in pivots)
+        order = pivots[::-1]
+        frees = [((1 << m) - (2 << p)) & ~taken for p in order]
         found: list[tuple[int, ...]] = []
 
         def extend(i: int, points: list[int], chosen: list[int]) -> None:
             if i == n:
                 found.append(tuple(sorted(points)))
                 return
-            for r in choices[i]:
-                if not any((polars[q] & r).bit_count() & 1 for q in chosen):
-                    extend(i + 1, points + [p ^ r for p in points], chosen + [r])
+            for r in _isotropic_rows(order[i], frees[i], chosen, polars):
+                extend(i + 1, points + [p ^ r for p in points], chosen + [r])
 
         extend(0, [0], [])
         yield from found
@@ -246,7 +290,7 @@ def iter_lagrangian_masks(field: Field) -> Iterator[tuple[int, ...]]:
 
 def enumerate_extraordinary_subgroups(field: Field) -> list[Subgroup]:
     """The order-d subgroups on which tr(det) vanishes, canonically sorted."""
-    out = [Subgroup.from_masks(field, masks) for masks in iter_lagrangian_masks(field)]
+    out = [Subgroup._walked(field, masks) for masks in iter_lagrangian_masks(field)]
     rank = _point_rank(field).__getitem__  # orders points as sort_key does
-    out.sort(key=lambda s: tuple(map(rank, s.masks())))
+    out.sort(key=lambda s: tuple(map(rank, s._masks)))
     return out

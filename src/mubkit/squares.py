@@ -802,7 +802,7 @@ def search_complete_sets(field: Field, time_budget: float | None = None) -> Sear
     for chosen in solutions:
         for i in chosen:
             if i not in built:
-                ss = supersquare_from_subgroup(Subgroup.from_masks(field, blocks[i]))
+                ss = supersquare_from_subgroup(Subgroup._walked(field, blocks[i]))
                 built[i] = (ss.generator.sort_key, ss)
         members = sorted((built[i] for i in chosen), key=lambda item: item[0])
         set_type, v1, v2 = templates.get(

@@ -4,6 +4,9 @@ against.
 The subspace scan walks every n-dimensional subspace of F_2^2n and keeps
 those on which the trace of the determinant vanishes for every pair of
 points; the library grows the same subgroups one isotropic row at a time.
+The candidate-filter walk grows them in the library's order, trying every
+row with a given pivot and keeping those isotropic to the rows before it;
+the library solves for those rows.
 At d = 8 the closed forms of the paper give the same subgroups again.
 The square verifier checks closure, cosets and striations in Point
 arithmetic; the library reads them off a label-by-mask table.  The dense
@@ -59,7 +62,7 @@ from mubkit.mub import (
     _class_map_fault,
     separability,
 )
-from mubkit.phasespace import Point, point_table
+from mubkit.phasespace import Point, _polars, point_table
 from mubkit.squares import CompleteSetReport, SquareReport, are_orthogonal
 
 
@@ -504,6 +507,39 @@ def enumerate_subgroups(field, order=None):
 def scanned_lagrangians(field):
     """The scan's extraordinary subgroups, as point-mask tuples."""
     return [m for m in iter_subgroup_masks(field) if is_extraordinary_masks(field, m)]
+
+
+def filtered_lagrangians(field):
+    """The isotropic walk by candidate filtering, in the library's order:
+    sorted point masks of each Lagrangian, grown one reduced-row-echelon
+    row at a time, highest pivot first, trying every row with that pivot
+    and zeros at the other pivots and keeping those on which the form
+    vanishes against every row already chosen (the library solves for
+    those rows instead)."""
+    n = field.n
+    m = 2 * n
+    polars = _polars(field)
+    for pivots in combinations(range(m), n):
+        taken = set(pivots)
+        choices = []
+        for p in reversed(pivots):
+            rows = [1 << p]
+            for j in range(p + 1, m):
+                if j not in taken:
+                    rows += [r | 1 << j for r in rows]
+            choices.append(rows)
+        found = []
+
+        def extend(i, points, chosen):
+            if i == n:
+                found.append(tuple(sorted(points)))
+                return
+            for r in choices[i]:
+                if not any((polars[q] & r).bit_count() & 1 for q in chosen):
+                    extend(i + 1, points + [p ^ r for p in points], chosen + [r])
+
+        extend(0, [0], [])
+        yield from found
 
 
 def extraordinary_subgroups_from_forms(field):

@@ -227,7 +227,47 @@ def test_isotropic_walk_equals_the_scan(n):
     assert set(walked) == set(oracles.scanned_lagrangians(field))
 
 
-@pytest.mark.parametrize("n, count", [(2, 15), (3, 135), (4, 2295)])
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_solved_walk_equals_the_candidate_filter(n):
+    """The rows solved from the perp are the rows the filter keeps, in the
+    same order, so the walk yields the same tuples in the same order."""
+    field = Field(n)
+    assert list(iter_lagrangian_masks(field)) == list(oracles.filtered_lagrangians(field))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_walked_subgroups_equal_validated_ones(n):
+    """Subgroups built from walked masks without validation are the ones
+    from_masks validates and orders, and the enumeration sorts them as
+    sort_key does."""
+    field = Field(n)
+    walked = list(iter_lagrangian_masks(field))
+    want = [Subgroup.from_masks(field, masks) for masks in walked]
+    for masks, w in zip(walked, want):
+        got = Subgroup._walked(field, masks)
+        assert got == w and hash(got) == hash(w)
+        assert got.masks() == w.masks() and got._set == w._set
+    assert enumerate_extraordinary_subgroups(field) == sorted(want, key=lambda s: s.sort_key)
+
+
+def test_walked_span_must_have_d_points(f8):
+    masks = next(iter_lagrangian_masks(f8))
+    outside = next(m for m in range(64) if m not in masks)
+    for bad in (masks[:4] * 2, masks[:7], masks + (outside,)):
+        with pytest.raises(ValueError, match="walked span has"):
+            Subgroup._walked(f8, bad)
+
+
+def test_from_masks_rejects_masks_that_are_not_ints(f4):
+    masks = list(line(refdata.parse_point(f4, ("1", "0"))).masks())
+    for bad in (1.0, 3.0, True, "1", None, -1, 16):
+        with pytest.raises(ValueError) as info:
+            Subgroup.from_masks(f4, masks[:2] + [bad] + masks[3:])
+        assert str(info.value) == f"packed point mask {bad} out of range"
+    assert Subgroup.from_masks(f4, masks).masks() == tuple(masks)
+
+
+@pytest.mark.parametrize("n, count", [(2, 15), (3, 135), (4, 2295), (5, 75735)])
 def test_lagrangian_count_certificate(n, count):
     """The number of Lagrangian subspaces of F_2^2n is prod (2^i + 1)."""
     assert prod(2**i + 1 for i in range(1, n + 1)) == count
