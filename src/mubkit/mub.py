@@ -93,15 +93,14 @@ class MubBasis(Value):
         return self.states[0]
 
 
-def _cosets(ss: Supersquare) -> tuple[list[int], tuple[int, ...], list[int]]:
-    """The basis of ss's generating subgroup (greedy independent masks), the
-    coset representatives ss caches in label order, and the flip signature
+def _cosets(ss: Supersquare) -> tuple[tuple[int, ...], tuple[int, ...], list[int]]:
+    """The canonical basis of ss's generating subgroup, the coset
+    representatives ss caches in label order, and the flip signature
     of every class, 0 for class 1.  Bit j of a signature is set iff T_rep
     anticommutes with the translation of generator j, which is where the
     symplectic form of the two points is 1: the parity of polar & rep."""
     polars = _polars(ss.field)
-    gens = _independent(ss.generator.masks())
-    reps = ss._cosets[1]
+    gens, reps = ss.generator._basis, ss._reps
     slots = [0] + [
         sum(((polars[g] & rep).bit_count() & 1) << j for j, g in enumerate(gens))
         for rep in reps
@@ -176,7 +175,10 @@ def common_eigenbasis(a1: Subgroup, expansion_basis: FieldBasis) -> MubBasis:
     build_mub_set's certificate checks states against the generators."""
     from .squares import Supersquare
 
-    return _eigenbasis(Supersquare(a1), expansion_basis)[0]
+    ss = Supersquare(a1)
+    if not is_extraordinary(a1):
+        raise ValueError("subgroup is not extraordinary: operators do not commute")
+    return _eigenbasis(ss, expansion_basis)[0]
 
 
 def _eigenbasis(
@@ -185,12 +187,10 @@ def _eigenbasis(
     """common_eigenbasis of ss's generator, with apply_correspondence's
     class map if correspond; then its states as the planes they were
     unpacked from, and the (x, z) masks of its generator translations.
-    The d flip signatures are distinct: the generator A is Lagrangian, so
-    the map r -> (omega(g_j, r))_j has kernel A^perp = A."""
+    The caller checks that the generator A is Lagrangian, so the d flip
+    signatures are distinct: r -> (omega(g_j, r))_j has kernel A^perp = A."""
     a1 = ss.generator
     d, n = a1.field.order, a1.field.n
-    if not is_extraordinary(a1):
-        raise ValueError("subgroup is not extraordinary: operators do not commute")
     table = translation_table(expansion_basis)
     gens, reps, slots = _cosets(ss)
     ops = [table[g] for g in gens]

@@ -6,7 +6,7 @@ those on which the determinant form det((x1,y1),(x2,y2)) = x1*y2 + x2*y1
 has zero trace for every pair of elements -- are exactly the rays whose
 translation operators pairwise commute.
 
-Subgroups hold points packed into integer masks (x bits low, y bits
+Subgroups hold a basis packed into integer point masks (x bits low, y bits
 high); Point objects are built from one table per field.  The trace of the
 determinant form is a symplectic form on F_2^2n, so the extraordinary
 subgroups are its Lagrangian subspaces, enumerated by isotropic extension.
@@ -16,7 +16,6 @@ from __future__ import annotations
 
 from functools import cache
 from itertools import combinations
-from operator import attrgetter
 from typing import Iterable, Iterator
 
 from .gf2n import Field, FieldElement, Value, _independent
@@ -83,12 +82,21 @@ def trace_zero_subgroup(field: Field) -> frozenset[FieldElement]:
     return frozenset(a for a in field.elements() if field._trace[a.mask] == 0)
 
 
+def _span(basis: Iterable[int]) -> list[int]:
+    """The XOR doubling: entry k is the XOR of basis[j] over the bits j of k."""
+    out = [0]
+    for b in basis:
+        out += [m ^ b for m in out]
+    return out
+
+
 class Subgroup(Value):
     """An additively closed subset of F_d x F_d containing the origin, held
-    as packed point masks in canonical point order."""
+    as its canonical basis: the packed masks of its points at positions 1,
+    2, 4, ... in canonical order.  In (x, y) rank coordinates these are its
+    reduced echelon rows, so their _span lists the points in that order."""
 
-    __slots__ = ("field", "_masks", "_set")
-    _key = attrgetter("field", "_masks")  # _set is derived from _masks
+    __slots__ = ("field", "_basis")
 
     def __init__(self, points: Iterable[Point]) -> None:
         pts = list(points)
@@ -100,23 +108,19 @@ class Subgroup(Value):
         self._setup(field, {point_to_mask(p) for p in pts})
 
     def _setup(self, field: Field, masks: set[int]) -> None:
-        rank = _point_rank(field)
-        ms = sorted(masks, key=rank.__getitem__)
+        ms = sorted(masks, key=_point_rank(field).__getitem__)
         if not ms:
             raise ValueError("subgroup cannot be empty")
         if ms[0] != 0:
             raise ValueError("subgroup must contain the origin")
         if len(ms) & (len(ms) - 1):
             raise ValueError(f"subgroup cardinality {len(ms)} is not a power of 2")
-        mset = frozenset(ms)
-        # 2^k points span 2^k points exactly when they are closed
-        if 1 << len(_independent(ms)) != len(ms):
+        basis = tuple([ms[1 << j] for j in range(len(ms).bit_length() - 1)])
+        if _span(basis) != ms:  # 2^k points are closed iff they span themselves
             table = point_table(field)
-            g, h = next((g, h) for g in ms for h in ms if g ^ h not in mset)
+            g, h = next((g, h) for g in ms for h in ms if g ^ h not in masks)
             raise ValueError(f"set is not closed under addition: {table[g]} + {table[h]}")
-        self.field = field
-        self._masks = tuple(ms)
-        self._set = mset
+        self.field, self._basis = field, basis
 
     @classmethod
     def span(cls, generators: Iterable[Point]) -> "Subgroup":
@@ -126,10 +130,7 @@ class Subgroup(Value):
         field = gens[0].field
         if any(g.field != field for g in gens):
             raise ValueError("subgroup points must share one field")
-        closure = {0}
-        for m in map(point_to_mask, gens):
-            closure |= {p ^ m for p in closure}
-        return cls.from_masks(field, closure)
+        return cls.from_masks(field, _span(_independent(map(point_to_mask, gens))))
 
     @classmethod
     def from_masks(cls, field: Field, masks: Iterable[int]) -> "Subgroup":
@@ -145,58 +146,64 @@ class Subgroup(Value):
     @classmethod
     def _walked(cls, field: Field, masks: Iterable[int]) -> "Subgroup":
         """The span of n isotropic rows, as iter_lagrangian_masks gives it,
-        unvalidated but for its d distinct points: closed under XOR by
-        construction, such a span has them exactly when its rows are
-        independent."""
-        ms = tuple(sorted(masks, key=_point_rank(field).__getitem__))
-        mset = frozenset(ms)
-        if len(mset) != field.order:
-            raise ValueError(f"walked span has {len(mset)} points, expected {field.order}")
-        g = cls.__new__(cls)
-        g.field = field
-        g._masks = ms
-        g._set = mset
+        checked only to be the d points its canonical basis spans, which
+        it is when its rows are independent."""
+        ms = sorted(masks, key=_point_rank(field).__getitem__)
+        g, k = cls.__new__(cls), len(set(ms))
+        g.field, g._basis = field, tuple([ms[1 << j] for j in range(field.n) if 1 << j < len(ms)])
+        if k != field.order or _span(g._basis) != ms:
+            raise ValueError(f"walked span has {k} points, expected a span of {field.order}")
         return g
 
     def masks(self) -> tuple[int, ...]:
-        return self._masks
+        return tuple(_span(self._basis))
 
     @property
     def points(self) -> tuple[Point, ...]:
         table = point_table(self.field)
-        return tuple(table[m] for m in self._masks)
+        return tuple(table[m] for m in _span(self._basis))
 
     @property
     def order(self) -> int:
-        return len(self._masks)
+        return 1 << len(self._basis)
 
     def nonzero_points(self) -> tuple[Point, ...]:
         return self.points[1:]
 
     def basis(self) -> tuple[Point, ...]:
-        """Greedy F_2-independent generators, in canonical point order."""
+        """The greedy F_2-independent points in canonical order."""
         table = point_table(self.field)
-        return tuple(table[m] for m in _independent(self._masks))
+        return tuple(table[m] for m in self._basis)
 
     def intersects_trivially(self, other: "Subgroup") -> bool:
-        return len(self._set & other._set) == 1
+        if self.field != other.field:
+            raise ValueError("subgroups must share one field")
+        return len(_independent(self._basis + other._basis)) == len(self._basis + other._basis)
 
     def __contains__(self, p: Point) -> bool:
-        return p.field == self.field and point_to_mask(p) in self._set
+        return p.field == self.field and point_to_mask(p) in self.masks()
 
     def __iter__(self) -> Iterator[Point]:
         return iter(self.points)
 
     def __len__(self) -> int:
-        return len(self._masks)
+        return self.order
 
     @property
     def sort_key(self) -> tuple[tuple[int, int], ...]:
         lo, n = self.field.order - 1, self.field.n
-        return tuple((m & lo, m >> n) for m in self._masks)
+        return tuple((m & lo, m >> n) for m in _span(self._basis))
 
     def __repr__(self) -> str:
         return "{" + ", ".join(str(p) for p in self.points) + "}"
+
+
+def _coset_reps(g: Subgroup) -> tuple[int, ...]:
+    """The minimal representatives of the nonzero cosets, ascending: each
+    coset's point reduced by g's basis, zero at the rank bits that lead it."""
+    rank = _point_rank(g.field)  # swapping the x and y halves, it is its own inverse
+    pivots = sum(1 << rank[b].bit_length() - 1 for b in g._basis)
+    return tuple(_span(rank[1 << k] for k in range(2 * g.field.n) if not pivots >> k & 1))[1:]
 
 
 @cache
@@ -219,8 +226,7 @@ def _polars(field: Field) -> tuple[int, ...]:
 def is_extraordinary(g: Subgroup) -> bool:
     """True iff det(g1, g2) has trace zero for every pair of elements.  The
     trace of det is a bilinear form, so the pairs of a basis decide it."""
-    polars = _polars(g.field)
-    basis = _independent(g.masks())
+    polars, basis = _polars(g.field), g._basis
     return not any(
         (polars[p] & q).bit_count() & 1 for i, p in enumerate(basis) for q in basis[i + 1 :]
     )
@@ -291,6 +297,8 @@ def iter_lagrangian_masks(field: Field) -> Iterator[tuple[int, ...]]:
 def enumerate_extraordinary_subgroups(field: Field) -> list[Subgroup]:
     """The order-d subgroups on which tr(det) vanishes, canonically sorted."""
     out = [Subgroup._walked(field, masks) for masks in iter_lagrangian_masks(field)]
-    rank = _point_rank(field).__getitem__  # orders points as sort_key does
-    out.sort(key=lambda s: tuple(map(rank, s._masks)))
+    # the points up to position 2^j are the span of the first j basis masks,
+    # so two subgroups' point ranks first differ where their basis ranks do
+    rank = _point_rank(field).__getitem__
+    out.sort(key=lambda s: tuple(map(rank, s._basis)))
     return out

@@ -39,6 +39,7 @@ from .gf2n import Field, Value
 from .phasespace import (
     Point,
     Subgroup,
+    _coset_reps,
     det,
     is_extraordinary,
     iter_lagrangian_masks,
@@ -136,31 +137,21 @@ class Supersquare(Value):
         return self.generator.field.order
 
     @cached_property
-    def _cosets(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        return _quotient(self.generator)
+    def _reps(self) -> tuple[int, ...]:
+        return _coset_reps(self.generator)
 
     @cached_property
     def square(self) -> Square:
-        return Square._from_labels(self.field, self._cosets[0])
+        labels = [0] * (self.d * self.d)
+        masks = self.generator.masks()
+        for label, rep in enumerate((0, *self._reps), start=1):
+            for g in masks:
+                labels[rep ^ g] = label
+        return Square._from_labels(self.field, labels)
 
     @cached_property
     def coset_reps(self) -> tuple[Point, ...]:
-        return tuple(map(point_table(self.field).__getitem__, self._cosets[1]))
-
-
-def _quotient(a1: Subgroup) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """The label of every packed point and the coset representatives of
-    the quotient of the plane by an order-d subgroup a1: class 1 is a1, and
-    the cosets get labels 2..d in order of their minimal representatives."""
-    d, n = a1.field.order, a1.field.n
-    labels = [0] * (d * d)
-    reps: list[int] = []
-    for pm in (x | y << n for x in range(d) for y in range(d)):  # canonical order
-        if not labels[pm]:
-            reps.append(pm)
-            for g in a1.masks():
-                labels[pm ^ g] = len(reps)
-    return tuple(labels), tuple(reps[1:])
+        return tuple(map(point_table(self.field).__getitem__, self._reps))
 
 
 def supersquare_from_subgroup(a1: Subgroup) -> Supersquare:
@@ -588,10 +579,10 @@ def perturb_supersquare(ss: Supersquare, seed: int) -> Square:
     if d < 4:
         raise ValueError("perturbation needs at least two non-generator classes")
     j, k = rng.sample(range(1, d), 2)
-    n, labels = ss.field.n, list(ss.square._labels)
-    canonical = [x | y << n for x in range(d) for y in range(d)]
-    p = rng.choice([m for m in canonical if labels[m] == j + 1])
-    q = rng.choice([m for m in canonical if labels[m] == k + 1])
+    labels, masks = list(ss.square._labels), ss.generator.masks()
+    # label c + 1 in canonical order: _reps[c - 1] plus each point of the generator
+    p = rng.choice([ss._reps[j - 1] ^ g for g in masks])
+    q = rng.choice([ss._reps[k - 1] ^ g for g in masks])
     labels[p], labels[q] = k + 1, j + 1
     return Square._from_labels(ss.field, labels)
 

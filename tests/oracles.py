@@ -9,7 +9,11 @@ row with a given pivot and keeping those isotropic to the rows before it;
 the library solves for those rows.
 At d = 8 the closed forms of the paper give the same subgroups again.
 The square verifier checks closure, cosets and striations in Point
-arithmetic; the library reads them off a label-by-mask table.  The dense
+arithmetic; the library reads them off a label-by-mask table.  A
+subgroup's basis is the greedy independent masks in canonical order and
+its quotient a scan of the plane that labels each unlabelled point's
+coset (the library keeps the points 1, 2, 4, ... of a subgroup and
+doubles the unit points off their pivots for the cosets).  The dense
 Gaussian-integer matrices are the one dense oracle: translation operators
 as Kronecker products of Pauli factors, which the library applies as
 signed permutations, and the literal commutator and unit-multiple tests
@@ -476,6 +480,33 @@ def iter_subgroup_masks(field):
         for r in rows:
             pts += [p ^ r for p in pts]
         yield tuple(sorted(pts))
+
+
+def canonical_order(field, masks):
+    """Point masks sorted into canonical (x, y) point order."""
+    lo, n = field.order - 1, field.n
+    return sorted(masks, key=lambda m: (m & lo, m >> n))
+
+
+def greedy_basis(field, masks):
+    """The masks independent of those before them in canonical order."""
+    return _independent(canonical_order(field, masks))
+
+
+def quotient_by_scan(field, masks):
+    """The label of every packed point and the coset representatives of
+    the quotient of the plane by the order-d subgroup with these masks:
+    the plane is scanned in canonical order, and each point not yet
+    labelled starts the next class."""
+    d, n = field.order, field.n
+    labels = [0] * (d * d)
+    reps = []
+    for pm in (x | y << n for x in range(d) for y in range(d)):
+        if not labels[pm]:
+            reps.append(pm)
+            for g in masks:
+                labels[pm ^ g] = len(reps)
+    return tuple(labels), tuple(reps[1:])
 
 
 def is_extraordinary_masks(field, masks):

@@ -239,26 +239,45 @@ def test_build_mub_set_type_i(f4):
     assert len(mubs.bases) == 5
 
 
-def test_build_mub_set_takes_one_quotient_per_basis(f8, monkeypatch):
-    """The verifier, the eigenbases and the correspondence all read the
-    quotient each supersquare caches."""
-    from mubkit import mub, squares
+def test_build_mub_set_labels_no_plane(f8, monkeypatch):
+    """The eigenbases and the correspondence read each generator's basis
+    and coset representatives: a supersquare caches only those, and no
+    square is built."""
+    from mubkit import squares
 
     v1 = refdata.parse_point(f8, refdata.REF_D8_TYPE_II_V1)
     v2 = refdata.parse_point(f8, refdata.REF_D8_TYPE_II_V2)
     cset = type_II_set_d8(v1, v2)
     calls = []
-    real = squares._quotient
+    monkeypatch.setattr(squares.Square, "__init__", lambda *a: calls.append(a))
+    monkeypatch.setattr(squares.Square, "_from_labels", lambda *a: calls.append(a))
+    supersquares = tuple(squares.Supersquare(g) for g in cset.generators)
+    fresh = squares.CompleteSet(cset.set_type, cset.v1, cset.v2, supersquares)
+    build_mub_set(fresh)
+    assert calls == []
+    assert all(set(vars(ss)) == {"_reps"} for ss in supersquares)
 
-    def counting(a1):
-        calls.append(a1)
-        return real(a1)
 
-    for module in (squares, mub):  # every module that binds the name
-        if hasattr(module, "_quotient"):
-            monkeypatch.setattr(module, "_quotient", counting)
-    build_mub_set(cset)
-    assert calls == list(cset.generators)
+def test_build_mub_set_checks_each_generator_once(f8, monkeypatch):
+    """The set check runs is_extraordinary once per generator, and the
+    eigenbases trust it: d + 1 calls per build."""
+    from mubkit import mub, phasespace, squares
+
+    calls = []
+    real = phasespace.is_extraordinary
+
+    def counting(g):
+        calls.append(g)
+        return real(g)
+
+    for module in (phasespace, squares, mub):  # every module that binds the name
+        monkeypatch.setattr(module, "is_extraordinary", counting)
+    v1 = refdata.parse_point(f8, refdata.REF_D8_TYPE_II_V1)
+    v2 = refdata.parse_point(f8, refdata.REF_D8_TYPE_II_V2)
+    for cset in (type_II_set_d8(v1, v2), type_I_set(v1, v2)):
+        calls.clear()
+        build_mub_set(cset)
+        assert calls == list(cset.generators)
 
 
 def test_build_mub_set_derives_each_basis_generators_once(f8, monkeypatch):

@@ -13,7 +13,8 @@ from mubkit import (
     is_extraordinary,
     trace_zero_subgroup,
 )
-from mubkit.phasespace import iter_lagrangian_masks
+from mubkit.phasespace import iter_lagrangian_masks, point_table, point_to_mask
+from mubkit.squares import Supersquare
 
 import oracles
 import refdata
@@ -246,7 +247,7 @@ def test_walked_subgroups_equal_validated_ones(n):
     for masks, w in zip(walked, want):
         got = Subgroup._walked(field, masks)
         assert got == w and hash(got) == hash(w)
-        assert got.masks() == w.masks() and got._set == w._set
+        assert got.masks() == w.masks()
     assert enumerate_extraordinary_subgroups(field) == sorted(want, key=lambda s: s.sort_key)
 
 
@@ -283,3 +284,63 @@ def test_basis_form_test_equals_every_pair(f8):
     verdicts = [is_extraordinary(s) for s in subs]
     assert verdicts == [oracles.is_extraordinary_masks(f8, s.masks()) for s in subs]
     assert sum(verdicts) == 135
+
+
+def _subgroups_and_masks(n):
+    """(mask tuple, Subgroup) for every order-d subgroup at n = 2 and 3 and
+    every Lagrangian at n = 4, from the oracle's subspace scan."""
+    field = Field(n)
+    scan = oracles.iter_subgroup_masks(field)
+    if n == 4:
+        scan = (m for m in scan if oracles.is_extraordinary_masks(field, m))
+    return field, [(m, Subgroup.from_masks(field, m)) for m in scan]
+
+
+@pytest.mark.parametrize("n, count", [(2, 35), (3, 1395), (4, 2295)])
+def test_canonical_basis_and_cosets_match_the_oracles(n, count):
+    """The points doubled from the basis are the sorted points; the basis
+    is the greedy one; the representatives doubled off the pivots and the
+    square labelled from them are the plane scan's."""
+    field, subs = _subgroups_and_masks(n)
+    assert len(subs) == count
+    table = point_table(field)
+    for masks, g in subs:
+        assert g.masks() == tuple(oracles.canonical_order(field, masks))
+        assert [table[m] for m in oracles.greedy_basis(field, masks)] == list(g.basis())
+        assert Subgroup._walked(field, masks) == g
+        labels, reps = oracles.quotient_by_scan(field, masks)
+        ss = Supersquare(g)
+        assert ss.coset_reps == tuple(table[r] for r in reps)
+        assert ss.square._labels == labels
+
+
+def test_trivial_intersection_and_membership_match_point_sets(f8):
+    """intersects_trivially against the point sets of every pair at d = 8,
+    and membership of every point of the plane at d = 4."""
+    field, subs = _subgroups_and_masks(3)
+    sets = [frozenset(m) for m, _ in subs]
+    for i, (a, (_, g)) in enumerate(zip(sets, subs)):
+        for b, (_, h) in zip(sets[i:], subs[i:]):
+            assert g.intersects_trivially(h) == (len(a & b) == 1)
+    field, subs = _subgroups_and_masks(2)
+    for masks, g in subs:
+        assert [p in g for p in all_points(field)] == [
+            point_to_mask(p) in masks for p in all_points(field)
+        ]
+        assert zero_point(f8) not in g
+
+
+def test_intersects_trivially_rejects_mixed_fields(f4, f8):
+    g = line(refdata.parse_point(f4, ("1", "0")))
+    h = line(refdata.parse_point(f8, ("1", "0")))
+    for a, b in ((g, h), (h, g)):
+        with pytest.raises(ValueError, match="subgroups must share one field"):
+            a.intersects_trivially(b)
+
+
+def test_walked_span_must_be_closed(f8):
+    """d distinct points that are not a span fail the walked check too."""
+    masks = next(iter_lagrangian_masks(f8))
+    outside = next(m for m in range(64) if m not in masks)
+    with pytest.raises(ValueError, match="walked span has 8 points, expected a span of 8"):
+        Subgroup._walked(f8, masks[:7] + (outside,))

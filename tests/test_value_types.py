@@ -161,7 +161,7 @@ def test_supersquare_caches_on_the_instance(d4_type_ii_set):
     ss = Supersquare(d4_type_ii_set.generators[0])
     assert ss.square is ss.square
     assert ss.coset_reps is ss.coset_reps
-    assert set(vars(ss)) == {"square", "coset_reps", "_cosets"}
+    assert set(vars(ss)) == {"square", "coset_reps", "_reps"}
 
 
 def test_field_element_rejects_a_mask_outside_the_field(f4):
