@@ -146,40 +146,21 @@ class Field:
 
     # -- arithmetic ------------------------------------------------------
 
-    def _check_member(self, a: "FieldElement") -> None:
-        if a.field != self:
-            raise ValueError(f"element of {a.field!r} used with {self!r}")
-
-    def add(self, a: "FieldElement", b: "FieldElement") -> "FieldElement":
-        self._check_member(a)
-        self._check_member(b)
-        return self._members[a.mask ^ b.mask]
-
-    def mul(self, a: "FieldElement", b: "FieldElement") -> "FieldElement":
-        self._check_member(a)
-        self._check_member(b)
-        return self._members[self._mul_mask(a.mask, b.mask)]
-
     def _mul_mask(self, a: int, b: int) -> int:
         if a == 0 or b == 0:
             return 0
         e = self._log[a] + self._log[b]
         return self._exp[e % (self.order - 1)]
 
-    def inv(self, a: "FieldElement") -> "FieldElement":
-        self._check_member(a)
-        if a.mask == 0:
-            raise ValueError("zero has no multiplicative inverse")
-        e = self._log[a.mask]
-        return self._members[self._exp[(self.order - 1 - e) % (self.order - 1)]]
-
     def trace(self, a: "FieldElement") -> "FieldElement":
-        self._check_member(a)
+        if a.field != self:
+            raise ValueError(f"element of {a.field!r} used with {self!r}")
         return self._members[self._trace[a.mask]]
 
     def discrete_log(self, a: "FieldElement") -> int:
         """The exponent e with mu^e = a, 0 <= e <= 2^n - 2."""
-        self._check_member(a)
+        if a.field != self:
+            raise ValueError(f"element of {a.field!r} used with {self!r}")
         if a.mask == 0:
             raise ValueError("zero is not a power of mu")
         return self._log[a.mask]
@@ -218,10 +199,14 @@ class FieldElement(Value):
         return self.mask == 0
 
     def __add__(self, other: "FieldElement") -> "FieldElement":
-        return self.field.add(self, other)
+        if other.field != self.field:
+            raise ValueError(f"element of {other.field!r} used with {self.field!r}")
+        return self.field._members[self.mask ^ other.mask]
 
     def __mul__(self, other: "FieldElement") -> "FieldElement":
-        return self.field.mul(self, other)
+        if other.field != self.field:
+            raise ValueError(f"element of {other.field!r} used with {self.field!r}")
+        return self.field._members[self.field._mul_mask(self.mask, other.mask)]
 
     def __pow__(self, k: int) -> "FieldElement":
         if self.mask == 0:
@@ -232,7 +217,10 @@ class FieldElement(Value):
         return self.field.from_power(e)
 
     def inv(self) -> "FieldElement":
-        return self.field.inv(self)
+        f = self.field
+        if self.mask == 0:
+            raise ValueError("zero has no multiplicative inverse")
+        return f._members[f._exp[(f.order - 1 - f._log[self.mask]) % (f.order - 1)]]
 
     def trace(self) -> "FieldElement":
         return self.field.trace(self)

@@ -90,6 +90,21 @@ def _span(basis: Iterable[int]) -> list[int]:
     return out
 
 
+def _canonical_basis(field: Field, rows: Iterable[int]) -> tuple[int, ...]:
+    """The canonical basis of the span of independent packed rows: in rank
+    coordinates, each reduced on the leading bit of every other, ascending."""
+    rank = _point_rank(field)
+    out: list[int] = []  # rank masks, each zero at the others' leading bits
+    for row in rows:
+        r = rank[row]
+        for b in out:
+            r = min(r, r ^ b)
+        if not r:
+            raise ValueError(f"row {row} depends on the rows before it")
+        out = [min(b, b ^ r) for b in out] + [r]
+    return tuple([rank[b] for b in sorted(out)])
+
+
 class Subgroup(Value):
     """An additively closed subset of F_d x F_d containing the origin, held
     as its canonical basis: the packed masks of its points at positions 1,
@@ -105,9 +120,10 @@ class Subgroup(Value):
         field = pts[0].field
         if any(p.field != field for p in pts):
             raise ValueError("subgroup points must share one field")
-        self._setup(field, {point_to_mask(p) for p in pts})
+        self.field, self._basis = field, self._checked_basis(field, {point_to_mask(p) for p in pts})
 
-    def _setup(self, field: Field, masks: set[int]) -> None:
+    @staticmethod
+    def _checked_basis(field: Field, masks: set[int]) -> tuple[int, ...]:
         ms = sorted(masks, key=_point_rank(field).__getitem__)
         if not ms:
             raise ValueError("subgroup cannot be empty")
@@ -120,7 +136,7 @@ class Subgroup(Value):
             table = point_table(field)
             g, h = next((g, h) for g in ms for h in ms if g ^ h not in masks)
             raise ValueError(f"set is not closed under addition: {table[g]} + {table[h]}")
-        self.field, self._basis = field, basis
+        return basis
 
     @classmethod
     def span(cls, generators: Iterable[Point]) -> "Subgroup":
@@ -130,7 +146,7 @@ class Subgroup(Value):
         field = gens[0].field
         if any(g.field != field for g in gens):
             raise ValueError("subgroup points must share one field")
-        return cls.from_masks(field, _span(_independent(map(point_to_mask, gens))))
+        return cls._trusted(field, _canonical_basis(field, _independent(map(point_to_mask, gens))))
 
     @classmethod
     def from_masks(cls, field: Field, masks: Iterable[int]) -> "Subgroup":
@@ -139,20 +155,13 @@ class Subgroup(Value):
             if m.__class__ is not int or not 0 <= m < field.order * field.order:
                 raise ValueError(f"packed point mask {m} out of range")
             ms.add(m)
-        g = cls.__new__(cls)
-        g._setup(field, ms)
-        return g
+        return cls._trusted(field, cls._checked_basis(field, ms))
 
     @classmethod
-    def _walked(cls, field: Field, masks: Iterable[int]) -> "Subgroup":
-        """The span of n isotropic rows, as iter_lagrangian_masks gives it,
-        checked only to be the d points its canonical basis spans, which
-        it is when its rows are independent."""
-        ms = sorted(masks, key=_point_rank(field).__getitem__)
-        g, k = cls.__new__(cls), len(set(ms))
-        g.field, g._basis = field, tuple([ms[1 << j] for j in range(field.n) if 1 << j < len(ms)])
-        if k != field.order or _span(g._basis) != ms:
-            raise ValueError(f"walked span has {k} points, expected a span of {field.order}")
+    def _trusted(cls, field: Field, basis: tuple[int, ...]) -> "Subgroup":
+        """The subgroup whose canonical basis this is, unchecked."""
+        g = cls.__new__(cls)
+        g.field, g._basis = field, basis
         return g
 
     def masks(self) -> tuple[int, ...]:
@@ -264,8 +273,8 @@ def _isotropic_rows(p: int, free: int, chosen: list[int], polars: tuple[int, ...
     return rows
 
 
-def iter_lagrangian_masks(field: Field) -> Iterator[tuple[int, ...]]:
-    """Sorted point masks of every extraordinary order-d subgroup, i.e.
+def iter_lagrangian_bases(field: Field) -> Iterator[tuple[int, ...]]:
+    """The canonical basis of every extraordinary order-d subgroup, i.e.
     every Lagrangian subspace of F_2^2n under the form tr(det).
 
     Each n-dimensional subspace has one reduced-row-echelon basis: row i
@@ -273,7 +282,7 @@ def iter_lagrangian_masks(field: Field) -> Iterator[tuple[int, ...]]:
     are chosen one at a time, highest pivot first, each from the solutions
     of the form vanishing against every row already chosen
     (_isotropic_rows); the form being bilinear and alternating, that makes
-    the whole span isotropic."""
+    the whole span isotropic.  Each leaf's rows give its _canonical_basis."""
     n = field.n
     m = 2 * n
     polars = _polars(field)
@@ -283,22 +292,25 @@ def iter_lagrangian_masks(field: Field) -> Iterator[tuple[int, ...]]:
         frees = [((1 << m) - (2 << p)) & ~taken for p in order]
         found: list[tuple[int, ...]] = []
 
-        def extend(i: int, points: list[int], chosen: list[int]) -> None:
+        def extend(i: int, chosen: list[int]) -> None:
             if i == n:
-                found.append(tuple(sorted(points)))
+                found.append(_canonical_basis(field, chosen))
                 return
             for r in _isotropic_rows(order[i], frees[i], chosen, polars):
-                extend(i + 1, points + [p ^ r for p in points], chosen + [r])
+                extend(i + 1, chosen + [r])
 
-        extend(0, [0], [])
+        extend(0, [])
         yield from found
+
+
+def _sorted_bases(field: Field, bases: Iterable[tuple[int, ...]]) -> list[tuple[int, ...]]:
+    """Canonical bases in their subgroups' canonical order: the points up
+    to position 2^j are the span of the first j basis masks, so two
+    subgroups' point ranks first differ where their basis ranks do."""
+    rank = _point_rank(field).__getitem__
+    return sorted(bases, key=lambda b: tuple(map(rank, b)))
 
 
 def enumerate_extraordinary_subgroups(field: Field) -> list[Subgroup]:
     """The order-d subgroups on which tr(det) vanishes, canonically sorted."""
-    out = [Subgroup._walked(field, masks) for masks in iter_lagrangian_masks(field)]
-    # the points up to position 2^j are the span of the first j basis masks,
-    # so two subgroups' point ranks first differ where their basis ranks do
-    rank = _point_rank(field).__getitem__
-    out.sort(key=lambda s: tuple(map(rank, s._basis)))
-    return out
+    return [Subgroup._trusted(field, b) for b in _sorted_bases(field, iter_lagrangian_bases(field))]

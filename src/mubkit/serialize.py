@@ -189,10 +189,6 @@ def subgroup_to_json(g: Subgroup) -> list[tuple[int, int]]:
     return list(map(_point_leaves(g.field).__getitem__, g.masks()))
 
 
-def subgroup_from_json(field: Field, data: Any) -> Subgroup:
-    return Subgroup(point_from_json(field, item) for item in _expect(data, list, "a subgroup"))
-
-
 def square_to_json(s: Square) -> dict:
     """Classes in label order, each its points in canonical (x, y) order."""
     d, n, labels, leaves = s.d, s.field.n, s._labels, _point_leaves(s.field)

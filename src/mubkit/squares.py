@@ -40,9 +40,11 @@ from .phasespace import (
     Point,
     Subgroup,
     _coset_reps,
+    _sorted_bases,
+    _span,
     det,
     is_extraordinary,
-    iter_lagrangian_masks,
+    iter_lagrangian_bases,
     point_table,
     point_to_mask,
 )
@@ -770,36 +772,35 @@ def search_complete_sets(field: Field, time_budget: float | None = None) -> Sear
 
     The search is one depth-first exact cover on bitsets, in this
     process, and the enumeration and the cover share one absolute
-    deadline.  Sets that use the same subgroup share one Supersquare
-    object."""
+    deadline.  Its blocks are in canonical order, so each cover's sorted
+    indices are its generators in order and sorted covers are the sets in
+    order.  Sets that use the same subgroup share one Supersquare object."""
     if time_budget is not None and not time_budget >= 0:
         raise ValueError(f"time budget must be non-negative, got {time_budget}")
     deadline = time.monotonic() + time_budget if time_budget is not None else None
-    blocks: list[tuple[int, ...]] = []
+    bases: list[tuple[int, ...]] = []
     enum_complete = True
-    for masks in iter_lagrangian_masks(field):
+    for basis in iter_lagrangian_bases(field):
         if deadline is not None and time.monotonic() > deadline:
             enum_complete = False
             break
-        blocks.append(masks)
+        bases.append(basis)
 
-    tables = _cover_tables(blocks, field.order)
+    bases = _sorted_bases(field, bases)
+    tables = _cover_tables([_span(b) for b in bases], field.order)
     bits = tables[0]
     solutions, search_complete = _search(tables, deadline)
+    solutions.sort()
 
-    built: dict[int, tuple[tuple[tuple[int, int], ...], Supersquare]] = {}
+    built: dict[int, Supersquare] = {}
     templates = complete_set_templates(field)
-    keyed = []
+    sets = []
     for chosen in solutions:
         for i in chosen:
             if i not in built:
-                ss = supersquare_from_subgroup(Subgroup._walked(field, blocks[i]))
-                built[i] = (ss.generator.sort_key, ss)
-        members = sorted((built[i] for i in chosen), key=lambda item: item[0])
+                built[i] = supersquare_from_subgroup(Subgroup._trusted(field, bases[i]))
         set_type, v1, v2 = templates.get(
             frozenset(bits[i] for i in chosen), ("Unclassified", None, None)
         )
-        sort_key = tuple(k for k, _ in members)
-        keyed.append((sort_key, CompleteSet(set_type, v1, v2, tuple(ss for _, ss in members))))
-    keyed.sort(key=lambda item: item[0])
-    return SearchResult(tuple(c for _, c in keyed), enum_complete and search_complete)
+        sets.append(CompleteSet(set_type, v1, v2, tuple(built[i] for i in chosen)))
+    return SearchResult(tuple(sets), enum_complete and search_complete)

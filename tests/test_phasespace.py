@@ -13,7 +13,14 @@ from mubkit import (
     is_extraordinary,
     trace_zero_subgroup,
 )
-from mubkit.phasespace import iter_lagrangian_masks, point_table, point_to_mask
+from mubkit.gf2n import _independent
+from mubkit.phasespace import (
+    _canonical_basis,
+    _span,
+    iter_lagrangian_bases,
+    point_table,
+    point_to_mask,
+)
 from mubkit.squares import Supersquare
 
 import oracles
@@ -223,7 +230,7 @@ def test_type_constructed_generators_are_enumerated(f8, d8_type_ii_set):
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_isotropic_walk_equals_the_scan(n):
     field = Field(n)
-    walked = list(iter_lagrangian_masks(field))
+    walked = [tuple(sorted(_span(b))) for b in iter_lagrangian_bases(field)]
     assert len(walked) == len(set(walked))
     assert set(walked) == set(oracles.scanned_lagrangians(field))
 
@@ -231,32 +238,41 @@ def test_isotropic_walk_equals_the_scan(n):
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_solved_walk_equals_the_candidate_filter(n):
     """The rows solved from the perp are the rows the filter keeps, in the
-    same order, so the walk yields the same tuples in the same order."""
+    same order, so the walk yields the greedy basis of each of the filter's
+    tuples in the same order, and the basis spans that tuple."""
     field = Field(n)
-    assert list(iter_lagrangian_masks(field)) == list(oracles.filtered_lagrangians(field))
+    walked = list(iter_lagrangian_bases(field))
+    filtered = list(oracles.filtered_lagrangians(field))
+    assert len(walked) == len(filtered)
+    for basis, masks in zip(walked, filtered):
+        assert list(basis) == oracles.greedy_basis(field, masks)
+        assert _span(basis) == oracles.canonical_order(field, masks)
+        assert tuple(sorted(_span(basis))) == masks
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_walked_subgroups_equal_validated_ones(n):
-    """Subgroups built from walked masks without validation are the ones
+    """Subgroups built from walked bases without validation are the ones
     from_masks validates and orders, and the enumeration sorts them as
     sort_key does."""
     field = Field(n)
-    walked = list(iter_lagrangian_masks(field))
-    want = [Subgroup.from_masks(field, masks) for masks in walked]
-    for masks, w in zip(walked, want):
-        got = Subgroup._walked(field, masks)
+    walked = list(iter_lagrangian_bases(field))
+    want = [Subgroup.from_masks(field, _span(b)) for b in walked]
+    for basis, w in zip(walked, want):
+        got = Subgroup._trusted(field, basis)
         assert got == w and hash(got) == hash(w)
         assert got.masks() == w.masks()
     assert enumerate_extraordinary_subgroups(field) == sorted(want, key=lambda s: s.sort_key)
 
 
-def test_walked_span_must_have_d_points(f8):
-    masks = next(iter_lagrangian_masks(f8))
-    outside = next(m for m in range(64) if m not in masks)
-    for bad in (masks[:4] * 2, masks[:7], masks + (outside,)):
-        with pytest.raises(ValueError, match="walked span has"):
-            Subgroup._walked(f8, bad)
+def test_canonical_basis_rejects_dependent_rows(f8):
+    """A row in the span of the rows before it, the zero row among them,
+    raises rather than giving a basis of fewer than the rows."""
+    basis = next(iter_lagrangian_bases(f8))
+    assert _canonical_basis(f8, basis) == basis
+    for bad in (basis[:2] + (basis[0] ^ basis[1],), basis + (basis[0],), (0,), basis[:1] * 2):
+        with pytest.raises(ValueError, match="depends on the rows before it"):
+            _canonical_basis(f8, bad)
 
 
 def test_from_masks_rejects_masks_that_are_not_ints(f4):
@@ -307,7 +323,7 @@ def test_canonical_basis_and_cosets_match_the_oracles(n, count):
     for masks, g in subs:
         assert g.masks() == tuple(oracles.canonical_order(field, masks))
         assert [table[m] for m in oracles.greedy_basis(field, masks)] == list(g.basis())
-        assert Subgroup._walked(field, masks) == g
+        assert _canonical_basis(field, _independent(masks)) == g._basis
         labels, reps = oracles.quotient_by_scan(field, masks)
         ss = Supersquare(g)
         assert ss.coset_reps == tuple(table[r] for r in reps)
@@ -336,11 +352,3 @@ def test_intersects_trivially_rejects_mixed_fields(f4, f8):
     for a, b in ((g, h), (h, g)):
         with pytest.raises(ValueError, match="subgroups must share one field"):
             a.intersects_trivially(b)
-
-
-def test_walked_span_must_be_closed(f8):
-    """d distinct points that are not a span fail the walked check too."""
-    masks = next(iter_lagrangian_masks(f8))
-    outside = next(m for m in range(64) if m not in masks)
-    with pytest.raises(ValueError, match="walked span has 8 points, expected a span of 8"):
-        Subgroup._walked(f8, masks[:7] + (outside,))

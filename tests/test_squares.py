@@ -1,7 +1,9 @@
 """Supersquares, striations, orthogonality, classification, and search."""
 
+import itertools
 import random
 import time
+import types
 
 import pytest
 
@@ -30,7 +32,8 @@ from mubkit import (
     verify_square,
     verify_squares,
 )
-from mubkit.phasespace import iter_lagrangian_masks, point_to_mask
+from mubkit import squares
+from mubkit.phasespace import _span, iter_lagrangian_bases, point_to_mask
 from mubkit.squares import CompleteSet, Supersquare, _cover_tables, _search
 
 import oracles
@@ -503,7 +506,7 @@ def test_search_branch_past_deadline_is_incomplete(f4):
 def test_bitset_cover_matches_fewest_candidates_oracle(n, count):
     """The search gives the oracle's covers, each once."""
     d = 1 << n
-    blocks = list(iter_lagrangian_masks(Field(n)))
+    blocks = [_span(b) for b in iter_lagrangian_bases(Field(n))]
     got, complete = _search(_cover_tables(blocks, d), None)
     assert complete
     assert len(got) == len(set(got)) == count
@@ -530,6 +533,25 @@ def test_search_rejects_bad_settings(f4):
 def test_search_budget_flags_partial(f8):
     result = search_complete_sets(f8, time_budget=1e-9)
     assert not result.exhaustive
+
+
+def test_partial_search_is_in_canonical_order(f8, monkeypatch):
+    """A search cut after 2,000 cover nodes gives some of the census's sets,
+    ordered as the exhaustive census orders them: by their generators'
+    sort_keys, each set's generators in sort_key order."""
+    census = set(search_complete_sets(f8).sets)
+    # one clock read for the deadline, one per walked Lagrangian, one per node
+    reads = itertools.count()
+    fake = types.SimpleNamespace(monotonic=lambda: 0.0 if next(reads) < 1 + 135 + 2000 else 2.0)
+    monkeypatch.setattr(squares, "time", fake)
+    result = search_complete_sets(f8, time_budget=1.0)
+    assert not result.exhaustive
+    assert 0 < len(result.sets) < len(census)
+    keys = [tuple(g.sort_key for g in c.generators) for c in result.sets]
+    assert keys == sorted(set(keys))
+    for key in keys:
+        assert list(key) == sorted(key)
+    assert set(result.sets) <= census
 
 
 def test_search_d8_census(f8, d8_type_ii_set):
