@@ -223,17 +223,16 @@ def cmd_squares_classify(args: argparse.Namespace) -> int:
 
 
 def cmd_squares_search(args: argparse.Namespace) -> int:
-    from .serialize import _canonical_pieces, search_result_to_json
+    from .serialize import search_result_pieces
     from .squares import search_complete_sets
 
-    field = field_for_dimension(args.d)
-    result = search_complete_sets(field, time_budget=args.time_budget)
+    result = search_complete_sets(field_for_dimension(args.d), time_budget=args.time_budget)
     if args.format == "json":
-        _emit(args, _canonical_pieces(search_result_to_json(args.d, result)))
+        _emit(args, search_result_pieces(args.d, result))
     else:
-        lines = [f"d={args.d} complete sets: {len(result.sets)}"]
-        for name, count in sorted(result.census().items()):
-            lines.append(f"  type {name}: {count}")
+        census = result.census()
+        lines = [f"d={args.d} complete sets: {sum(census.values())}"]
+        lines += [f"  type {name}: {count}" for name, count in sorted(census.items())]
         lines.append("exhaustive: " + ("yes" if result.exhaustive else "no (budget hit)"))
         _emit(args, ["\n".join(lines) + "\n"])
     return PASS if result.exhaustive else INCOMPLETE
@@ -322,6 +321,14 @@ def _add_common(parser: argparse.ArgumentParser, with_type: bool = True) -> None
     parser.add_argument("--out", help="write output to this path instead of stdout")
 
 
+def _add_reader(sub: argparse._SubParsersAction, name: str, help: str, func) -> None:
+    parser = sub.add_parser(name, help=help)  # a command that reads one JSON file
+    parser.add_argument("input")
+    parser.add_argument("--format", choices=("json", "ascii"), default="ascii")
+    parser.add_argument("--out")
+    parser.set_defaults(func=func)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="mubkit",
@@ -346,17 +353,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_gen.set_defaults(func=cmd_squares_gen)
 
-    p_verify = squares_sub.add_parser("verify", help="verify a square or set file")
-    p_verify.add_argument("input")
-    p_verify.add_argument("--format", choices=("json", "ascii"), default="ascii")
-    p_verify.add_argument("--out")
-    p_verify.set_defaults(func=cmd_squares_verify)
-
-    p_classify = squares_sub.add_parser("classify", help="Latin-type classification")
-    p_classify.add_argument("input")
-    p_classify.add_argument("--format", choices=("json", "ascii"), default="ascii")
-    p_classify.add_argument("--out")
-    p_classify.set_defaults(func=cmd_squares_classify)
+    _add_reader(squares_sub, "verify", "verify a square or set file", cmd_squares_verify)
+    _add_reader(squares_sub, "classify", "Latin-type classification", cmd_squares_classify)
 
     p_search = squares_sub.add_parser("search", help="enumerate all complete sets")
     _add_common(p_search, with_type=False)
@@ -371,11 +369,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_mgen.add_argument("--basis", help="selfdual basis as comma-separated tokens")
     p_mgen.set_defaults(func=cmd_mub_gen)
 
-    p_mverify = mub_sub.add_parser("verify", help="re-verify an emitted MUB file")
-    p_mverify.add_argument("input")
-    p_mverify.add_argument("--format", choices=("json", "ascii"), default="ascii")
-    p_mverify.add_argument("--out")
-    p_mverify.set_defaults(func=cmd_mub_verify)
+    _add_reader(mub_sub, "verify", "re-verify an emitted MUB file", cmd_mub_verify)
 
     p_mstruct = mub_sub.add_parser("structure", help="three-qubit entanglement census")
     _add_common(p_mstruct)

@@ -3,17 +3,17 @@
 Field elements serialize as integer bitmasks, points as [x, y] mask
 pairs, subgroups as sorted point arrays, squares as class lists in label
 order, and states as {"num": [[re, im], ...], "norm_sq": N}.  Square
-payloads carry only "d"; the field modulus is the canonical one for that
-dimension.  The *_to_json documents share their leaves: one (x, y) tuple
-per point of a field, built on first use, and one (re, im) tuple per
-entry 0, +-1, +-i.  A tuple prints as a JSON array; json.loads gives lists.
+payloads carry only "d", the field modulus being the canonical one.  The
+documents share their leaves: one (x, y) tuple per point of a field and
+one (re, im) tuple per entry 0, +-1, +-i (json.loads gives lists).  The
+search document is written set by set, straight from the found covers.
 """
 
 from __future__ import annotations
 
 from functools import cache
 from json.encoder import encode_basestring_ascii
-from typing import TYPE_CHECKING, Any, Callable
+from typing import TYPE_CHECKING, Any, Iterator
 
 from .gf2n import Field, field_for_dimension
 from .phasespace import Point, Subgroup, point_to_mask
@@ -31,9 +31,20 @@ def dumps_canonical(obj: Any) -> str:
     return "".join(_canonical_pieces(obj))
 
 
-def _canonical_pieces(obj: Any) -> list[str]:
+@cache
+def _punctuation(depth: int) -> tuple[str, str, str, str, str]:
+    """The separator, list opener, dict opener, list closer and dict closer
+    of a container at depth k, whose items are at depth k + 1."""
+    inner, outer = "\n" + "  " * (depth + 1), "\n" + "  " * depth
+    return "," + inner, "[" + inner, "{" + inner, outer + "]", outer + "}"
+
+
+def _canonical_pieces(obj: Any, depth: int = 0, leaves: dict | None = None) -> list[str]:
     """The text of dumps_canonical(obj) as the pieces it joins, so that a
     writer can emit a large document without holding it as one string.
+    At a start depth k > 0 it is the text obj has when nested k deep in a
+    document, with no newline after it; calls that pass one leaves table
+    share their leaf texts.
 
     A container that holds containers is encoded once per depth: met
     again, it reuses its first pieces, joined into one string on the
@@ -41,20 +52,17 @@ def _canonical_pieces(obj: Any) -> list[str]:
     obj keeps every container alive for the call.
 
     A leaf, a non-empty list or tuple of exact ints such as a point, is one
-    piece, its text kept per depth by id as the memo's is: a shared leaf is
-    typed and joined once per depth.  Only exact ints qualify: True prints
-    as true and 1.0 is no JSON this encoder writes, so a bool, a float or
-    an int subclass sends its list down the general path.  Any other item
-    of exact type int, str, dict, list or tuple is dispatched on its type;
-    the rest, subclasses included, go through _scalar_json."""
+    piece, its text kept in leaves per depth by id, next to the leaf so that
+    no other object takes its id: a shared leaf is typed and joined once per
+    depth.  Only exact ints qualify: True prints as true and 1.0 is no JSON
+    this encoder writes, so a bool, a float or an int subclass sends its
+    list down the general path.  Any other item of exact type int, str,
+    dict, list or tuple is dispatched on its type; the rest, subclasses
+    included, go through _scalar_json."""
     out: list[str] = []
     # (start, end) of a container's pieces in out; its text once reused
     memo: dict[tuple[int, int], tuple[int, int] | str] = {}
-    # per depth k: the separator before an item at depth k + 1, and the
-    # openers and closers of a list and a dict at depth k
-    punctuation: list[tuple[str, str, str, str, str]] = []
-    # per depth k: the text of each leaf met at depth k, by its id
-    leaves: list[dict[int, str]] = []
+    leaves = {} if leaves is None else leaves
 
     def container(o: dict | list | tuple, depth: int) -> None:
         key = (id(o), depth)
@@ -67,14 +75,9 @@ def _canonical_pieces(obj: Any) -> list[str]:
         if not o:
             out.append("{}" if isinstance(o, dict) else "[]")
             return
-        while len(punctuation) <= depth + 1:
-            k = len(punctuation)
-            inner, outer = "\n" + "  " * (k + 1), "\n" + "  " * k
-            punctuation.append(("," + inner, "[" + inner, "{" + inner, outer + "]", outer + "}"))
-            leaves.append({})
-        sep, open_list, open_dict, close_list, close_dict = punctuation[depth]
-        leaf_sep, leaf_open, _, leaf_close, _ = punctuation[depth + 1]
-        leaf_texts = leaves[depth + 1]
+        sep, open_list, open_dict, close_list, close_dict = _punctuation(depth)
+        leaf_sep, leaf_open, _, leaf_close, _ = _punctuation(depth + 1)
+        leaf_texts = leaves.setdefault(depth + 1, {})
         if isinstance(o, dict):
             pairs = sorted(o.items())  # a key that is no str raises TypeError
             labels = [encode_basestring_ascii(k) + ": " for k, _ in pairs]
@@ -94,13 +97,13 @@ def _canonical_pieces(obj: Any) -> list[str]:
             elif kind is str:
                 out.append(prefix + encode_basestring_ascii(v))
             elif (kind is list or kind is tuple) and (
-                (text := leaf_texts.get(id(v))) or {*map(type, v)} == _INT_ONLY
+                (seen := leaf_texts.get(id(v))) or {*map(type, v)} == _INT_ONLY
             ):
-                if text is None:
-                    text = leaf_texts[id(v)] = (
-                        leaf_open + leaf_sep.join(map(int.__repr__, v)) + leaf_close
+                if seen is None:
+                    seen = leaf_texts[id(v)] = (
+                        v, leaf_open + leaf_sep.join(map(int.__repr__, v)) + leaf_close
                     )
-                out.append(prefix + text)
+                out.append(prefix + seen[1])
                 nested = True
             elif kind is dict or kind is list or kind is tuple:
                 out.append(prefix)
@@ -121,10 +124,11 @@ def _canonical_pieces(obj: Any) -> list[str]:
 
     top = _scalar_json(obj)
     if top is None:
-        container(obj, 0)
+        container(obj, depth)
     else:
         out.append(top)
-    out.append("\n")
+    if not depth:
+        out.append("\n")
     return out
 
 
@@ -211,35 +215,51 @@ def square_from_json(data: Any) -> Square:
 
 
 def complete_set_to_json(c: CompleteSet) -> dict:
-    return _complete_set_json(c, square_to_json)
+    return _set_json(c.set_type, c.v1, c.v2, [square_to_json(sq) for sq in c.squares])
 
 
-def _complete_set_json(c: CompleteSet, encode_square: Callable[[Square], dict]) -> dict:
+def _set_json(set_type: str, v1: Point | None, v2: Point | None, squares: list) -> dict:
     return {
-        "type": c.set_type,
-        "v1": None if c.v1 is None else point_to_json(c.v1),
-        "v2": None if c.v2 is None else point_to_json(c.v2),
-        "squares": [encode_square(sq) for sq in c.squares],
+        "type": set_type,
+        "v1": None if v1 is None else point_to_json(v1),
+        "v2": None if v2 is None else point_to_json(v2),
+        "squares": squares,
     }
 
 
-def search_result_to_json(d: int, result: SearchResult) -> dict:
-    """The `squares search` document.  Sets that share a Square object
-    share its one square_to_json dict, so dumps_canonical encodes it once."""
-    shared: dict[int, dict] = {}  # id(square) -> its dict; result keeps the squares alive
+def search_result_pieces(d: int, result: SearchResult) -> Iterator[str]:
+    """The `squares search` document, written set by set from the covers.
+    Every text comes from _canonical_pieces, the calls sharing one leaves
+    table: the head, each distinct label's text around its set's squares,
+    and each distinct block's square at its depth, 4, encoded once and
+    reused by every set that holds it.  No CompleteSet is built."""
+    leaves: dict[int, dict[int, tuple]] = {}
+    doc = {"census": result.census(), "d": d, "exhaustive": result.exhaustive, "sets": []}
+    head, empty, foot = _split_at_empty_list(doc, 0, leaves)
+    sep_sets, open_sets, _, close_sets, _ = _punctuation(1)
+    sep_squares, open_squares, _, close_squares, _ = _punctuation(3)
+    squares = {i: "".join(_canonical_pieces(square_to_json(ss.square), 4, leaves))
+               for i, ss in result._blocks.items()}
+    labels: dict[int, tuple[str, str, str]] = {}  # by id; the result keeps each label alive
+    yield head
+    for k, (cover, label) in enumerate(zip(result._covers, result._labels)):
+        if id(label) not in labels:
+            labels[id(label)] = _split_at_empty_list(_set_json(*label, []), 2, leaves)
+        before, _, after = labels[id(label)]
+        yield (sep_sets if k else open_sets) + before + open_squares
+        for j, i in enumerate(cover):  # one piece per square: a joined set is a copy of it
+            if j:
+                yield sep_squares
+            yield squares[i]
+        yield close_squares + after
+    yield (close_sets if result._covers else empty) + foot
 
-    def encode_square(sq: Square) -> dict:
-        doc = shared.get(id(sq))
-        if doc is None:
-            doc = shared[id(sq)] = square_to_json(sq)
-        return doc
 
-    return {
-        "d": d,
-        "exhaustive": result.exhaustive,
-        "census": result.census(),
-        "sets": [_complete_set_json(c, encode_square) for c in result.sets],
-    }
+def _split_at_empty_list(doc: dict, depth: int, leaves: dict) -> tuple[str, str, str]:
+    """The text of doc nested depth deep, cut around its one empty list."""
+    pieces = _canonical_pieces(doc, depth, leaves)
+    i = pieces.index("[]")
+    return "".join(pieces[:i]), pieces[i], "".join(pieces[i + 1 :])
 
 
 def squares_payload_from_json(data: Any) -> tuple[str, Any]:

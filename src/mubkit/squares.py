@@ -30,6 +30,7 @@ from __future__ import annotations
 import enum
 import random
 import time
+from collections import Counter
 from functools import cached_property, partial, reduce
 from itertools import combinations
 from operator import attrgetter, itemgetter, or_
@@ -596,17 +597,46 @@ def perturb_supersquare(ss: Supersquare, seed: int) -> Square:
 
 
 class SearchResult(Value):
-    __slots__ = ("sets", "exhaustive")
+    """The complete sets a search found, each held as its cover (the sorted
+    indices of its d + 1 blocks) and its (type, v1, v2) label, and whether
+    the search ran to the end.  ``sets`` is filled on first read, from one
+    Supersquare per distinct block (``_blocks``) that its sets share."""
+
+    __slots__ = ("sets", "exhaustive", "_field", "_bases", "_covers", "_labels", "_blocks")
+    _key = attrgetter("sets", "exhaustive")  # the other slots are the sets as covers
 
     def __init__(self, sets: tuple[CompleteSet, ...], exhaustive: bool) -> None:
-        self.sets = sets
-        self.exhaustive = exhaustive
+        ids: dict[Supersquare, int] = {}  # each distinct supersquare's block index
+        self._covers = [tuple(ids.setdefault(s, len(ids)) for s in c.supersquares) for c in sets]
+        self._labels = [(c.set_type, c.v1, c.v2) for c in sets]
+        self._blocks, self.sets, self.exhaustive = dict(enumerate(ids)), sets, exhaustive
+
+    @classmethod
+    def _found(cls, field: Field, bases: list, covers: list, labels: list, exhaustive: bool):
+        """A search's result over the blocks with these bases, no set built."""
+        result = cls.__new__(cls)
+        result._field, result._bases, result._covers = field, bases, covers
+        result._labels, result.exhaustive = labels, exhaustive
+        return result
+
+    def __getattr__(self, name: str) -> object:
+        """Fill the ``_blocks`` or the ``sets`` slot of a found result."""
+        if name == "_blocks":
+            trusted, bases = partial(Subgroup._trusted, self._field), self._bases
+            used = {i for cover in self._covers for i in cover}
+            self._blocks = {i: supersquare_from_subgroup(trusted(bases[i])) for i in used}
+        elif name == "sets":
+            get = self._blocks.__getitem__
+            self.sets = tuple(
+                CompleteSet(*label, tuple(map(get, cover)))
+                for cover, label in zip(self._covers, self._labels)
+            )
+        else:
+            raise AttributeError(name)
+        return getattr(self, name)
 
     def census(self) -> dict[str, int]:
-        counts: dict[str, int] = {}
-        for c in self.sets:
-            counts[c.set_type] = counts.get(c.set_type, 0) + 1
-        return counts
+        return dict(Counter(set_type for set_type, _, _ in self._labels))
 
 
 def complete_set_templates(field: Field) -> dict[frozenset[int], tuple[str, Point, Point]]:
@@ -774,7 +804,8 @@ def search_complete_sets(field: Field, time_budget: float | None = None) -> Sear
     process, and the enumeration and the cover share one absolute
     deadline.  Its blocks are in canonical order, so each cover's sorted
     indices are its generators in order and sorted covers are the sets in
-    order.  Sets that use the same subgroup share one Supersquare object."""
+    order.  The result holds each set as its cover and its label until its
+    sets are read; sets that use the same subgroup share one Supersquare."""
     if time_budget is not None and not time_budget >= 0:
         raise ValueError(f"time budget must be non-negative, got {time_budget}")
     deadline = time.monotonic() + time_budget if time_budget is not None else None
@@ -791,16 +822,7 @@ def search_complete_sets(field: Field, time_budget: float | None = None) -> Sear
     bits = tables[0]
     solutions, search_complete = _search(tables, deadline)
     solutions.sort()
-
-    built: dict[int, Supersquare] = {}
     templates = complete_set_templates(field)
-    sets = []
-    for chosen in solutions:
-        for i in chosen:
-            if i not in built:
-                built[i] = supersquare_from_subgroup(Subgroup._trusted(field, bases[i]))
-        set_type, v1, v2 = templates.get(
-            frozenset(bits[i] for i in chosen), ("Unclassified", None, None)
-        )
-        sets.append(CompleteSet(set_type, v1, v2, tuple(built[i] for i in chosen)))
-    return SearchResult(tuple(sets), enum_complete and search_complete)
+    unclassified = ("Unclassified", None, None)  # one object: the writer keys labels by id
+    labels = [templates.get(frozenset(bits[i] for i in c), unclassified) for c in solutions]
+    return SearchResult._found(field, bases, solutions, labels, enum_complete and search_complete)

@@ -48,7 +48,9 @@ uncovered point over bitsets of compatible blocks), and the recipe
 tables of the typed sets written in Point and FieldElement arithmetic,
 with the template table built by evaluating them at every valid (v1, v2)
 (the library maps one base template per type and det(v1, v2), in the
-constructors and in the census alike).
+constructors and in the census alike).  The search document is one tree
+of built sets here, encoded whole; the library writes it set by set from
+the covers.
 """
 
 import random
@@ -57,7 +59,7 @@ from functools import reduce
 from itertools import combinations
 from typing import Iterable, Sequence
 
-from mubkit import Square, Subgroup, det, trace_zero_subgroup
+from mubkit import Square, Subgroup, det, serialize, trace_zero_subgroup
 from mubkit.gf2n import FieldBasis, _independent, dual_basis, is_dual_pair, is_selfdual
 from mubkit.pauli import I_UNIT, ONE, UNITS, ZERO, GaussInt, PauliWord
 from mubkit.mub import (
@@ -711,6 +713,34 @@ def square_to_json(s):
         "classes": [
             [[p.x.mask, p.y.mask] for p in sorted(cls, key=lambda p: p.sort_key)]
             for cls in s.classes
+        ],
+    }
+
+
+def search_result_to_json(d, result):
+    """The `squares search` document as one tree over the built sets.
+    Sets that share a Square object share its one square_to_json dict, so
+    dumps_canonical encodes it once."""
+    shared = {}  # id(square) -> its dict; result keeps the squares alive
+
+    def square(sq):
+        doc = shared.get(id(sq))
+        if doc is None:
+            doc = shared[id(sq)] = serialize.square_to_json(sq)
+        return doc
+
+    return {
+        "d": d,
+        "exhaustive": result.exhaustive,
+        "census": result.census(),
+        "sets": [
+            {
+                "type": c.set_type,
+                "v1": None if c.v1 is None else serialize.point_to_json(c.v1),
+                "v2": None if c.v2 is None else serialize.point_to_json(c.v2),
+                "squares": [square(sq) for sq in c.squares],
+            }
+            for c in result.sets
         ],
     }
 

@@ -1,0 +1,170 @@
+"""The search result held as covers, and the census written from them.
+
+A SearchResult keeps each found set as its sorted block indices and its
+(type, v1, v2) label; its CompleteSets are built on first read.  The
+`squares search` document is written set by set from the covers by
+serialize.search_result_pieces, and oracles.search_result_to_json, one
+tree over the built sets, is the oracle its text must match.
+"""
+
+import itertools
+import json
+import types
+
+import pytest
+
+from mubkit import Field, SearchResult, search_complete_sets, squares
+from mubkit.cli import main
+from mubkit.serialize import _canonical_pieces, dumps_canonical, search_result_pieces
+
+import oracles
+
+
+@pytest.fixture(scope="module")
+def results():
+    return {4: search_complete_sets(Field(2)), 8: search_complete_sets(Field(3))}
+
+
+@pytest.fixture(scope="module")
+def partial_d8():
+    """A d = 8 search cut after 2,000 cover nodes by a faked clock: one
+    read for the deadline, one per walked Lagrangian, one per node."""
+    reads = itertools.count()
+    fake = types.SimpleNamespace(monotonic=lambda: 0.0 if next(reads) < 1 + 135 + 2000 else 2.0)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(squares, "time", fake)
+        result = search_complete_sets(Field(3), time_budget=1.0)
+    assert not result.exhaustive
+    assert 0 < len(result.sets) < 960
+    return result
+
+
+def stdlib_json(value) -> str:
+    return json.dumps(value, sort_keys=True, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("d", [4, 8])
+def test_written_census_matches_the_oracle(results, d):
+    text = "".join(search_result_pieces(d, results[d]))
+    doc = oracles.search_result_to_json(d, results[d])
+    assert text == dumps_canonical(doc)
+    if d == 4:
+        assert text == stdlib_json(doc)
+
+
+def test_written_partial_census_matches_the_oracle(partial_d8):
+    text = "".join(search_result_pieces(8, partial_d8))
+    doc = oracles.search_result_to_json(8, partial_d8)
+    assert text == dumps_canonical(doc) == stdlib_json(doc)
+
+
+def test_written_empty_census_matches_the_oracle():
+    result = search_complete_sets(Field(3), time_budget=0)
+    text = "".join(search_result_pieces(8, result))
+    doc = oracles.search_result_to_json(8, result)
+    assert doc["sets"] == [] and not doc["exhaustive"]
+    assert text == dumps_canonical(doc) == stdlib_json(doc)
+
+
+def test_an_eagerly_built_result_is_written_as_its_sets(results):
+    """A result built from CompleteSets has covers too, over its distinct
+    supersquares in order of first use."""
+    eager = SearchResult(results[4].sets[::-1], False)
+    text = "".join(search_result_pieces(4, eager))
+    assert text == dumps_canonical(oracles.search_result_to_json(4, eager))
+
+
+@pytest.mark.parametrize(
+    "value",
+    [
+        7,
+        "a",
+        None,
+        [],
+        {},
+        [1, 2],
+        {"b": [[1, 2], [3]], "a": {"c": (4, 5)}, "d": []},
+        [{"x": [True, None]}, ["s", [0, [1, [2]]]]],
+    ],
+)
+@pytest.mark.parametrize("k", range(5))
+def test_pieces_at_a_start_depth_are_the_text_nested_that_deep(value, k):
+    nested = value
+    for _ in range(k):
+        nested = [nested]
+    openers = "".join("[\n" + "  " * (j + 1) for j in range(k))
+    closers = "".join("\n" + "  " * j + "]" for j in reversed(range(k)))
+    text = "".join(_canonical_pieces(value, k))
+    newline = "" if k == 0 else "\n"  # at depth 0 the text is the document, newline and all
+    assert dumps_canonical(nested) == openers + text + closers + newline
+
+
+# -- the lazy result ------------------------------------------------------------
+
+
+def eager(result):
+    """The result built from CompleteSets made afresh from its covers."""
+    sets = []
+    for cover, (set_type, v1, v2) in zip(result._covers, result._labels):
+        supersquares = tuple(
+            squares.Supersquare(squares.Subgroup._trusted(result._field, result._bases[i]))
+            for i in cover
+        )
+        sets.append(squares.CompleteSet(set_type, v1, v2, supersquares))
+    return SearchResult(tuple(sets), result.exhaustive)
+
+
+@pytest.mark.parametrize("d", [4, 8])
+def test_lazy_result_equals_the_result_built_eagerly(results, d):
+    built = eager(results[d])
+    assert results[d] == built and not results[d] != built
+    assert hash(results[d]) == hash(built)
+    assert results[d].census() == built.census()
+
+
+def test_sets_that_share_a_block_share_one_supersquare(results):
+    result = results[8]
+    by_block = {}
+    for cover, c in zip(result._covers, result.sets):
+        for i, ss in zip(cover, c.supersquares):
+            assert by_block.setdefault(i, ss) is ss
+    assert len(by_block) == 135
+
+
+@pytest.fixture
+def built(monkeypatch):
+    """Counts of the Supersquares and CompleteSets built from here on."""
+    counts = {"supersquares": 0, "sets": 0}
+    real_supersquare, real_set = squares.supersquare_from_subgroup, squares.CompleteSet
+
+    def supersquare(a1):
+        counts["supersquares"] += 1
+        return real_supersquare(a1)
+
+    def complete_set(*args):
+        counts["sets"] += 1
+        return real_set(*args)
+
+    monkeypatch.setattr(squares, "supersquare_from_subgroup", supersquare)
+    monkeypatch.setattr(squares, "CompleteSet", complete_set)
+    return counts
+
+
+def test_census_builds_no_supersquare(built):
+    result = search_complete_sets(Field(3))
+    assert result.census() == {"I": 1, "II": 504, "III": 84, "IV": 63, "Unclassified": 308}
+    assert built == {"supersquares": 0, "sets": 0}
+    assert len(result.sets) == 960
+    assert built == {"supersquares": 135, "sets": 960}
+
+
+def test_ascii_census_builds_no_supersquare(built, capsys):
+    assert main(["squares", "search", "--d", "8", "--format", "ascii"]) == 0
+    assert capsys.readouterr().out.startswith("d=8 complete sets: 960\n")
+    assert built == {"supersquares": 0, "sets": 0}
+
+
+def test_json_census_builds_one_supersquare_per_block_and_no_set(built, tmp_path):
+    out = tmp_path / "census.json"
+    assert main(["squares", "search", "--d", "8", "--format", "json", "--out", str(out)]) == 0
+    assert built == {"supersquares": 135, "sets": 0}
