@@ -228,7 +228,7 @@ def cmd_squares_search(args: argparse.Namespace) -> int:
 
     result = search_complete_sets(field_for_dimension(args.d), time_budget=args.time_budget)
     if args.format == "json":
-        _emit(args, search_result_pieces(args.d, result))
+        _emit(args, search_result_pieces(result))
     else:
         census = result.census()
         lines = [f"d={args.d} complete sets: {sum(census.values())}"]

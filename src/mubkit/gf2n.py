@@ -286,47 +286,17 @@ def _independent(masks: Iterable[int]) -> list[int]:
 
 
 def dual_basis(basis: FieldBasis | Iterable[FieldElement]) -> FieldBasis:
-    """The basis F with tr(e_i f_j) = delta_ij; an involution."""
+    """The basis F with tr(e_i f_j) = delta_ij; an involution.  f_j is the
+    one nonzero mask whose trace products with the e_i are 1 at i = j and 0
+    elsewhere: m -> (tr(e_i m))_i is a bijection, since the e_i are a basis
+    and the trace form is nondegenerate."""
     if not isinstance(basis, FieldBasis):
         basis = FieldBasis(tuple(basis))
     field = basis.field
-    n = field.n
-    # Row i of A holds tr(e_i * mu^k) at bit k; the dual elements' coordinate
-    # vectors are the columns of A^-1 over F_2.
-    rows = []
-    for e in basis:
-        bits = 0
-        for k in range(n):
-            if field._trace[field._mul_mask(e.mask, field._exp[k])]:
-                bits |= 1 << k
-        rows.append(bits)
-    inv = _invert_f2(rows)
-    if inv is None:
-        raise ValueError("basis elements are linearly dependent over F_2")
-    duals = []
-    for j in range(n):
-        mask = 0
-        for k in range(n):
-            if inv[k] >> j & 1:
-                mask ^= field._exp[k]
-        duals.append(field.element(mask))
-    out = FieldBasis(tuple(duals))
-    assert is_dual_pair(basis, out)
-    return out
-
-
-def _invert_f2(rows: list[int]) -> list[int] | None:
-    n = len(rows)
-    aug = [rows[i] | (1 << (n + i)) for i in range(n)]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if aug[r] >> col & 1), None)
-        if pivot is None:
-            return None
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        for r in range(n):
-            if r != col and aug[r] >> col & 1:
-                aug[r] ^= aug[col]
-    return [aug[i] >> n for i in range(n)]
+    mul, tr = field._mul_mask, field._trace
+    code = {sum(tr[mul(e.mask, m)] << i for i, e in enumerate(basis)): m
+            for m in range(1, field.order)}
+    return FieldBasis(tuple(field.element(code[1 << j]) for j in range(field.n)))
 
 
 def is_dual_pair(e_basis: FieldBasis, f_basis: FieldBasis) -> bool:

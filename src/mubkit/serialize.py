@@ -6,7 +6,8 @@ order, and states as {"num": [[re, im], ...], "norm_sq": N}.  Square
 payloads carry only "d", the field modulus being the canonical one.  The
 documents share their leaves: one (x, y) tuple per point of a field and
 one (re, im) tuple per entry 0, +-1, +-i (json.loads gives lists).  The
-search document is written set by set, straight from the found covers.
+search document is written set by set, straight from a search result's
+covers and labels, with each block's square encoded once.
 """
 
 from __future__ import annotations
@@ -46,11 +47,6 @@ def _canonical_pieces(obj: Any, depth: int = 0, leaves: dict | None = None) -> l
     document, with no newline after it; calls that pass one leaves table
     share their leaf texts.
 
-    A container that holds containers is encoded once per depth: met
-    again, it reuses its first pieces, joined into one string on the
-    second use.  The memo is keyed by id and depth, which is sound because
-    obj keeps every container alive for the call.
-
     A leaf, a non-empty list or tuple of exact ints such as a point, is one
     piece, its text kept in leaves per depth by id, next to the leaf so that
     no other object takes its id: a shared leaf is typed and joined once per
@@ -60,18 +56,9 @@ def _canonical_pieces(obj: Any, depth: int = 0, leaves: dict | None = None) -> l
     dict, list or tuple is dispatched on its type; the rest, subclasses
     included, go through _scalar_json."""
     out: list[str] = []
-    # (start, end) of a container's pieces in out; its text once reused
-    memo: dict[tuple[int, int], tuple[int, int] | str] = {}
     leaves = {} if leaves is None else leaves
 
     def container(o: dict | list | tuple, depth: int) -> None:
-        key = (id(o), depth)
-        seen = memo.get(key)
-        if seen is not None:
-            if not isinstance(seen, str):
-                seen = memo[key] = "".join(out[seen[0] : seen[1]])
-            out.append(seen)
-            return
         if not o:
             out.append("{}" if isinstance(o, dict) else "[]")
             return
@@ -86,8 +73,6 @@ def _canonical_pieces(obj: Any, depth: int = 0, leaves: dict | None = None) -> l
         else:
             labels, values = None, o
             prefix, close = open_list, close_list
-        start = len(out)
-        nested = False
         for i, v in enumerate(values):
             if labels:
                 prefix += labels[i]
@@ -104,23 +89,18 @@ def _canonical_pieces(obj: Any, depth: int = 0, leaves: dict | None = None) -> l
                         v, leaf_open + leaf_sep.join(map(int.__repr__, v)) + leaf_close
                     )
                 out.append(prefix + seen[1])
-                nested = True
             elif kind is dict or kind is list or kind is tuple:
                 out.append(prefix)
                 container(v, depth + 1)
-                nested = True
             else:
                 text = _scalar_json(v)
                 if text is None:
                     out.append(prefix)
                     container(v, depth + 1)
-                    nested = True
                 else:
                     out.append(prefix + text)
             prefix = sep
         out.append(close)
-        if nested:
-            memo[key] = (start, len(out))
 
     top = _scalar_json(obj)
     if top is None:
@@ -227,22 +207,23 @@ def _set_json(set_type: str, v1: Point | None, v2: Point | None, squares: list) 
     }
 
 
-def search_result_pieces(d: int, result: SearchResult) -> Iterator[str]:
+def search_result_pieces(result: SearchResult) -> Iterator[str]:
     """The `squares search` document, written set by set from the covers.
     Every text comes from _canonical_pieces, the calls sharing one leaves
     table: the head, each distinct label's text around its set's squares,
-    and each distinct block's square at its depth, 4, encoded once and
-    reused by every set that holds it.  No CompleteSet is built."""
+    and each block's square at its depth, 4, encoded once and reused by
+    every set that holds it.  No CompleteSet is built."""
     leaves: dict[int, dict[int, tuple]] = {}
+    d = result.field.order
     doc = {"census": result.census(), "d": d, "exhaustive": result.exhaustive, "sets": []}
     head, empty, foot = _split_at_empty_list(doc, 0, leaves)
     sep_sets, open_sets, _, close_sets, _ = _punctuation(1)
     sep_squares, open_squares, _, close_squares, _ = _punctuation(3)
     squares = {i: "".join(_canonical_pieces(square_to_json(ss.square), 4, leaves))
-               for i, ss in result._blocks.items()}
+               for i, ss in result.blocks.items()}
     labels: dict[int, tuple[str, str, str]] = {}  # by id; the result keeps each label alive
     yield head
-    for k, (cover, label) in enumerate(zip(result._covers, result._labels)):
+    for k, (cover, label) in enumerate(zip(result.covers, result.labels)):
         if id(label) not in labels:
             labels[id(label)] = _split_at_empty_list(_set_json(*label, []), 2, leaves)
         before, _, after = labels[id(label)]
@@ -252,7 +233,7 @@ def search_result_pieces(d: int, result: SearchResult) -> Iterator[str]:
                 yield sep_squares
             yield squares[i]
         yield close_squares + after
-    yield (close_sets if result._covers else empty) + foot
+    yield (close_sets if result.covers else empty) + foot
 
 
 def _split_at_empty_list(doc: dict, depth: int, leaves: dict) -> tuple[str, str, str]:

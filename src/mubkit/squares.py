@@ -22,7 +22,9 @@ that way, and the census types a found set by looking it up among the
 images.  The search engine enumerates every tiling by one depth-first
 exact cover in one process over the extraordinary subgroups, held as
 integer bitsets of their points with a bitset of compatible blocks per
-block.  A physical striation is exactly an extraordinary supersquare.
+block; its result is one value of those blocks' bases, the covers and
+their labels, and builds supersquares and sets only when they are read.
+A physical striation is exactly an extraordinary supersquare.
 """
 
 from __future__ import annotations
@@ -597,46 +599,37 @@ def perturb_supersquare(ss: Supersquare, seed: int) -> Square:
 
 
 class SearchResult(Value):
-    """The complete sets a search found, each held as its cover (the sorted
-    indices of its d + 1 blocks) and its (type, v1, v2) label, and whether
-    the search ran to the end.  ``sets`` is filled on first read, from one
-    Supersquare per distinct block (``_blocks``) that its sets share."""
+    """The complete sets a search found over the blocks with these bases,
+    in canonical order: each set is its cover (the sorted indices of its
+    d + 1 blocks) and its (type, v1, v2) label.  ``exhaustive`` says
+    whether the search ran to the end.  ``blocks`` and ``sets`` are built
+    on first read, and sets that hold the same block share its one
+    Supersquare."""
 
-    __slots__ = ("sets", "exhaustive", "_field", "_bases", "_covers", "_labels", "_blocks")
-    _key = attrgetter("sets", "exhaustive")  # the other slots are the sets as covers
+    __slots__ = ("field", "bases", "covers", "labels", "exhaustive", "__dict__")
+    _key = attrgetter("field", "bases", "covers", "labels", "exhaustive")  # not the cache
 
-    def __init__(self, sets: tuple[CompleteSet, ...], exhaustive: bool) -> None:
-        ids: dict[Supersquare, int] = {}  # each distinct supersquare's block index
-        self._covers = [tuple(ids.setdefault(s, len(ids)) for s in c.supersquares) for c in sets]
-        self._labels = [(c.set_type, c.v1, c.v2) for c in sets]
-        self._blocks, self.sets, self.exhaustive = dict(enumerate(ids)), sets, exhaustive
+    def __init__(self, field: Field, bases: tuple, covers: tuple, labels: tuple, exhaustive: bool):
+        self.field, self.bases, self.covers = field, bases, covers
+        self.labels, self.exhaustive = labels, exhaustive
 
-    @classmethod
-    def _found(cls, field: Field, bases: list, covers: list, labels: list, exhaustive: bool):
-        """A search's result over the blocks with these bases, no set built."""
-        result = cls.__new__(cls)
-        result._field, result._bases, result._covers = field, bases, covers
-        result._labels, result.exhaustive = labels, exhaustive
-        return result
+    @cached_property
+    def blocks(self) -> dict[int, Supersquare]:
+        """One Supersquare per block that some set holds, by block index."""
+        trusted = partial(Subgroup._trusted, self.field)
+        used = sorted(set().union(*self.covers))
+        return {i: supersquare_from_subgroup(trusted(self.bases[i])) for i in used}
 
-    def __getattr__(self, name: str) -> object:
-        """Fill the ``_blocks`` or the ``sets`` slot of a found result."""
-        if name == "_blocks":
-            trusted, bases = partial(Subgroup._trusted, self._field), self._bases
-            used = {i for cover in self._covers for i in cover}
-            self._blocks = {i: supersquare_from_subgroup(trusted(bases[i])) for i in used}
-        elif name == "sets":
-            get = self._blocks.__getitem__
-            self.sets = tuple(
-                CompleteSet(*label, tuple(map(get, cover)))
-                for cover, label in zip(self._covers, self._labels)
-            )
-        else:
-            raise AttributeError(name)
-        return getattr(self, name)
+    @cached_property
+    def sets(self) -> tuple[CompleteSet, ...]:
+        get = self.blocks.__getitem__
+        return tuple(
+            CompleteSet(*label, tuple(map(get, cover)))
+            for cover, label in zip(self.covers, self.labels)
+        )
 
     def census(self) -> dict[str, int]:
-        return dict(Counter(set_type for set_type, _, _ in self._labels))
+        return dict(Counter(set_type for set_type, _, _ in self.labels))
 
 
 def complete_set_templates(field: Field) -> dict[frozenset[int], tuple[str, Point, Point]]:
@@ -824,5 +817,6 @@ def search_complete_sets(field: Field, time_budget: float | None = None) -> Sear
     solutions.sort()
     templates = complete_set_templates(field)
     unclassified = ("Unclassified", None, None)  # one object: the writer keys labels by id
-    labels = [templates.get(frozenset(bits[i] for i in c), unclassified) for c in solutions]
-    return SearchResult._found(field, bases, solutions, labels, enum_complete and search_complete)
+    labels = tuple(templates.get(frozenset(bits[i] for i in c), unclassified) for c in solutions)
+    exhaustive = enum_complete and search_complete
+    return SearchResult(field, tuple(bases), tuple(solutions), labels, exhaustive)

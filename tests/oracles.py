@@ -41,9 +41,11 @@ reads a two-row rank off the 2x2 minors).
 The search and typing references are here too: the striation test by
 every nonzero element of the origin class (the library translates by a
 basis of it), the first selfdual basis by a scan over all n-sets of masks
-(the library searches the trace-1 masks depth first), the exact cover
-that rebuilds the candidate list of every uncovered point at each node
-and branches on the shortest (the library branches on the lowest
+(the library searches the trace-1 masks depth first), the dual basis by
+inverting an F_2 matrix (the library finds each dual element as the one
+mask with the right trace products), the exact cover that rebuilds the
+candidate list of every uncovered point at each node and branches on the
+shortest (the library branches on the lowest
 uncovered point over bitsets of compatible blocks), and the recipe
 tables of the typed sets written in Point and FieldElement arithmetic,
 with the template table built by evaluating them at every valid (v1, v2)
@@ -719,8 +721,7 @@ def square_to_json(s):
 
 def search_result_to_json(d, result):
     """The `squares search` document as one tree over the built sets.
-    Sets that share a Square object share its one square_to_json dict, so
-    dumps_canonical encodes it once."""
+    Sets that share a Square object share its one square_to_json dict."""
     shared = {}  # id(square) -> its dict; result keeps the squares alive
 
     def square(sq):
@@ -823,6 +824,31 @@ def selfdual_basis_by_scan(field):
         if is_selfdual(cand):
             return cand
     raise ValueError(f"no selfdual basis found for {field!r}")
+
+
+def dual_basis_by_inversion(basis):
+    """The dual basis from the inverse of the F_2 matrix A whose row i holds
+    tr(e_i * mu^k) at bit k: the dual elements' coordinate vectors over
+    the polynomial basis are the columns of A^-1."""
+    field, n = basis.field, basis.field.n
+    rows = [
+        sum(field._trace[field._mul_mask(e.mask, field._exp[k])] << k for k in range(n))
+        for e in basis
+    ]
+    aug = [rows[i] | (1 << (n + i)) for i in range(n)]
+    for col in range(n):
+        pivot = next(r for r in range(col, n) if aug[r] >> col & 1)
+        aug[col], aug[pivot] = aug[pivot], aug[col]
+        for r in range(n):
+            if r != col and aug[r] >> col & 1:
+                aug[r] ^= aug[col]
+    inv = [aug[i] >> n for i in range(n)]
+    duals = [0] * n
+    for k in range(n):
+        for j in range(n):
+            if inv[k] >> j & 1:
+                duals[j] ^= field._exp[k]
+    return FieldBasis(tuple(map(field.element, duals)))
 
 
 def fewest_candidates_covers(blocks, d):

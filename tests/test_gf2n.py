@@ -1,5 +1,8 @@
 """Field arithmetic against an independent polynomial-reduction oracle."""
 
+import itertools
+import random
+
 import pytest
 
 import oracles
@@ -13,6 +16,7 @@ from mubkit import (
     field_for_dimension,
     is_selfdual,
 )
+from mubkit.gf2n import _independent
 
 
 # -- oracle: carry-less polynomial arithmetic, reimplemented from scratch ----
@@ -245,11 +249,36 @@ def test_dual_basis_of_polynomial_basis_f8(f8):
     assert found == [tuple(dual.elements)]
 
 
+def _ordered_bases(field):
+    """Every ordered basis of the field over F_2."""
+    for masks in itertools.permutations(range(1, field.order), field.n):
+        if len(_independent(masks)) == field.n:
+            yield FieldBasis(tuple(map(field.element, masks)))
+
+
+def _sampled_bases(field, count, seed):
+    """count ordered bases drawn from a seeded stream of random mask tuples."""
+    rng = random.Random(seed)
+    while count:
+        masks = [rng.randrange(1, field.order) for _ in range(field.n)]
+        if len(_independent(masks)) == field.n:
+            count -= 1
+            yield FieldBasis(tuple(map(field.element, masks)))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_dual_basis_by_search_matches_the_inversion_oracle(n):
+    """Every ordered basis at n = 2 and 3, a seeded sample at n = 4 and 5."""
+    field = Field(n)
+    bases = list(_ordered_bases(field) if n <= 3 else _sampled_bases(field, 400, seed=n))
+    assert len(bases) == {2: 6, 3: 168, 4: 400, 5: 400}[n]
+    for basis in bases:
+        assert dual_basis(basis) == oracles.dual_basis_by_inversion(basis), basis
+
+
 def test_dual_basis_is_involution(f4, f8):
     for f in (f4, f8):
         els = [e for e in f.elements() if not e.is_zero]
-        import itertools
-
         count = 0
         for combo in itertools.combinations(els, f.n):
             try:

@@ -1,10 +1,12 @@
 """The search result held as covers, and the census written from them.
 
-A SearchResult keeps each found set as its sorted block indices and its
-(type, v1, v2) label; its CompleteSets are built on first read.  The
-`squares search` document is written set by set from the covers by
-serialize.search_result_pieces, and oracles.search_result_to_json, one
-tree over the built sets, is the oracle its text must match.
+A SearchResult is one value of the field, the blocks' bases, each found
+set's sorted block indices and (type, v1, v2) label, and whether the
+search ran to the end; its blocks and CompleteSets are built on first
+read.  The `squares search` document is written set by set from the
+covers by serialize.search_result_pieces, and
+oracles.search_result_to_json, one tree over the built sets, is the
+oracle its text must match.
 """
 
 import itertools
@@ -13,7 +15,7 @@ import types
 
 import pytest
 
-from mubkit import Field, SearchResult, search_complete_sets, squares
+from mubkit import Field, search_complete_sets, squares
 from mubkit.cli import main
 from mubkit.serialize import _canonical_pieces, dumps_canonical, search_result_pieces
 
@@ -25,15 +27,20 @@ def results():
     return {4: search_complete_sets(Field(2)), 8: search_complete_sets(Field(3))}
 
 
-@pytest.fixture(scope="module")
-def partial_d8():
-    """A d = 8 search cut after 2,000 cover nodes by a faked clock: one
-    read for the deadline, one per walked Lagrangian, one per node."""
-    reads = itertools.count()
-    fake = types.SimpleNamespace(monotonic=lambda: 0.0 if next(reads) < 1 + 135 + 2000 else 2.0)
+def cut_search(field, reads):
+    """A search whose faked clock passes the deadline after this many reads:
+    one for the deadline, one per walked Lagrangian, one per cover node."""
+    count = itertools.count()
+    fake = types.SimpleNamespace(monotonic=lambda: 0.0 if next(count) < reads else 2.0)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(squares, "time", fake)
-        result = search_complete_sets(Field(3), time_budget=1.0)
+        return search_complete_sets(field, time_budget=1.0)
+
+
+@pytest.fixture(scope="module")
+def partial_d8():
+    """A d = 8 search cut after 2,000 cover nodes."""
+    result = cut_search(Field(3), 1 + 135 + 2000)
     assert not result.exhaustive
     assert 0 < len(result.sets) < 960
     return result
@@ -45,7 +52,7 @@ def stdlib_json(value) -> str:
 
 @pytest.mark.parametrize("d", [4, 8])
 def test_written_census_matches_the_oracle(results, d):
-    text = "".join(search_result_pieces(d, results[d]))
+    text = "".join(search_result_pieces(results[d]))
     doc = oracles.search_result_to_json(d, results[d])
     assert text == dumps_canonical(doc)
     if d == 4:
@@ -53,25 +60,17 @@ def test_written_census_matches_the_oracle(results, d):
 
 
 def test_written_partial_census_matches_the_oracle(partial_d8):
-    text = "".join(search_result_pieces(8, partial_d8))
+    text = "".join(search_result_pieces(partial_d8))
     doc = oracles.search_result_to_json(8, partial_d8)
     assert text == dumps_canonical(doc) == stdlib_json(doc)
 
 
 def test_written_empty_census_matches_the_oracle():
     result = search_complete_sets(Field(3), time_budget=0)
-    text = "".join(search_result_pieces(8, result))
+    text = "".join(search_result_pieces(result))
     doc = oracles.search_result_to_json(8, result)
     assert doc["sets"] == [] and not doc["exhaustive"]
     assert text == dumps_canonical(doc) == stdlib_json(doc)
-
-
-def test_an_eagerly_built_result_is_written_as_its_sets(results):
-    """A result built from CompleteSets has covers too, over its distinct
-    supersquares in order of first use."""
-    eager = SearchResult(results[4].sets[::-1], False)
-    text = "".join(search_result_pieces(4, eager))
-    assert text == dumps_canonical(oracles.search_result_to_json(4, eager))
 
 
 @pytest.mark.parametrize(
@@ -103,32 +102,44 @@ def test_pieces_at_a_start_depth_are_the_text_nested_that_deep(value, k):
 
 
 def eager(result):
-    """The result built from CompleteSets made afresh from its covers."""
-    sets = []
-    for cover, (set_type, v1, v2) in zip(result._covers, result._labels):
-        supersquares = tuple(
-            squares.Supersquare(squares.Subgroup._trusted(result._field, result._bases[i]))
-            for i in cover
-        )
-        sets.append(squares.CompleteSet(set_type, v1, v2, supersquares))
-    return SearchResult(tuple(sets), result.exhaustive)
+    """The result's sets built eagerly from its covers, with a new
+    Supersquare for every square of every set."""
+
+    def supersquare(i):
+        return squares.Supersquare(squares.Subgroup._trusted(result.field, result.bases[i]))
+
+    return tuple(
+        squares.CompleteSet(*label, tuple(map(supersquare, cover)))
+        for cover, label in zip(result.covers, result.labels)
+    )
 
 
 @pytest.mark.parametrize("d", [4, 8])
 def test_lazy_result_equals_the_result_built_eagerly(results, d):
-    built = eager(results[d])
-    assert results[d] == built and not results[d] != built
-    assert hash(results[d]) == hash(built)
-    assert results[d].census() == built.census()
+    result = results[d]
+    assert result.sets == eager(result)
+    again = search_complete_sets(Field({4: 2, 8: 3}[d]))
+    assert again == result and not again != result
+    assert hash(again) == hash(result)
+    assert again.sets == result.sets and again.census() == result.census()
+
+
+def test_cut_results_with_the_same_sets_over_other_blocks_differ():
+    """Equality reads the blocks a search enumerated, not only the sets it
+    found: two enumerations cut at different blocks give two values."""
+    a, b = cut_search(Field(3), 1 + 10), cut_search(Field(3), 1 + 20)
+    assert (len(a.bases), len(b.bases)) == (10, 20)
+    assert a.sets == b.sets == () and not a.exhaustive and not b.exhaustive
+    assert a != b
 
 
 def test_sets_that_share_a_block_share_one_supersquare(results):
     result = results[8]
     by_block = {}
-    for cover, c in zip(result._covers, result.sets):
+    for cover, c in zip(result.covers, result.sets):
         for i, ss in zip(cover, c.supersquares):
             assert by_block.setdefault(i, ss) is ss
-    assert len(by_block) == 135
+    assert len(by_block) == 135 and by_block == result.blocks
 
 
 @pytest.fixture
@@ -168,3 +179,9 @@ def test_json_census_builds_one_supersquare_per_block_and_no_set(built, tmp_path
     out = tmp_path / "census.json"
     assert main(["squares", "search", "--d", "8", "--format", "json", "--out", str(out)]) == 0
     assert built == {"supersquares": 135, "sets": 0}
+
+
+def test_equality_and_hash_build_no_supersquare(built):
+    result, again = search_complete_sets(Field(3)), search_complete_sets(Field(3))
+    assert result == again and hash(result) == hash(again)
+    assert built == {"supersquares": 0, "sets": 0}

@@ -56,7 +56,10 @@ def cases(f4, f8, d4_type_ii_set):
             lambda: [True, True, True, True, True, ()],
             [False, False, False, False, False, ("a failure",)],
         ),
-        SearchResult: (lambda: [(d4_type_ii_set,), True], [(type_i,), False]),
+        SearchResult: (
+            lambda: [f4, ((4, 8), (1, 12)), ((0, 1),), (("I", None, None),), True],
+            [f8, ((4, 8),), ((1, 0),), (("II", None, None),), False],
+        ),
         PauliWord: (lambda: [("X", "Z")], [("Z", "X")]),
         UnnormalizedState: (
             lambda: [(GaussInt(1, 0), GaussInt(0, 0)), 1],
@@ -198,8 +201,7 @@ def test_each_key_reads_every_slot_but_derived_ones():
     derived = {
         Subgroup: {"_set"},
         Supersquare: {"__dict__"},
-        # a search result's sets held as covers, from which sets is filled
-        SearchResult: {"_field", "_bases", "_covers", "_labels", "_blocks"},
+        SearchResult: {"__dict__"},  # its blocks and sets, cached
     }
     for cls in Value.__subclasses__():
         probe = _Probe()
