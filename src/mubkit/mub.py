@@ -290,20 +290,6 @@ def _stabilizer(words, states, packs, d: int) -> list[int] | None:
     return gens if len({_signature(ops, p, n) for p in packs} - {None}) == d else None
 
 
-def _reduce_onto(pivots: list[int], masks: Sequence[int]) -> list[int] | None:
-    """The pivots followed by each mask reduced against those before it, so
-    that no two share a leading bit; None when a mask reduces to 0, i.e. is
-    dependent on them."""
-    out = list(pivots)
-    for m in masks:
-        for piv in out:
-            m = min(m, m ^ piv)
-        if not m:
-            return None
-        out.append(m)
-    return out
-
-
 def certify_bases(
     bases: Sequence[Sequence[UnnormalizedState]],
     d: int,
@@ -370,10 +356,9 @@ def _certify(bases, packs, d: int, class_maps, expected_structure, words):
                 checks["orthogonality"] = False
                 failures.append(f"basis {bi} states {i},{j} not orthogonal")
     checks["unbiasedness"] = True
-    reduced = [_reduce_onto([], g) if g else None for g in stabilizers]
     for (bi, us), (bj, vs) in combinations(enumerate(sized, start=1), 2):
-        ra, rb = reduced[bi - 1], reduced[bj - 1]
-        if ra and rb and _reduce_onto(ra, rb):
+        ga, gb = stabilizers[bi - 1], stabilizers[bj - 1]
+        if ga and gb and len(_independent(ga + gb)) == len(ga) + len(gb):
             continue
         for i, u, pu in us:
             for j, v, pv in vs:

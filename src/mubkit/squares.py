@@ -16,15 +16,18 @@ Complete sets are d+1 pairwise orthogonal extraordinary supersquares,
 equivalently d+1 generating subgroups that pairwise intersect only in
 the origin, so that together they tile the nonzero points of the plane.
 Every typed set is the image of one base template per type and
-k = det(v1, v2), its generators at (v1, v2) = (e1, e2), under the
-F_d-linear map (x, y) -> x*v1 + y*v2: the constructors build a pair's set
-that way, and the census types a found set by looking it up among the
-images.  The search engine enumerates every tiling by one depth-first
-exact cover in one process over the extraordinary subgroups, held as
-integer bitsets of their points with a bitset of compatible blocks per
-block; its result is one value of those blocks' bases, the covers and
-their labels, and builds supersquares and sets only when they are read.
-A physical striation is exactly an extraordinary supersquare.
+k = det(v1, v2), its generators at (v1, v2) = (e1, e2) held as F_2 bases,
+under the F_d-linear map (x, y) -> x*v1 + y*v2.  A pair acts through that
+map's table, the image of every packed point: the constructors map the
+base generators through it, and the census types a found set by looking
+it up among the images, reading the maps between pairs that share a
+template off the same tables.  The search engine enumerates every tiling
+by one depth-first exact cover in one process over the extraordinary
+subgroups, held as integer bitsets of their points with a bitset of
+compatible blocks per block; its result is one value of those blocks'
+bases, the covers and their labels, and builds supersquares and sets only
+when they are read.  A physical striation is exactly an extraordinary
+supersquare.
 """
 
 from __future__ import annotations
@@ -38,7 +41,7 @@ from itertools import combinations
 from operator import attrgetter, itemgetter, or_
 from typing import Iterable, Sequence
 
-from .gf2n import Field, Value
+from .gf2n import Field, Value, _independent
 from .phasespace import (
     Point,
     Subgroup,
@@ -251,11 +254,7 @@ class CompleteSet(Value):
         return tuple(ss.square for ss in self.supersquares)
 
 
-# Generator tables are expressed as recipes over packed point masks --
-# ("line", u) for F_d*u and ("span", a, b, scalars) for Z2*a + scalars*b,
-# scalars being element masks -- evaluated to point masks by _recipe_masks.
-
-_Recipe = tuple
+# A typed set: the F_2 bases of its base generators through a pair's table.
 
 
 def _scale(field: Field, p: int, c: int) -> int:
@@ -264,99 +263,93 @@ def _scale(field: Field, p: int, c: int) -> int:
     return mul(p & (field.order - 1), c) | mul(p >> field.n, c) << field.n
 
 
-def _recipes(field: Field, set_type: str, k: int) -> list[_Recipe]:
+def _pair_table(s1: Sequence[int], s2: Sequence[int]) -> list[int]:
+    """The map (x, y) -> x*v1 + y*v2 as the image of every packed point
+    x | y << n, from the multiples s1[x] = x*v1 and s2[y] = y*v2."""
+    return [a ^ b for b in s2 for a in s1]
+
+
+def _recipes(field: Field, set_type: str, k: int) -> list[tuple[int, ...]]:
     """The generators of the typed set of a pair with det(v1, v2) = k, at
-    (v1, v2) = (e1, e2).  Every table is F_d-linear in (v1, v2), with
-    coefficients that depend only on k, so the generators of any valid
-    pair are the images of these under (x, y) -> x*v1 + y*v2."""
-    v1, v2 = 1, 1 << field.n
+    (v1, v2) = (e1, e2), each as its F_2 basis of n packed masks.  Every
+    list is F_d-linear in (v1, v2), with coefficients that depend only on
+    k, so the generators of any valid pair are the images of these under
+    its pair table.  A line F_d*u has the basis mu^j*u, and a span
+    Z2*a + Kt*b the basis a, b*t over a basis t of Kt = k^-1*K, where K
+    holds the elements of trace zero (Kt = Z2 at d = 4, where k = 1)."""
+    n, d = field.n, field.order
+    v1, v2 = 1, 1 << n
     s = partial(_scale, field)
-    if set_type == "I":
-        return [("line", v1 ^ s(v2, lam)) for lam in (0,) + field._exp] + [("line", v2)]
-    if field.order == 4 and set_type == "II":
-        mu, mu2 = field._exp[1], field._exp[2]
-        z2 = (0, 1)
-        return [
-            ("line", v1),
-            ("span", v2, v1 ^ s(v2, mu), z2),
-            ("span", s(v2, mu), s(v1 ^ v2, mu2), z2),
-            ("span", s(v2, mu2), s(v1 ^ v2, mu), z2),
-            ("span", v1 ^ v2, s(v1, mu) ^ s(v2, mu2), z2),
-        ]
     exp, log = field._exp, field._log
-    kp = [exp[log[k] * j % 7] for j in range(7)]
-    kinv = exp[-log[k] % 7]
-    ktilde = tuple(
-        sorted(field._mul_mask(t, kinv) for t in range(8) if not field._trace[t])
-    )
+    kp = [exp[log[k] * j % (d - 1)] for j in range(d - 1)]
+    kt = _independent(field._mul_mask(t, exp[-log[k] % (d - 1)])
+                      for t in range(d) if not field._trace[t])
+
+    def line(u: int) -> tuple[int, ...]:
+        return tuple(s(u, 1 << j) for j in range(n))
+
+    def span(a: int, b: int) -> tuple[int, ...]:
+        return (a, *[s(b, t) for t in kt])
+
+    if set_type == "I":
+        return [line(v1 ^ s(v2, lam)) for lam in (0,) + exp] + [line(v2)]
+    if d == 4 and set_type == "II":
+        mu, mu2 = exp[1], exp[2]
+        return [
+            line(v1),
+            span(v2, v1 ^ s(v2, mu)),
+            span(s(v2, mu), s(v1 ^ v2, mu2)),
+            span(s(v2, mu2), s(v1 ^ v2, mu)),
+            span(v1 ^ v2, s(v1, mu) ^ s(v2, mu2)),
+        ]
     if set_type == "II":
         return [
-            ("span", v2 ^ s(v1, kp[4]), v1, ktilde),
-            ("span", s(v1, kp[2]), s(v2, kp[5]) ^ s(v1, kp[2]), ktilde),
-            ("span", s(v1, kp[4]), s(v2, kp[3]) ^ s(v1, kp[6]), ktilde),
-            ("span", s(v1, kp[5]), s(v2, kp[2]) ^ s(v1, kp[4]), ktilde),
-            ("span", s(v1, kp[6]), s(v2, kp[1]) ^ v1, ktilde),
-            ("span", s(v1 ^ v2, kp[1]), s(v2, kp[6]), ktilde),
-            ("span", s(v2, kp[1]), s(v1 ^ v2, kp[6]), ktilde),
-            ("span", s(v2, kp[4]), s(v1, kp[3]) ^ s(v2, kp[5]), ktilde),
-            ("span", s(v1, kp[2]) ^ s(v2, kp[3]), v1 ^ s(v2, kp[6]), ktilde),
+            span(v2 ^ s(v1, kp[4]), v1),
+            span(s(v1, kp[2]), s(v2, kp[5]) ^ s(v1, kp[2])),
+            span(s(v1, kp[4]), s(v2, kp[3]) ^ s(v1, kp[6])),
+            span(s(v1, kp[5]), s(v2, kp[2]) ^ s(v1, kp[4])),
+            span(s(v1, kp[6]), s(v2, kp[1]) ^ v1),
+            span(s(v1 ^ v2, kp[1]), s(v2, kp[6])),
+            span(s(v2, kp[1]), s(v1 ^ v2, kp[6])),
+            span(s(v2, kp[4]), s(v1, kp[3]) ^ s(v2, kp[5])),
+            span(s(v1, kp[2]) ^ s(v2, kp[3]), v1 ^ s(v2, kp[6])),
         ]
     if set_type == "III":
         return [
-            ("line", v2),
-            ("line", v1 ^ v2),
-            ("line", s(v1, k) ^ v2),
-            ("span", v2 ^ s(v1, kp[2]), v1, ktilde),
-            ("span", s(v1, kp[2]), s(v2, kp[5]) ^ s(v1, kp[4]), ktilde),
-            ("span", s(v1, kp[4]), s(v2, kp[3]) ^ s(v1, kp[5]), ktilde),
-            ("span", s(v1, kp[5]), s(v2, kp[2]) ^ v1, ktilde),
-            ("span", s(v1, kp[6]), s(v2, kp[1]) ^ s(v1, kp[4]), ktilde),
-            ("span", v1 ^ s(v2, kp[5]), s(v1, kp[5]) ^ s(v2, kp[1]), ktilde),
+            line(v2),
+            line(v1 ^ v2),
+            line(s(v1, k) ^ v2),
+            span(v2 ^ s(v1, kp[2]), v1),
+            span(s(v1, kp[2]), s(v2, kp[5]) ^ s(v1, kp[4])),
+            span(s(v1, kp[4]), s(v2, kp[3]) ^ s(v1, kp[5])),
+            span(s(v1, kp[5]), s(v2, kp[2]) ^ v1),
+            span(s(v1, kp[6]), s(v2, kp[1]) ^ s(v1, kp[4])),
+            span(v1 ^ s(v2, kp[5]), s(v1, kp[5]) ^ s(v2, kp[1])),
         ]
     if set_type == "IV":
         return [
-            ("line", v2),
-            ("span", v2 ^ s(v1, kp[2]), v1, ktilde),
-            ("span", s(v1, kp[2]), s(v2, kp[5]) ^ v1, ktilde),
-            ("span", s(v1, kp[4]), s(v2, kp[3]) ^ v1, ktilde),
-            ("span", s(v1, kp[5]), s(v2, kp[2]) ^ v1, ktilde),
-            ("span", s(v1, kp[6]), s(v2, kp[1]) ^ v1, ktilde),
-            ("span", s(v1, kp[2]) ^ s(v2, kp[6]), v1 ^ v2, ktilde),
-            ("span", s(v1 ^ v2, kp[2]), v1 ^ s(v2, kp[4]), ktilde),
-            ("span", s(v1 ^ v2, kp[5]), v1 ^ s(v2, kp[6]), ktilde),
+            line(v2),
+            span(v2 ^ s(v1, kp[2]), v1),
+            span(s(v1, kp[2]), s(v2, kp[5]) ^ v1),
+            span(s(v1, kp[4]), s(v2, kp[3]) ^ v1),
+            span(s(v1, kp[5]), s(v2, kp[2]) ^ v1),
+            span(s(v1, kp[6]), s(v2, kp[1]) ^ v1),
+            span(s(v1, kp[2]) ^ s(v2, kp[6]), v1 ^ v2),
+            span(s(v1 ^ v2, kp[2]), v1 ^ s(v2, kp[4])),
+            span(s(v1 ^ v2, kp[5]), v1 ^ s(v2, kp[6])),
         ]
     raise ValueError(f"unknown set type {set_type!r}")
 
 
-def _recipe_masks(field: Field, recipe: _Recipe) -> tuple[int, ...]:
-    """The sorted point masks a recipe spans, unvalidated: Subgroup checks
-    closure and Supersquare the order."""
-    if recipe[0] == "line":
-        u = recipe[1]
-        return tuple(sorted({_scale(field, u, c) for c in range(field.order)}))
-    _, a, b, scalars = recipe
-    masks = set()
-    for c in scalars:
-        t = _scale(field, b, c)
-        masks.add(t)
-        masks.add(t ^ a)
-    return tuple(sorted(masks))
-
-
 def _typed_set(set_type: str, v1: Point, v2: Point, k: int) -> CompleteSet:
-    """The typed set of a validated pair with det(v1, v2) = k: the image of
-    its base generators under (x, y) -> x*v1 + y*v2, read off the d scalar
-    multiples s1 of v1 and s2 of v2."""
+    """The typed set of a validated pair with det(v1, v2) = k: the spans of
+    its base generators mapped through the pair's table."""
     field = v1.field
-    d, n = field.order, field.n
-    s1, s2 = ([_scale(field, point_to_mask(v), c) for c in range(d)] for v in (v1, v2))
+    s1, s2 = ([_scale(field, point_to_mask(v), c) for c in range(field.order)] for v in (v1, v2))
+    table = _pair_table(s1, s2)
     supersquares = tuple(
-        Supersquare(
-            Subgroup.from_masks(
-                field, [s1[m & d - 1] ^ s2[m >> n] for m in _recipe_masks(field, r)]
-            )
-        )
-        for r in _recipes(field, set_type, k)
+        Supersquare(Subgroup.from_masks(field, [table[m] for m in _span(basis)]))
+        for basis in _recipes(field, set_type, k)
     )
     return CompleteSet(set_type, v1, v2, supersquares)
 
@@ -635,14 +628,15 @@ class SearchResult(Value):
 def complete_set_templates(field: Field) -> dict[frozenset[int], tuple[str, Point, Point]]:
     """Generator-set templates keyed by frozensets of subgroup bitsets (bit
     m set for every nonzero packed point m); first match wins, scanning
-    types in order I, II, III, IV over all valid (v1, v2) pairs in
-    canonical point order.  A pair's template is the image of the base
-    generators of _recipes, read off the scalar multiples of v1 and v2;
-    _template_scan skips the pairs whose template is known to repeat."""
+    types in order I, II, III, IV.  Every pair with det(v1, v2) != 0 gives
+    the one type I template, the d + 1 lines, labelled (e1, e2) = ((1, 0),
+    (0, 1)) rather than its first pair in canonical point order, ((0, 1),
+    (1, 0)).  A type II-IV template is labelled with its first valid pair
+    (v1, v2) in canonical point order: the base generators of _recipes
+    mapped through that pair's table.  _template_scan skips the pairs whose
+    template is known to repeat."""
     table = point_table(field)
-    lines = frozenset(
-        sum(1 << m for m in _recipe_masks(field, r)[1:]) for r in _recipes(field, "I", 1)
-    )
+    lines = frozenset(sum(1 << m for m in _span(b)[1:]) for b in _recipes(field, "I", 1))
     templates = {lines: ("I", table[1], table[1 << field.n])}
     for set_type, pairs in _template_scan(field)[0].items():  # types in order II, III, IV
         for key, (v1, v2) in pairs.items():
@@ -654,56 +648,38 @@ def _template_scan(
     field: Field,
 ) -> tuple[
     dict[str, dict[frozenset[int], tuple[int, int]]],
-    dict[tuple[str, int], set[tuple[int, int, int, int]]],
+    dict[tuple[str, int], set[tuple[int, int]]],
 ]:
     """The first pair (v1, v2) of each type II-IV template, per type, in
     canonical pair order, and the maps learned on the way.
 
-    A map B = (x1, y1, x2, y2) takes a pair p = (v1, v2) to p.B =
-    (x1*v1 + y1*v2, x2*v1 + y2*v2).  Pair p's template is the image of the
-    base template at k = det p under (x, y) -> x*v1 + y*v2, so if B keeps
-    a type's template at one pair of det k, it keeps it at every valid
-    pair of det k.  keeps[type, k] holds such maps, each learned from two
-    pairs whose keys were equal: when pair q repeats the template first
-    met at pair f, B = f^-1.q goes to keeps[type, det f] and its inverse to
-    keeps[type, det q].  After computing the key of a pair p, the scan
-    marks p.B for every B in keeps[type, det p]; a marked pair's template
-    was met at an earlier pair, so its key is never computed and the first
-    pairs are those of the full scan."""
+    Pair p = (v1, v2) has the table T_p of (x, y) -> x*v1 + y*v2, and its
+    template is the image of the base template at k = det p under T_p.  A
+    map B = (b1, b2), two packed points, takes p to p.B = (T_p[b1],
+    T_p[b2]); if B keeps a type's template at one pair of det k, it keeps
+    it at every valid pair of det k.  keeps[type, k] holds such maps, each
+    learned from two pairs whose keys were equal: when pair q repeats the
+    template first met at pair f, B = f^-1.q = (T_f.index(q1),
+    T_f.index(q2)) goes to keeps[type, det f] and its inverse
+    (T_q.index(f1), T_q.index(f2)) to keeps[type, det q].  After computing
+    the key of a pair p, the scan marks p.B for every B in keeps[type,
+    det p]; a marked pair's template was met at an earlier pair, so its key
+    is never computed and the first pairs are those of the full scan."""
     d, n = field.order, field.n
     types = {4: ("II",), 8: ("II", "III", "IV")}.get(d)
     if types is None:
         return {}, {}
     lo, n2 = d - 1, 2 * n
-    exp, log = field._exp, field._log
     # nonzero packed points in canonical (x mask, y mask) order
     points = [x | y << n for x in range(d) for y in range(d)][1:]
     multiples = [[_scale(field, u, c) for c in range(d)] for u in range(d * d)]
     times = multiples[:d]  # the points (a, 0): times[a][b] = a*b in F_d
-
-    def base(recipes: list[_Recipe]) -> list[itemgetter]:
-        """Each subgroup at (e1, e2) as a getter of its nonzero points'
-        entries in a pair's image row, indexed x*d + y."""
-        return [
-            itemgetter(*[(m & lo) * d + (m >> n) for m in _recipe_masks(field, r)[1:]])
-            for r in recipes
-        ]
-
-    def map_to(p1: int, p2: int, q1: int, q2: int) -> tuple[int, int, int, int]:
-        """The map B with (p1, p2).B = (q1, q2): q1 and q2 each written as
-        x*p1 + y*p2 by Cramer's rule over det(p1, p2)."""
-        a1, b1, a2, b2 = p1 & lo, p1 >> n, p2 & lo, p2 >> n
-        c1, e1, c2, e2 = q1 & lo, q1 >> n, q2 & lo, q2 >> n
-        over = times[exp[-log[times[a1][b2] ^ times[a2][b1]] % lo]]  # times 1/det
-        return (
-            over[times[c1][b2] ^ times[a2][e1]],
-            over[times[a1][e1] ^ times[c1][b1]],
-            over[times[c2][b2] ^ times[a2][e2]],
-            over[times[a1][e2] ^ times[c2][b1]],
-        )
-
     dets = [1] if d == 4 else [k for k in range(1, d) if not field._trace[k]]
-    bases = {k: [(t, base(_recipes(field, t, k))) for t in types] for k in dets}
+    # each base subgroup as a getter of its nonzero points' entries in a table
+    getters = {
+        k: [(t, [itemgetter(*_span(b)[1:]) for b in _recipes(field, t, k)]) for t in types]
+        for k in dets
+    }
     firsts: dict[str, dict[frozenset[int], tuple[int, int]]] = {t: {} for t in types}
     keeps = {(t, k): set() for t in types for k in dets}
     marks = {t: bytearray(d**4) for t in types}
@@ -711,24 +687,26 @@ def _template_scan(
         s1, times_x, times_y = multiples[v1], times[v1 & lo], times[v1 >> n]
         for v2 in points:
             k = times_x[v2 >> n] ^ times_y[v2 & lo]  # det(v1, v2)
-            by_type = bases.get(k)
+            by_type = getters.get(k)
             if by_type is None:
                 continue
-            s2, pair, row = multiples[v2], v1 << n2 | v2, None
-            for set_type, getters in by_type:
+            pair, table = v1 << n2 | v2, None
+            for set_type, gets in by_type:
                 marked = marks[set_type]
                 if marked[pair]:
                     continue
-                if row is None:
-                    row = [1 << (a ^ b) for a in s1 for b in s2]
-                key = frozenset([sum(g(row)) for g in getters])
+                if table is None:
+                    table = _pair_table(s1, multiples[v2])
+                    bits = [1 << m for m in table]
+                key = frozenset([sum(g(bits)) for g in gets])
                 f1, f2 = firsts[set_type].setdefault(key, (v1, v2))
                 if f1 != v1 or f2 != v2:
+                    first = _pair_table(multiples[f1], multiples[f2])
                     fk = times[f1 & lo][f2 >> n] ^ times[f2 & lo][f1 >> n]  # det(f1, f2)
-                    keeps[set_type, fk].add(map_to(f1, f2, v1, v2))
-                    keeps[set_type, k].add(map_to(v1, v2, f1, f2))  # its inverse
-                for x1, y1, x2, y2 in keeps[set_type, k]:
-                    marked[(s1[x1] ^ s2[y1]) << n2 | s1[x2] ^ s2[y2]] = 1
+                    keeps[set_type, fk].add((first.index(v1), first.index(v2)))
+                    keeps[set_type, k].add((table.index(f1), table.index(f2)))  # its inverse
+                for b1, b2 in keeps[set_type, k]:
+                    marked[table[b1] << n2 | table[b2]] = 1
     return firsts, keeps
 
 

@@ -377,22 +377,6 @@ def test_certificate_with_words_matches_dense_oracle(type_i_sets, d, kind):
         assert failures[0] == "bases 2,3 biased at states (0,0)"
 
 
-@ORACLE
-@given(st.integers(1, 5), st.data())
-def test_pair_rank_from_reduced_words_equals_joint_elimination(k, data):
-    """The pair check reduces one basis's eliminated words onto the
-    other's; it must find the 2k words independent exactly when one
-    elimination of all of them does, overlaps of any size included."""
-    masks = st.integers(1, (1 << 2 * k) - 1)
-    ga = data.draw(st.lists(masks, min_size=k, max_size=k).filter(
-        lambda g: len(_independent(g)) == k))
-    gb = data.draw(st.lists(masks, min_size=k, max_size=k).filter(
-        lambda g: len(_independent(g)) == k))
-    ra, rb = mub._reduce_onto([], ga), mub._reduce_onto([], gb)
-    assert ra and rb
-    assert bool(mub._reduce_onto(ra, rb)) == (len(_independent(ga + gb)) == 2 * k)
-
-
 def count_pair_checks(monkeypatch):
     """A list that gets one entry per packed_inner call."""
     calls = []
