@@ -7,7 +7,7 @@ payloads carry only "d", the field modulus being the canonical one.  The
 documents share their leaves: one (x, y) tuple per point of a field and
 one (re, im) tuple per entry 0, +-1, +-i (json.loads gives lists).  The
 search document is written set by set, straight from a search result's
-covers and labels, with each block's square encoded once.
+covers and labels, as bytes, with each block's square encoded once.
 """
 
 from __future__ import annotations
@@ -207,33 +207,41 @@ def _set_json(set_type: str, v1: Point | None, v2: Point | None, squares: list) 
     }
 
 
-def search_result_pieces(result: SearchResult) -> Iterator[str]:
-    """The `squares search` document, written set by set from the covers.
-    Every text comes from _canonical_pieces, the calls sharing one leaves
-    table: the head, each distinct label's text around its set's squares,
-    and each block's square at its depth, 4, encoded once and reused by
-    every set that holds it.  No CompleteSet is built."""
+def search_result_pieces(result: SearchResult) -> Iterator[bytes]:
+    """The `squares search` document as bytes, written set by set from the
+    covers.  Every text comes from _canonical_pieces, the calls sharing one
+    leaves table: the head, each distinct label's text around its set's
+    squares, and each block's square at its depth, 4.  Each is encoded
+    once, and only its bytes are kept: a block's square and a label's text
+    are one bytes object, yielded again for every set that holds it.  No
+    CompleteSet is built."""
     leaves: dict[int, dict[int, tuple]] = {}
     d = result.field.order
     doc = {"census": result.census(), "d": d, "exhaustive": result.exhaustive, "sets": []}
     head, empty, foot = _split_at_empty_list(doc, 0, leaves)
     sep_sets, open_sets, _, close_sets, _ = _punctuation(1)
     sep_squares, open_squares, _, close_squares, _ = _punctuation(3)
-    squares = {i: "".join(_canonical_pieces(square_to_json(ss.square), 4, leaves))
+    squares = {i: "".join(_canonical_pieces(square_to_json(ss.square), 4, leaves)).encode()
                for i, ss in result.blocks.items()}
-    labels: dict[int, tuple[str, str, str]] = {}  # by id; the result keeps each label alive
-    yield head
+    between = sep_squares.encode()
+    labels: dict[int, tuple[bytes, bytes, bytes]] = {}  # by id; the result keeps each alive
+    yield head.encode()
     for k, (cover, label) in enumerate(zip(result.covers, result.labels)):
         if id(label) not in labels:
-            labels[id(label)] = _split_at_empty_list(_set_json(*label, []), 2, leaves)
-        before, _, after = labels[id(label)]
-        yield (sep_sets if k else open_sets) + before + open_squares
+            before, _, after = _split_at_empty_list(_set_json(*label, []), 2, leaves)
+            labels[id(label)] = (
+                (open_sets + before + open_squares).encode(),
+                (sep_sets + before + open_squares).encode(),
+                (close_squares + after).encode(),
+            )
+        first, later, close = labels[id(label)]
+        yield later if k else first
         for j, i in enumerate(cover):  # one piece per square: a joined set is a copy of it
             if j:
-                yield sep_squares
+                yield between
             yield squares[i]
-        yield close_squares + after
-    yield (close_sets if result.covers else empty) + foot
+        yield close
+    yield ((close_sets if result.covers else empty) + foot).encode()
 
 
 def _split_at_empty_list(doc: dict, depth: int, leaves: dict) -> tuple[str, str, str]:

@@ -661,10 +661,12 @@ def _template_scan(
     learned from two pairs whose keys were equal: when pair q repeats the
     template first met at pair f, B = f^-1.q = (T_f.index(q1),
     T_f.index(q2)) goes to keeps[type, det f] and its inverse
-    (T_q.index(f1), T_q.index(f2)) to keeps[type, det q].  After computing
-    the key of a pair p, the scan marks p.B for every B in keeps[type,
-    det p]; a marked pair's template was met at an earlier pair, so its key
-    is never computed and the first pairs are those of the full scan."""
+    (T_q.index(f1), T_q.index(f2)) to keeps[type, det q].  The scan keeps
+    the table of every first pair, as bytes.  When it finds a first pair p, it marks
+    p.B for every B in keeps[type, det p]; when it learns a new B at det k,
+    it marks p.B for every first pair p of det k found so far.  A marked
+    pair's template was met at an earlier pair, so its key is never
+    computed and the first pairs are those of the full scan."""
     d, n = field.order, field.n
     types = {4: ("II",), 8: ("II", "III", "IV")}.get(d)
     if types is None:
@@ -681,8 +683,23 @@ def _template_scan(
         for k in dets
     }
     firsts: dict[str, dict[frozenset[int], tuple[int, int]]] = {t: {} for t in types}
+    first_tables: dict[str, dict[frozenset[int], bytes]] = {t: {} for t in types}
+    scanned = {(t, k): [] for t in types for k in dets}  # the first pairs' tables, by det
     keeps = {(t, k): set() for t in types for k in dets}
     marks = {t: bytearray(d**4) for t in types}
+    powers = [1 << m for m in range(d * d)]
+
+    def mark(set_type: str, tables: list[bytes], maps: Iterable[tuple[int, int]]) -> None:
+        marked = marks[set_type]
+        for b1, b2 in maps:
+            for table in tables:
+                marked[table[b1] << n2 | table[b2]] = 1
+
+    def learn(set_type: str, k: int, b: tuple[int, int]) -> None:
+        if b not in keeps[set_type, k]:
+            keeps[set_type, k].add(b)
+            mark(set_type, scanned[set_type, k], [b])
+
     for v1 in points:
         s1, times_x, times_y = multiples[v1], times[v1 & lo], times[v1 >> n]
         for v2 in points:
@@ -696,17 +713,19 @@ def _template_scan(
                 if marked[pair]:
                     continue
                 if table is None:
-                    table = _pair_table(s1, multiples[v2])
-                    bits = [1 << m for m in table]
+                    table = bytes(_pair_table(s1, multiples[v2]))  # d*d <= 64 points
+                    bits = list(map(powers.__getitem__, table))
                 key = frozenset([sum(g(bits)) for g in gets])
-                f1, f2 = firsts[set_type].setdefault(key, (v1, v2))
-                if f1 != v1 or f2 != v2:
-                    first = _pair_table(multiples[f1], multiples[f2])
+                first = first_tables[set_type].setdefault(key, table)
+                if first is table:
+                    firsts[set_type][key] = (v1, v2)
+                    scanned[set_type, k].append(table)
+                    mark(set_type, [table], keeps[set_type, k])
+                else:
+                    f1, f2 = firsts[set_type][key]
                     fk = times[f1 & lo][f2 >> n] ^ times[f2 & lo][f1 >> n]  # det(f1, f2)
-                    keeps[set_type, fk].add((first.index(v1), first.index(v2)))
-                    keeps[set_type, k].add((table.index(f1), table.index(f2)))  # its inverse
-                for b1, b2 in keeps[set_type, k]:
-                    marked[table[b1] << n2 | table[b2]] = 1
+                    learn(set_type, fk, (first.index(v1), first.index(v2)))
+                    learn(set_type, k, (table.index(f1), table.index(f2)))  # its inverse
     return firsts, keeps
 
 
@@ -715,19 +734,30 @@ class _Deadline(Exception):
 
 
 def _cover_tables(
-    blocks: Sequence[tuple[int, ...]], d: int
-) -> tuple[list[int], list[int], list[int]]:
+    blocks: Iterable[Sequence[int]], d: int, deadline: float | None = None
+) -> tuple[list[int], list[int], list[int]] | None:
     """Exact-cover tables over block masks listed origin first: each
     block's nonzero points as a bitset, through[p] the bitset of the blocks
     that contain point p, and compat[i] the bitset of the blocks that share
-    no nonzero point with block i."""
-    bits = [sum(1 << m for m in masks[1:]) for masks in blocks]
+    no nonzero point with block i.  None if the absolute
+    ``time.monotonic()`` deadline passes first: both passes over the blocks
+    are quadratic in the block count, so each checks it per block."""
+    points: list[Sequence[int]] = []
+    bits: list[int] = []
     through = [0] * (d * d)
     for i, masks in enumerate(blocks):
+        if deadline is not None and time.monotonic() > deadline:
+            return None
+        points.append(masks[1:])
+        bits.append(sum(1 << m for m in masks[1:]))
         for m in masks[1:]:
             through[m] |= 1 << i
-    all_blocks = (1 << len(blocks)) - 1
-    compat = [all_blocks & ~reduce(or_, [through[m] for m in masks[1:]]) for masks in blocks]
+    all_blocks = (1 << len(bits)) - 1
+    compat = []
+    for block in points:
+        if deadline is not None and time.monotonic() > deadline:
+            return None
+        compat.append(all_blocks & ~reduce(or_, map(through.__getitem__, block)))
     return bits, through, compat
 
 
@@ -788,13 +818,16 @@ def search_complete_sets(field: Field, time_budget: float | None = None) -> Sear
             break
         bases.append(basis)
 
-    bases = _sorted_bases(field, bases)
-    tables = _cover_tables([_span(b) for b in bases], field.order)
+    bases = tuple(_sorted_bases(field, bases))
+    tables = None  # a cut walk leaves a cover that would stop at its first node
+    if enum_complete:
+        tables = _cover_tables(map(_span, bases), field.order, deadline)
+    if tables is None:
+        return SearchResult(field, bases, (), (), False)
     bits = tables[0]
-    solutions, search_complete = _search(tables, deadline)
+    solutions, exhaustive = _search(tables, deadline)
     solutions.sort()
     templates = complete_set_templates(field)
     unclassified = ("Unclassified", None, None)  # one object: the writer keys labels by id
     labels = tuple(templates.get(frozenset(bits[i] for i in c), unclassified) for c in solutions)
-    exhaustive = enum_complete and search_complete
-    return SearchResult(field, tuple(bases), tuple(solutions), labels, exhaustive)
+    return SearchResult(field, bases, tuple(solutions), labels, exhaustive)

@@ -164,6 +164,39 @@ def test_out_file_bytes_equal_stdout_bytes(capsys, tmp_path, argv):
     assert path.read_bytes() == out.encode("utf-8")
 
 
+def test_out_into_a_missing_directory_is_one_line(capsys, tmp_path):
+    path = tmp_path / "missing" / "census.json"
+    code, out, err = run(capsys, "squares", "search", "--d", "4", "--out", str(path))
+    assert (code, out) == (2, "")
+    assert err == f"error: [Errno 2] No such file or directory: {str(path)!r}\n"
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+def test_out_onto_a_full_device_is_one_line(capsys):
+    code, out, err = run(capsys, "squares", "search", "--d", "4", "--out", "/dev/full")
+    assert (code, out) == (2, "")
+    assert err == "error: [Errno 28] No space left on device\n"
+
+
+def test_stdout_into_a_closed_pipe_is_one_line():
+    """The census written to a pipe whose reader is gone: exit 2 and one
+    line on stderr, no traceback."""
+    src = str(Path(mubkit.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    argv = ["squares", "search", "--d", "8", "--format", "json"]
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "mubkit.cli", *argv],
+            stdout=write_end, stderr=subprocess.PIPE, env=env,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 2
+    assert proc.stderr == b"error: [Errno 32] Broken pipe\n"
+
+
 def test_search_census_d4(capsys):
     code, out, _ = run(capsys, "squares", "search", "--d", "4")
     assert code == 0

@@ -3,7 +3,8 @@
 The six CLI commands recorded in perfbench/golden.json run through
 cli.main, and the d = 16 enumeration is encoded as the benchmark's
 `lib enumerate` op encodes it; each must reproduce the recorded sha256
-digest and byte count.  The file is only read.  The type I MUB
+digest and byte count, also through a writer that takes a few bytes a
+call.  The file is only read.  The type I MUB
 documents at d = 16 and 32, built through the library, have pinned
 digests of their own.  The d = 8 search builds
 one Supersquare per distinct extraordinary subgroup and shares it
@@ -12,6 +13,7 @@ between the sets.
 
 import hashlib
 import json
+import os
 from pathlib import Path
 
 import pytest
@@ -48,6 +50,29 @@ def test_cli_output_matches_golden(tmp_path, command):
     assert hashlib.sha256(data).hexdigest() == GOLDEN[command]["sha256"]
     if "census" in GOLDEN[command]:
         assert json.loads(data)["census"] == GOLDEN[command]["census"]
+
+
+@pytest.mark.parametrize("d, most", [(8, 4096), (4, 7)])
+def test_census_survives_short_writes(monkeypatch, tmp_path, d, most):
+    """A writer that takes at most this many bytes a call, as a pipe or a
+    full disk may, must still leave the golden census in the file."""
+    command = f"squares search --d {d} --format json"
+    real = os.writev
+
+    def short_writev(fd, buffers):
+        taken = bytearray()
+        for b in buffers:
+            taken += b[: most - len(taken)]
+            if len(taken) == most:
+                break
+        return real(fd, [taken])
+
+    monkeypatch.setattr(os, "writev", short_writev)
+    out = tmp_path / "out.json"
+    assert main([*command.split(), "--out", str(out)]) == 0
+    data = out.read_bytes()
+    assert len(data) == GOLDEN[command]["bytes"]
+    assert hashlib.sha256(data).hexdigest() == GOLDEN[command]["sha256"]
 
 
 def test_lib_enumerate_matches_golden():

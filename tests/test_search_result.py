@@ -4,9 +4,9 @@ A SearchResult is one value of the field, the blocks' bases, each found
 set's sorted block indices and (type, v1, v2) label, and whether the
 search ran to the end; its blocks and CompleteSets are built on first
 read.  The `squares search` document is written set by set from the
-covers by serialize.search_result_pieces, and
+covers by serialize.search_result_pieces as bytes, and
 oracles.search_result_to_json, one tree over the built sets, is the
-oracle its text must match.
+oracle whose encoded text they must match.
 """
 
 import itertools
@@ -29,7 +29,9 @@ def results():
 
 def cut_search(field, reads):
     """A search whose faked clock passes the deadline after this many reads:
-    one for the deadline, one per walked Lagrangian, one per cover node."""
+    one for the deadline, one per walked Lagrangian, two per block for the
+    cover tables (its through bits, then its compat row), one per cover
+    node."""
     count = itertools.count()
     fake = types.SimpleNamespace(monotonic=lambda: 0.0 if next(count) < reads else 2.0)
     with pytest.MonkeyPatch.context() as patch:
@@ -40,7 +42,7 @@ def cut_search(field, reads):
 @pytest.fixture(scope="module")
 def partial_d8():
     """A d = 8 search cut after 2,000 cover nodes."""
-    result = cut_search(Field(3), 1 + 135 + 2000)
+    result = cut_search(Field(3), 1 + 135 + 2 * 135 + 2000)
     assert not result.exhaustive
     assert 0 < len(result.sets) < 960
     return result
@@ -52,25 +54,25 @@ def stdlib_json(value) -> str:
 
 @pytest.mark.parametrize("d", [4, 8])
 def test_written_census_matches_the_oracle(results, d):
-    text = "".join(search_result_pieces(results[d]))
+    data = b"".join(search_result_pieces(results[d]))
     doc = oracles.search_result_to_json(d, results[d])
-    assert text == dumps_canonical(doc)
+    assert data == dumps_canonical(doc).encode()
     if d == 4:
-        assert text == stdlib_json(doc)
+        assert data == stdlib_json(doc).encode()
 
 
 def test_written_partial_census_matches_the_oracle(partial_d8):
-    text = "".join(search_result_pieces(partial_d8))
+    data = b"".join(search_result_pieces(partial_d8))
     doc = oracles.search_result_to_json(8, partial_d8)
-    assert text == dumps_canonical(doc) == stdlib_json(doc)
+    assert data == dumps_canonical(doc).encode() == stdlib_json(doc).encode()
 
 
 def test_written_empty_census_matches_the_oracle():
     result = search_complete_sets(Field(3), time_budget=0)
-    text = "".join(search_result_pieces(result))
+    data = b"".join(search_result_pieces(result))
     doc = oracles.search_result_to_json(8, result)
     assert doc["sets"] == [] and not doc["exhaustive"]
-    assert text == dumps_canonical(doc) == stdlib_json(doc)
+    assert data == dumps_canonical(doc).encode() == stdlib_json(doc).encode()
 
 
 @pytest.mark.parametrize(
@@ -122,6 +124,25 @@ def test_lazy_result_equals_the_result_built_eagerly(results, d):
     assert again == result and not again != result
     assert hash(again) == hash(result)
     assert again.sets == result.sets and again.census() == result.census()
+
+
+@pytest.mark.parametrize("rows", [0, 50, 135 + 50])
+def test_deadline_in_the_table_build_runs_no_cover_node(results, rows):
+    """A deadline that passes while the cover tables are built stops the
+    build at the next block: the walk is whole, no cover node runs, and the
+    result holds the sorted blocks and no set."""
+    reads = itertools.count(1)
+    fake = types.SimpleNamespace(monotonic=lambda: 0.0 if next(reads) <= 1 + 135 + rows else 2.0)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(squares, "time", fake)
+        result = search_complete_sets(Field(3), time_budget=1.0)
+    clock_reads = next(reads) - 1
+    assert clock_reads == 1 + 135 + rows + 1  # the deadline, the walk, the rows, the stop
+    assert result.bases == results[8].bases
+    assert (result.covers, result.labels, result.exhaustive) == ((), (), False)
+    assert b"".join(search_result_pieces(result)) == dumps_canonical(
+        {"census": {}, "d": 8, "exhaustive": False, "sets": []}
+    ).encode()
 
 
 def test_cut_results_with_the_same_sets_over_other_blocks_differ():
