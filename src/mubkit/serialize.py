@@ -6,18 +6,18 @@ order, and states as {"num": [[re, im], ...], "norm_sq": N}.  Square
 payloads carry only "d", the field modulus being the canonical one.  The
 documents share their leaves: one (x, y) tuple per point of a field and
 one (re, im) tuple per entry 0, +-1, +-i (json.loads gives lists).  The
-search document is written set by set, straight from a search result's
-covers and labels, as bytes, with each block's square encoded once.
+search document is written set by set as bytes from a search result's
+covers, each block's square formatted once from per-field point texts.
 """
 
 from __future__ import annotations
 
 from functools import cache
 from json.encoder import encode_basestring_ascii
-from typing import TYPE_CHECKING, Any, Iterator
+from typing import TYPE_CHECKING, Any, Iterator, Sequence
 
 from .gf2n import Field, field_for_dimension
-from .phasespace import Point, Subgroup, point_to_mask
+from .phasespace import Point, Subgroup, _point_rank, point_to_mask
 
 if TYPE_CHECKING:  # a decoder imports the module of the type it builds
     from .mub import MubBasis, MubSet, UnnormalizedState
@@ -40,12 +40,11 @@ def _punctuation(depth: int) -> tuple[str, str, str, str, str]:
     return "," + inner, "[" + inner, "{" + inner, outer + "]", outer + "}"
 
 
-def _canonical_pieces(obj: Any, depth: int = 0, leaves: dict | None = None) -> list[str]:
+def _canonical_pieces(obj: Any, depth: int = 0) -> list[str]:
     """The text of dumps_canonical(obj) as the pieces it joins, so that a
     writer can emit a large document without holding it as one string.
     At a start depth k > 0 it is the text obj has when nested k deep in a
-    document, with no newline after it; calls that pass one leaves table
-    share their leaf texts.
+    document, with no newline after it.
 
     A leaf, a non-empty list or tuple of exact ints such as a point, is one
     piece, its text kept in leaves per depth by id, next to the leaf so that
@@ -56,7 +55,7 @@ def _canonical_pieces(obj: Any, depth: int = 0, leaves: dict | None = None) -> l
     dict, list or tuple is dispatched on its type; the rest, subclasses
     included, go through _scalar_json."""
     out: list[str] = []
-    leaves = {} if leaves is None else leaves
+    leaves: dict[int, dict[int, tuple]] = {}
 
     def container(o: dict | list | tuple, depth: int) -> None:
         if not o:
@@ -174,12 +173,22 @@ def subgroup_to_json(g: Subgroup) -> list[tuple[int, int]]:
 
 
 def square_to_json(s: Square) -> dict:
-    """Classes in label order, each its points in canonical (x, y) order."""
-    d, n, labels, leaves = s.d, s.field.n, s._labels, _point_leaves(s.field)
-    classes: list[list[tuple[int, int]]] = [[] for _ in range(d)]
-    for m in (x | y << n for x in range(d) for y in range(d)):  # canonical order
+    return {"d": s.d, "classes": _classes(s.field, s._labels, _point_leaves(s.field))}
+
+
+def _classes(field: Field, labels: Sequence[int], leaves: Sequence[Any]) -> list[list[Any]]:
+    """A square's classes in label order, each its points' leaves in
+    canonical (x, y) order, from the label and leaf of every packed point."""
+    classes: list[list[Any]] = [[] for _ in range(field.order)]
+    for m in _point_rank(field):  # its own inverse: the packed points in canonical order
         classes[labels[m] - 1].append(leaves[m])
-    return {"d": d, "classes": classes}
+    return classes
+
+
+@cache
+def _point_texts(field: Field, depth: int) -> tuple[str, ...]:
+    """The text of each packed point's leaf nested depth deep in a document."""
+    return tuple("".join(_canonical_pieces(leaf, depth)) for leaf in _point_leaves(field))
 
 
 def square_from_json(data: Any) -> Square:
@@ -195,60 +204,50 @@ def square_from_json(data: Any) -> Square:
 
 
 def complete_set_to_json(c: CompleteSet) -> dict:
-    return _set_json(c.set_type, c.v1, c.v2, [square_to_json(sq) for sq in c.squares])
-
-
-def _set_json(set_type: str, v1: Point | None, v2: Point | None, squares: list) -> dict:
     return {
-        "type": set_type,
-        "v1": None if v1 is None else point_to_json(v1),
-        "v2": None if v2 is None else point_to_json(v2),
-        "squares": squares,
+        "type": c.set_type,
+        "v1": None if c.v1 is None else point_to_json(c.v1),
+        "v2": None if c.v2 is None else point_to_json(c.v2),
+        "squares": [square_to_json(sq) for sq in c.squares],
     }
 
 
 def search_result_pieces(result: SearchResult) -> Iterator[bytes]:
-    """The `squares search` document as bytes, written set by set from the
-    covers.  Every text comes from _canonical_pieces, the calls sharing one
-    leaves table: the head, each distinct label's text around its set's
-    squares, and each block's square at its depth, 4.  Each is encoded
-    once, and only its bytes are kept: a block's square and a label's text
-    are one bytes object, yielded again for every set that holds it.  No
-    CompleteSet is built."""
-    leaves: dict[int, dict[int, tuple]] = {}
-    d = result.field.order
+    """The `squares search` document as bytes, set by set from the covers,
+    with no Square, CompleteSet or tree built.  A block's square is its
+    label table's classes, ordered as by square_to_json, of point texts at
+    depth 7; a set opens with one text ("squares" sorts first) and ends
+    with its label's tail, its type and v1 and v2 at depth 3.  Each square
+    and tail is encoded once and yielded for every set that holds it."""
+    field, d = result.field, result.field.order
     doc = {"census": result.census(), "d": d, "exhaustive": result.exhaustive, "sets": []}
-    head, empty, foot = _split_at_empty_list(doc, 0, leaves)
-    sep_sets, open_sets, _, close_sets, _ = _punctuation(1)
-    sep_squares, open_squares, _, close_squares, _ = _punctuation(3)
-    squares = {i: "".join(_canonical_pieces(square_to_json(ss.square), 4, leaves)).encode()
-               for i, ss in result.blocks.items()}
-    between = sep_squares.encode()
-    labels: dict[int, tuple[bytes, bytes, bytes]] = {}  # by id; the result keeps each alive
-    yield head.encode()
+    pieces = _canonical_pieces(doc)
+    cut = pieces.index("[]")  # the sets, which sort last
+    sep, open_list, open_dict, close_list, close_dict = zip(*map(_punctuation, range(7)))
+    square_open = open_dict[4] + '"classes": ' + open_list[5]
+    square_close = f'{close_list[5]}{sep[4]}"d": {d}{close_dict[4]}'
+    squares = {}
+    for i, ss in result.blocks.items():
+        classes = _classes(field, ss._label_table(), _point_texts(field, 7))
+        text = sep[5].join(open_list[6] + sep[6].join(c) + close_list[6] for c in classes)
+        squares[i] = (square_open + text + square_close).encode()
+    opener = open_dict[2] + '"squares": ' + open_list[3]
+    first, later, between = (t.encode() for t in (open_list[1] + opener, sep[1] + opener, sep[3]))
+    tails: dict[int, bytes] = {}  # by id; the result keeps each label alive
+    yield "".join(pieces[:cut]).encode()
     for k, (cover, label) in enumerate(zip(result.covers, result.labels)):
-        if id(label) not in labels:
-            before, _, after = _split_at_empty_list(_set_json(*label, []), 2, leaves)
-            labels[id(label)] = (
-                (open_sets + before + open_squares).encode(),
-                (sep_sets + before + open_squares).encode(),
-                (close_squares + after).encode(),
-            )
-        first, later, close = labels[id(label)]
         yield later if k else first
         for j, i in enumerate(cover):  # one piece per square: a joined set is a copy of it
             if j:
                 yield between
             yield squares[i]
-        yield close
-    yield ((close_sets if result.covers else empty) + foot).encode()
-
-
-def _split_at_empty_list(doc: dict, depth: int, leaves: dict) -> tuple[str, str, str]:
-    """The text of doc nested depth deep, cut around its one empty list."""
-    pieces = _canonical_pieces(doc, depth, leaves)
-    i = pieces.index("[]")
-    return "".join(pieces[:i]), pieces[i], "".join(pieces[i + 1 :])
+        if (tail := tails.get(id(label))) is None:
+            kind, *vs = label
+            v1, v2 = ("null" if v is None else _point_texts(field, 3)[point_to_mask(v)] for v in vs)
+            text = f'"type": {encode_basestring_ascii(kind)}{sep[2]}"v1": {v1}{sep[2]}"v2": {v2}'
+            tail = tails[id(label)] = (close_list[3] + sep[2] + text + close_dict[2]).encode()
+        yield tail
+    yield ((close_list[1] if result.covers else "[]") + "".join(pieces[cut + 1 :])).encode()
 
 
 def squares_payload_from_json(data: Any) -> tuple[str, Any]:

@@ -148,14 +148,19 @@ class Supersquare(Value):
     def _reps(self) -> tuple[int, ...]:
         return _coset_reps(self.generator)
 
-    @cached_property
-    def square(self) -> Square:
+    def _label_table(self) -> list[int]:
+        """The label of each packed point: 1 on the generator, j + 1 on the
+        coset of _reps[j - 1]."""
         labels = [0] * (self.d * self.d)
         masks = self.generator.masks()
         for label, rep in enumerate((0, *self._reps), start=1):
             for g in masks:
                 labels[rep ^ g] = label
-        return Square._from_labels(self.field, labels)
+        return labels
+
+    @cached_property
+    def square(self) -> Square:
+        return Square._from_labels(self.field, self._label_table())
 
     @cached_property
     def coset_reps(self) -> tuple[Point, ...]:
@@ -577,7 +582,7 @@ def perturb_supersquare(ss: Supersquare, seed: int) -> Square:
     if d < 4:
         raise ValueError("perturbation needs at least two non-generator classes")
     j, k = rng.sample(range(1, d), 2)
-    labels, masks = list(ss.square._labels), ss.generator.masks()
+    labels, masks = ss._label_table(), ss.generator.masks()
     # label c + 1 in canonical order: _reps[c - 1] plus each point of the generator
     p = rng.choice([ss._reps[j - 1] ^ g for g in masks])
     q = rng.choice([ss._reps[k - 1] ^ g for g in masks])
@@ -740,18 +745,24 @@ def _cover_tables(
     block's nonzero points as a bitset, through[p] the bitset of the blocks
     that contain point p, and compat[i] the bitset of the blocks that share
     no nonzero point with block i.  None if the absolute
-    ``time.monotonic()`` deadline passes first: both passes over the blocks
-    are quadratic in the block count, so each checks it per block."""
+    ``time.monotonic()`` deadline passes first: each pass over the blocks
+    checks it per block, the second being quadratic in the block count.
+    through[p] is set in a byte row, doubled when full, read once as an int."""
     points: list[Sequence[int]] = []
     bits: list[int] = []
-    through = [0] * (d * d)
+    rows = [bytearray() for _ in range(d * d)]
     for i, masks in enumerate(blocks):
         if deadline is not None and time.monotonic() > deadline:
             return None
+        if i >> 3 == len(rows[0]):
+            zeros = bytes(len(rows[0]) or 1)
+            for row in rows:
+                row += zeros
         points.append(masks[1:])
         bits.append(sum(1 << m for m in masks[1:]))
         for m in masks[1:]:
-            through[m] |= 1 << i
+            rows[m][i >> 3] |= 1 << (i & 7)
+    through = [int.from_bytes(row, "little") for row in rows]
     all_blocks = (1 << len(bits)) - 1
     compat = []
     for block in points:

@@ -888,6 +888,25 @@ def fewest_candidates_covers(blocks, d):
     return solutions
 
 
+def cover_tables_by_or(blocks, d):
+    """The exact-cover tables (bits, through, compat) with every bitset
+    OR-ed together one bit at a time: through[p] grows by 1 << i for each
+    block i through point p, and compat[i] is every block that shares no
+    nonzero point with block i, pair by pair."""
+    blocks = [[m for m in masks if m] for masks in blocks]
+    bits = [sum(1 << m for m in block) for block in blocks]
+    through = [0] * (d * d)
+    for i, block in enumerate(blocks):
+        for m in block:
+            through[m] |= 1 << i
+    compat = [0] * len(blocks)
+    for i, j in combinations(range(len(blocks)), 2):
+        if not bits[i] & bits[j]:
+            compat[i] |= 1 << j
+            compat[j] |= 1 << i
+    return bits, through, compat
+
+
 # -- set recipes in Point arithmetic -------------------------------------------
 
 

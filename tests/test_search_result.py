@@ -11,13 +11,20 @@ oracle whose encoded text they must match.
 
 import itertools
 import json
+import random
 import types
 
 import pytest
 
 from mubkit import Field, search_complete_sets, squares
 from mubkit.cli import main
-from mubkit.serialize import _canonical_pieces, dumps_canonical, search_result_pieces
+from mubkit.phasespace import iter_lagrangian_bases
+from mubkit.serialize import (
+    _canonical_pieces,
+    dumps_canonical,
+    search_result_pieces,
+    square_to_json,
+)
 
 import oracles
 
@@ -73,6 +80,41 @@ def test_written_empty_census_matches_the_oracle():
     doc = oracles.search_result_to_json(8, result)
     assert doc["sets"] == [] and not doc["exhaustive"]
     assert data == dumps_canonical(doc).encode() == stdlib_json(doc).encode()
+
+
+def test_written_d16_partial_census_matches_the_oracle():
+    """A d = 16 search cut after 20,000 cover nodes: a few sets, all of
+    them unclassified, so v1 and v2 are null."""
+    result = cut_search(Field(4), 1 + 2295 + 2 * 2295 + 20_000)
+    assert not result.exhaustive and 0 < len(result.covers) < 100
+    data = b"".join(search_result_pieces(result))
+    doc = oracles.search_result_to_json(16, result)
+    assert data == dumps_canonical(doc).encode() == stdlib_json(doc).encode()
+
+
+def square_texts(field, bases):
+    """The writer's text of each block's square, read off the pieces of a
+    result whose sets are one block each: the head, then each set's
+    opener, square and tail, then the foot."""
+    covers = tuple((i,) for i in range(len(bases)))
+    labels = (("Unclassified", None, None),) * len(bases)
+    pieces = list(search_result_pieces(squares.SearchResult(field, bases, covers, labels, True)))
+    assert len(pieces) == 3 * len(bases) + 2
+    return [piece.decode() for piece in pieces[2:-1:3]]
+
+
+@pytest.mark.parametrize("n, sample", [(2, None), (3, None), (4, 60), (5, 12)])
+def test_each_square_text_is_its_square_encoded_at_depth_4(n, sample):
+    """Every Lagrangian at d = 4 and 8, and a seeded sample of those at
+    d = 16 and 32: the text formatted from the block's label table is the
+    encoder's text of its square nested four deep."""
+    field = Field(n)
+    bases = tuple(iter_lagrangian_bases(field))
+    if sample is not None:
+        bases = tuple(random.Random(3300 + n).sample(bases, sample))
+    for basis, text in zip(bases, square_texts(field, bases), strict=True):
+        square = squares.Supersquare(squares.Subgroup._trusted(field, basis)).square
+        assert text == "".join(_canonical_pieces(square_to_json(square), 4))
 
 
 @pytest.mark.parametrize(
@@ -200,6 +242,19 @@ def test_json_census_builds_one_supersquare_per_block_and_no_set(built, tmp_path
     out = tmp_path / "census.json"
     assert main(["squares", "search", "--d", "8", "--format", "json", "--out", str(out)]) == 0
     assert built == {"supersquares": 135, "sets": 0}
+
+
+def test_json_census_builds_no_square(monkeypatch, tmp_path):
+    """The writer formats each square from its supersquare's label table:
+    no Square is built, by the label table or from classes."""
+    calls = []
+    real = squares.Square._from_labels
+    monkeypatch.setattr(squares.Square, "_from_labels", lambda *a: calls.append(a) or real(*a))
+    monkeypatch.setattr(squares.Square, "__init__", lambda *a: calls.append(a))
+    out = tmp_path / "census.json"
+    assert main(["squares", "search", "--d", "8", "--format", "json", "--out", str(out)]) == 0
+    assert out.stat().st_size == 41_401_697
+    assert calls == []
 
 
 def test_equality_and_hash_build_no_supersquare(built):

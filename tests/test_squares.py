@@ -502,6 +502,16 @@ def test_search_branch_past_deadline_is_incomplete(f4):
     assert sorted(sols) == sorted(oracles.fewest_candidates_covers(blocks, 4))
 
 
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_cover_tables_match_the_tables_built_by_or(n):
+    """The byte-row through tables, and the bits and compat tables beside
+    them, equal the bitsets OR-ed together bit by bit, at d = 4, 8 and 16
+    (6, 135 and 2,295 blocks; the byte rows grow past one byte at d = 8)."""
+    d = 1 << n
+    blocks = [_span(b) for b in iter_lagrangian_bases(Field(n))]
+    assert _cover_tables(iter(blocks), d) == oracles.cover_tables_by_or(blocks, d)
+
+
 @pytest.mark.parametrize("n, count", [(2, 6), (3, 960)])
 def test_bitset_cover_matches_fewest_candidates_oracle(n, count):
     """The search gives the oracle's covers, each once."""
