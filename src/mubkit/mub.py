@@ -408,14 +408,14 @@ def build_mub_set(
     its generator translations; the first failure raises ConstructionError."""
     from .squares import verify_complete_set
 
-    field = c.field
-    if expansion_basis is None:
-        expansion_basis = default_selfdual_basis(field)
     report = verify_complete_set(c)
     if not report.passed:
         raise ValueError(
             "complete set fails verification: " + "; ".join(report.failures)
         )
+    field = c.field
+    if expansion_basis is None:
+        expansion_basis = default_selfdual_basis(field)
     bases, packs, words = zip(*(_eigenbasis(ss, expansion_basis, True) for ss in c.supersquares))
     states, maps = [b.states for b in bases], [b.class_of_state for b in bases]
     _, failures = _certify(states, packs, field.order, maps, None, words)

@@ -512,64 +512,56 @@ class CompleteSetReport(Value):
         }
 
 
-def verify_squares(squares: Sequence[Square]) -> CompleteSetReport:
-    """The complete-set checks over bare squares: d+1 extraordinary
-    supersquares that are physical striations, pairwise orthogonal, with
-    generators meeting only in the origin."""
-    failures: list[str] = []
-    field, d = squares[0].field, squares[0].d
+def _verify_set(
+    squares: Sequence[Square | Supersquare],
+    rows: Sequence[tuple[Subgroup | None, bool, bool]],
+) -> CompleteSetReport:
+    """The complete-set checks from each square's row: its generator (or
+    None), whether it is a supersquare and whether it is a physical
+    striation.  Two supersquares are compared through their generators,
+    any other pair on its label grids, so a square that is a supersquare
+    is read only for its field."""
+    if not squares:
+        raise ValueError("empty square list")
+    field = squares[0].field
     if any(sq.field != field for sq in squares):
         raise ValueError("squares must share one field")
+    d = field.order
     cardinality = len(squares) == d + 1
-    if not cardinality:
-        failures.append(f"expected {d + 1} squares, got {len(squares)}")
-    reports = [verify_square(sq) for sq in squares]
+    failures = [] if cardinality else [f"expected {d + 1} squares, got {len(squares)}"]
     squares_ok = True  # a striation is an extraordinary supersquare
-    for i, report in enumerate(reports, start=1):
-        if not report.physical_striation:
+    for i, (_, _, striation) in enumerate(rows, start=1):
+        if not striation:
             squares_ok = False
             failures.append(f"square {i} is not an extraordinary supersquare")
             failures.append(f"square {i} fails the striation check")
     orth_ok = inter_ok = True
-    for i, j in combinations(range(len(squares)), 2):
-        gi, gj = reports[i].generator, reports[j].generator
+    for (i, (gi, si, _)), (j, (gj, sj, _)) in combinations(enumerate(rows), 2):
         meet = gi is not None and gj is not None and not gi.intersects_trivially(gj)
         # the quotients by two order-d subgroups are orthogonal exactly when
         # the subgroups meet only in the origin
-        if reports[i].supersquare and reports[j].supersquare:
-            orthogonal = not meet
-        else:
-            orthogonal = are_orthogonal(squares[i], squares[j])
+        orthogonal = not meet if si and sj else are_orthogonal(squares[i], squares[j])
         if not orthogonal:
             orth_ok = False
             failures.append(f"squares {i + 1} and {j + 1} are not orthogonal")
         if meet:
             inter_ok = False
             failures.append(f"generators {i + 1} and {j + 1} share a nonzero point")
-    return CompleteSetReport(
-        cardinality, squares_ok, orth_ok, inter_ok, squares_ok, tuple(failures)
-    )
+    return CompleteSetReport(cardinality, squares_ok, orth_ok, inter_ok, squares_ok, tuple(failures))
+
+
+def verify_squares(squares: Sequence[Square]) -> CompleteSetReport:
+    """The complete-set checks over bare squares: d+1 extraordinary
+    supersquares that are physical striations, pairwise orthogonal, with
+    generators meeting only in the origin."""
+    row = attrgetter("generator", "supersquare", "physical_striation")
+    return _verify_set(squares, [row(verify_square(sq)) for sq in squares])
 
 
 def verify_complete_set(c: CompleteSet) -> CompleteSetReport:
     """verify_squares(c.squares) read off the generators: each quotient is a
-    supersquare, a striation iff its generator is extraordinary, and two are
-    orthogonal iff their generators meet only in the origin."""
-    gens, d = c.generators, c.d
-    if any(g.field != c.field for g in gens):
-        raise ValueError("squares must share one field")
-    failures = [] if len(gens) == d + 1 else [f"expected {d + 1} squares, got {len(gens)}"]
-    striations = list(map(is_extraordinary, gens))
-    for i in (i for i, ok in enumerate(striations, start=1) if not ok):
-        failures.append(f"square {i} is not an extraordinary supersquare")
-        failures.append(f"square {i} fails the striation check")
-    meets = [(i, j) for (i, g), (j, h) in combinations(enumerate(gens, start=1), 2)
-             if not g.intersects_trivially(h)]
-    for i, j in meets:
-        failures.append(f"squares {i} and {j} are not orthogonal")
-        failures.append(f"generators {i} and {j} share a nonzero point")
-    ok = all(striations)
-    return CompleteSetReport(len(gens) == d + 1, ok, not meets, not meets, ok, tuple(failures))
+    supersquare, and a striation iff its generator is extraordinary."""
+    return _verify_set(c.supersquares, [(g, True, is_extraordinary(g)) for g in c.generators])
 
 
 def perturb_supersquare(ss: Supersquare, seed: int) -> Square:
@@ -578,10 +570,7 @@ def perturb_supersquare(ss: Supersquare, seed: int) -> Square:
     not, so the result is an extraordinary square that is not a
     supersquare."""
     rng = random.Random(seed)
-    d = ss.d
-    if d < 4:
-        raise ValueError("perturbation needs at least two non-generator classes")
-    j, k = rng.sample(range(1, d), 2)
+    j, k = rng.sample(range(1, ss.d), 2)
     labels, masks = ss._label_table(), ss.generator.masks()
     # label c + 1 in canonical order: _reps[c - 1] plus each point of the generator
     p = rng.choice([ss._reps[j - 1] ^ g for g in masks])

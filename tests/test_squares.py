@@ -357,7 +357,7 @@ def test_set_reports_match_the_all_grid_oracle(f4, f8, d4_type_ii_set, d8_type_i
     """verify_squares reads the orthogonality of two supersquares off their
     generators and compares label grids for every other pair; the reports
     equal those of are_orthogonal on every pair, over swapped, repeated,
-    perturbed and foreign squares at d = 4, 8 and 16."""
+    perturbed, foreign and relabelled squares at d = 4, 8 and 16."""
     f16 = Field(4)
     base = [
         d4_type_ii_set,
@@ -368,7 +368,7 @@ def test_set_reports_match_the_all_grid_oracle(f4, f8, d4_type_ii_set, d8_type_i
     ]
     # the quotient by {0, (1, 0), (0, mu), (1, mu)}, which is no striation
     plain = Supersquare(Subgroup.span([Point(f4.one, f4.zero), Point(f4.zero, f4.mu)])).square
-    variants = []
+    variants, relabelled = [], []
     for seed, cset in enumerate(base):
         sq = list(cset.squares)
         others = [c for c in base if c.field == cset.field and c is not cset]
@@ -385,9 +385,18 @@ def test_set_reports_match_the_all_grid_oracle(f4, f8, d4_type_ii_set, d8_type_i
         ]
         if cset.field == f4:
             variants.append(sq[:4] + [plain])
-    for squares in variants:
+        # valid sets under other labels: 2..d reversed on every square, and
+        # label 2 on one square's origin class
+        classes = sq[1].classes
+        moved = Square(cset.field, classes[1:2] + classes[:1] + classes[2:])
+        relabelled += [
+            [Square(cset.field, s.classes[:1] + s.classes[:0:-1]) for s in sq],
+            sq[:1] + [moved] + sq[2:],
+        ]
+    for squares in variants + relabelled:
         assert verify_squares(squares) == oracles.verify_squares_by_grids(squares)
     assert not verify_squares(variants[3]).orthogonality
+    assert all(verify_squares(squares).passed for squares in relabelled)
     mixed = list(base[0].squares[:4]) + [base[2].squares[0]]
     for verify in (verify_squares, oracles.verify_squares_by_grids):
         with pytest.raises(ValueError, match="squares must share one field"):
@@ -445,6 +454,18 @@ def test_generator_report_matches_verify_squares(f4, f8, d4_type_ii_set, d8_type
     for verify in (verify_complete_set, lambda c: verify_squares(c.squares)):
         with pytest.raises(ValueError, match="squares must share one field"):
             verify(mixed)
+
+
+def test_empty_set_is_rejected():
+    """An empty square list has no field to check: both set verifiers and
+    build_mub_set say so before they read one."""
+    from mubkit import build_mub_set
+
+    empty = CompleteSet("I", None, None, ())
+    for call in (lambda: verify_squares([]), lambda: verify_complete_set(empty),
+                 lambda: build_mub_set(empty)):
+        with pytest.raises(ValueError, match="empty square list"):
+            call()
 
 
 def test_supersquare_is_derived_from_its_generator(f8):
