@@ -19,12 +19,12 @@ _HOME = {
             dual_basis field_for_dimension is_selfdual""",
         "phasespace": """Point Subgroup det enumerate_extraordinary_subgroups
             is_extraordinary trace_zero_subgroup""",
-        "squares": """CompleteSet CompleteSetReport SearchResult Square SquareKind
-            SquareReport Supersquare are_orthogonal classify complete_set_templates
-            is_physical_striation is_supersquare perturb_supersquare render_ascii
-            search_complete_sets supersquare_from_subgroup type_I_set type_II_set_d4
-            type_II_set_d8 type_III_set_d8 type_IV_set_d8 verify_complete_set
-            verify_square verify_squares""",
+        "squares": """CompleteSet CompleteSetReport Square SquareKind SquareReport
+            Supersquare are_orthogonal classify is_physical_striation is_supersquare
+            perturb_supersquare render_ascii supersquare_from_subgroup type_I_set
+            type_II_set_d4 type_II_set_d8 type_III_set_d8 type_IV_set_d8
+            verify_complete_set verify_square verify_squares""",
+        "search": "SearchResult complete_set_templates search_complete_sets",
         "pauli": "GaussInt PauliWord",
         "mub": """BIPARTITIONS ConstructionError EntanglementStructure MubBasis MubSet
             Separability UnnormalizedState apply_correspondence build_mub_set
@@ -34,7 +34,7 @@ _HOME = {
     for name in names.split()
 }
 
-_SUBMODULES = ("gf2n", "phasespace", "squares", "pauli", "mub", "serialize", "cli")
+_SUBMODULES = ("gf2n", "phasespace", "squares", "search", "pauli", "mub", "serialize", "cli")
 
 __all__ = sorted(_HOME)
 

@@ -242,8 +242,8 @@ def cmd_squares_classify(args: argparse.Namespace) -> int:
 
 
 def cmd_squares_search(args: argparse.Namespace) -> int:
+    from .search import search_complete_sets
     from .serialize import search_result_pieces
-    from .squares import search_complete_sets
 
     result = search_complete_sets(field_for_dimension(args.d), time_budget=args.time_budget)
     if args.format == "json":

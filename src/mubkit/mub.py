@@ -487,9 +487,10 @@ def separability(states: Sequence[UnnormalizedState]) -> Separability | None:
     """The class of three-qubit states from the rank profile across the
     three cuts they all share; None when their profiles differ."""
     profiles = {rank_profile(st) for st in states}
-    if len(profiles) != 1:
-        return None
-    (profile,) = profiles
+    return _kind(*profiles) if len(profiles) == 1 else None
+
+
+def _kind(profile: Sequence[int]) -> Separability:
     if all(r == 1 for r in profile):
         return Separability.FACTORIZED
     if all(r == 2 for r in profile):
@@ -498,13 +499,17 @@ def separability(states: Sequence[UnnormalizedState]) -> Separability | None:
 
 
 def classify_basis(basis: MubBasis) -> Separability:
-    """The separability class every state of the basis shares."""
+    """The separability class every state of the basis shares, read off its
+    d - 1 stabilizer words.  Across the cut q|rest, the letters the words
+    carry at qubit q, with I, are the group's restriction to q, of order
+    2^r for its GF(2) rank r; every state has Schmidt rank 2^(r - 1) across
+    the cut (Fattal et al., quant-ph/0406168): 1 when the words carry one
+    non-identity letter there, else 2.  separability is the oracle on the
+    states."""
     if basis.d != 8:
         raise ValueError("entanglement classification is defined for d = 8")
-    kind = separability(basis.states)
-    if kind is None:
-        raise ConstructionError("basis states have mixed rank profiles")
-    return kind
+    words = basis.operator_words
+    return _kind([len({"I", *(w.letters[q] for w in words)}) // 2 for q in range(3)])
 
 
 class EntanglementStructure(Value):

@@ -21,7 +21,8 @@ from .phasespace import Point, Subgroup, _point_rank, point_to_mask
 
 if TYPE_CHECKING:  # a decoder imports the module of the type it builds
     from .mub import MubBasis, MubSet, UnnormalizedState
-    from .squares import CompleteSet, SearchResult, Square
+    from .search import SearchResult
+    from .squares import CompleteSet, Square
 
 
 def dumps_canonical(obj: Any) -> str:

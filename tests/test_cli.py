@@ -500,17 +500,17 @@ def test_d8_mub_commands_classify_each_basis_once(capsys, monkeypatch, argv):
     from mubkit import mub
 
     calls = []
-    real = mub.separability
+    real = mub.classify_basis
 
-    def counting(states):
-        calls.append(len(states))
-        return real(states)
+    def counting(basis):
+        calls.append(basis)
+        return real(basis)
 
-    monkeypatch.setattr(mub, "separability", counting)
+    monkeypatch.setattr(mub, "classify_basis", counting)
     code, out, _ = run(capsys, *argv)
     assert code == 0
     assert "(0, 9, 0)" in out or "[\n    0,\n    9,\n    0\n  ]" in out
-    assert calls == [8] * 9
+    assert len(calls) == len({id(b) for b in calls}) == 9
 
 
 def _probe(code: str) -> str:
@@ -550,6 +550,14 @@ def test_squares_commands_load_no_mub_modules(tmp_path, command):
     loaded = _loaded_by("squares", command, *(["--d", "4"] if command == "search" else [str(path)]))
     assert "mubkit.squares" in loaded
     assert not loaded & {"mubkit.mub", "mubkit.pauli"}
+    assert ("mubkit.search" in loaded) == (command == "search")
+
+
+@pytest.mark.parametrize("group, command", [("squares", "gen"), ("mub", "gen"), ("mub", "structure")])
+def test_gen_and_structure_load_no_search_module(group, command):
+    loaded = _loaded_by(group, command, "--d", "8", "--type", "II")
+    assert "mubkit.squares" in loaded
+    assert "mubkit.search" not in loaded
 
 
 def test_mub_verify_loads_no_squares_module(tmp_path):
@@ -586,7 +594,7 @@ def test_every_public_name_is_the_object_of_its_home_module():
 def test_submodules_resolve_as_package_attributes():
     out = _probe(
         "import sys, mubkit\n"
-        "names = 'gf2n phasespace squares pauli mub serialize cli'.split()\n"
+        "names = 'gf2n phasespace squares search pauli mub serialize cli'.split()\n"
         "print(all(getattr(mubkit, m) is sys.modules['mubkit.' + m] for m in names))\n"
         "print(set(names) <= set(dir(mubkit)), set(mubkit.__all__) <= set(dir(mubkit)))"
     )

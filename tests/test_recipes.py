@@ -22,7 +22,7 @@ from mubkit import (
     Point,
     complete_set_templates,
     det,
-    squares,
+    search,
     type_I_set,
     type_II_set_d4,
     type_II_set_d8,
@@ -31,7 +31,8 @@ from mubkit import (
 )
 
 from mubkit.phasespace import point_table, point_to_mask
-from mubkit.squares import _pair_table, _scale, _template_scan
+from mubkit.search import _template_scan
+from mubkit.squares import _pair_table, _scale
 
 from oracles import (
     ORACLE_TYPES,
@@ -209,7 +210,7 @@ def test_template_scan_builds_a_table_per_scanned_pair(monkeypatch, n, tables):
     marking only from the pair in hand, took 23 tables at d = 4 and 1,644
     at d = 8."""
     calls = []
-    real = squares._pair_table
-    monkeypatch.setattr(squares, "_pair_table", lambda s1, s2: calls.append(1) or real(s1, s2))
+    real = search._pair_table
+    monkeypatch.setattr(search, "_pair_table", lambda s1, s2: calls.append(1) or real(s1, s2))
     complete_set_templates(Field(n))
     assert len(calls) == tables

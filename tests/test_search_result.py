@@ -16,7 +16,7 @@ import types
 
 import pytest
 
-from mubkit import Field, search_complete_sets, squares
+from mubkit import Field, search, search_complete_sets, squares
 from mubkit.cli import main
 from mubkit.phasespace import iter_lagrangian_bases
 from mubkit.serialize import (
@@ -42,7 +42,7 @@ def cut_search(field, reads):
     count = itertools.count()
     fake = types.SimpleNamespace(monotonic=lambda: 0.0 if next(count) < reads else 2.0)
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(squares, "time", fake)
+        patch.setattr(search, "time", fake)
         return search_complete_sets(field, time_budget=1.0)
 
 
@@ -98,7 +98,7 @@ def square_texts(field, bases):
     opener, square and tail, then the foot."""
     covers = tuple((i,) for i in range(len(bases)))
     labels = (("Unclassified", None, None),) * len(bases)
-    pieces = list(search_result_pieces(squares.SearchResult(field, bases, covers, labels, True)))
+    pieces = list(search_result_pieces(search.SearchResult(field, bases, covers, labels, True)))
     assert len(pieces) == 3 * len(bases) + 2
     return [piece.decode() for piece in pieces[2:-1:3]]
 
@@ -176,7 +176,7 @@ def test_deadline_in_the_table_build_runs_no_cover_node(results, rows):
     reads = itertools.count(1)
     fake = types.SimpleNamespace(monotonic=lambda: 0.0 if next(reads) <= 1 + 135 + rows else 2.0)
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(squares, "time", fake)
+        patch.setattr(search, "time", fake)
         result = search_complete_sets(Field(3), time_budget=1.0)
     clock_reads = next(reads) - 1
     assert clock_reads == 1 + 135 + rows + 1  # the deadline, the walk, the rows, the stop
@@ -209,7 +209,7 @@ def test_sets_that_share_a_block_share_one_supersquare(results):
 def built(monkeypatch):
     """Counts of the Supersquares and CompleteSets built from here on."""
     counts = {"supersquares": 0, "sets": 0}
-    real_supersquare, real_set = squares.supersquare_from_subgroup, squares.CompleteSet
+    real_supersquare, real_set = search.supersquare_from_subgroup, search.CompleteSet
 
     def supersquare(a1):
         counts["supersquares"] += 1
@@ -219,8 +219,8 @@ def built(monkeypatch):
         counts["sets"] += 1
         return real_set(*args)
 
-    monkeypatch.setattr(squares, "supersquare_from_subgroup", supersquare)
-    monkeypatch.setattr(squares, "CompleteSet", complete_set)
+    monkeypatch.setattr(search, "supersquare_from_subgroup", supersquare)
+    monkeypatch.setattr(search, "CompleteSet", complete_set)
     return counts
 
 

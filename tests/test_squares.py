@@ -32,9 +32,10 @@ from mubkit import (
     verify_square,
     verify_squares,
 )
-from mubkit import squares
+from mubkit import search, squares
 from mubkit.phasespace import _span, iter_lagrangian_bases, point_to_mask
-from mubkit.squares import CompleteSet, Supersquare, _cover_tables, _search
+from mubkit.search import _cover_tables, _search
+from mubkit.squares import CompleteSet, Supersquare
 
 import oracles
 import refdata
@@ -574,7 +575,7 @@ def test_partial_search_is_in_canonical_order(f8, monkeypatch):
     # one clock read for the deadline, one per walked Lagrangian, one per node
     reads = itertools.count()
     fake = types.SimpleNamespace(monotonic=lambda: 0.0 if next(reads) < 1 + 135 + 2000 else 2.0)
-    monkeypatch.setattr(squares, "time", fake)
+    monkeypatch.setattr(search, "time", fake)
     result = search_complete_sets(f8, time_budget=1.0)
     assert not result.exhaustive
     assert 0 < len(result.sets) < len(census)
