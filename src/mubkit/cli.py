@@ -268,7 +268,7 @@ def _build_mubs(args: argparse.Namespace) -> MubSet:
 
 
 def cmd_mub_gen(args: argparse.Namespace) -> int:
-    from .mub import EntanglementStructure, classify_basis, two_qubit_rank
+    from .mub import EntanglementStructure, _word_ranks, classify_basis
     from .serialize import _canonical_pieces, mub_set_to_json
 
     mubs = _build_mubs(args)
@@ -286,7 +286,7 @@ def cmd_mub_gen(args: argparse.Namespace) -> int:
         if kinds:
             lines.append(f"  entanglement: {kinds[idx - 1].value}")
         else:
-            kind = "entangled" if two_qubit_rank(b.ray_state) == 2 else "product"
+            kind = "entangled" if _word_ranks(b)[0] == 2 else "product"
             lines.append(f"  entanglement: {kind}")
         for st in b.states:
             entries = ", ".join(str(e) for e in st.entries)

@@ -47,13 +47,25 @@ def _poly_mod(a: int, m: int) -> int:
 
 class Value:
     """A value equal to another of its exact class when their ``_key``s
-    are equal.  ``_key`` reads every slot unless the class names its own."""
+    are equal.  Its fields are its slots but ``__dict__``, which holds
+    derived values cached on first read.  ``_key`` reads every field unless
+    the class names its own, and the constructor takes one value per field
+    in slot order unless the class writes its own."""
 
     __slots__ = ()
 
     def __init_subclass__(cls) -> None:
+        cls._fields = tuple(s for s in cls.__slots__ if s != "__dict__")
         if "_key" not in cls.__dict__:
-            cls._key = attrgetter(*cls.__slots__)
+            cls._key = attrgetter(*cls._fields)
+
+    def __init__(self, *values) -> None:
+        if len(values) != len(self._fields):
+            raise TypeError(
+                f"{type(self).__name__} takes {len(self._fields)} values, got {len(values)}"
+            )
+        for name, value in zip(self._fields, values):
+            setattr(self, name, value)
 
     def __eq__(self, other: object) -> bool:
         return other.__class__ is self.__class__ and self._key(self) == other._key(other)

@@ -47,10 +47,6 @@ class UnnormalizedState(Value):
 
     __slots__ = ("entries", "norm_sq")
 
-    def __init__(self, entries: tuple[GaussInt, ...], norm_sq: int) -> None:
-        self.entries = entries
-        self.norm_sq = norm_sq
-
     @property
     def dim(self) -> int:
         return len(self.entries)
@@ -226,10 +222,6 @@ def apply_correspondence(basis: MubBasis, ss: Supersquare) -> MubBasis:
 
 class MubSet(Value):
     __slots__ = ("bases", "source_set")
-
-    def __init__(self, bases: tuple[MubBasis, ...], source_set: CompleteSet) -> None:
-        self.bases = bases
-        self.source_set = source_set
 
     @property
     def d(self) -> int:
@@ -469,14 +461,6 @@ def rank_profile(u: UnnormalizedState) -> tuple[int, int, int]:
     return tuple(schmidt_rank(u, bp) for bp in BIPARTITIONS)  # type: ignore[return-value]
 
 
-def two_qubit_rank(u: UnnormalizedState) -> int:
-    """Rank across the single 1|2 cut of a two-qubit state: 1 means
-    product, 2 means entangled.  Informational output only."""
-    if u.dim != 4:
-        raise ValueError("two_qubit_rank supports two-qubit states only")
-    return _cut_rank(u, 2, 1)
-
-
 class Separability(enum.Enum):
     FACTORIZED = "factorized"
     BISEPARABLE = "biseparable"
@@ -498,27 +482,28 @@ def _kind(profile: Sequence[int]) -> Separability:
     return Separability.BISEPARABLE
 
 
+def _word_ranks(basis: MubBasis) -> list[int]:
+    """The Schmidt rank every state of the basis has across each cut
+    q|rest, qubit 1 first, read off its d - 1 stabilizer words.  The
+    letters the words carry at qubit q, with I, are the group's restriction
+    to q, of order 2^r for its GF(2) rank r; every state has Schmidt rank
+    2^(r - 1) across the cut (Fattal et al., quant-ph/0406168): 1 when the
+    words carry one non-identity letter there, else 2.  The Schmidt ranks
+    of the states are its oracle."""
+    words = basis.operator_words
+    return [len({"I", *(w.letters[q] for w in words)}) // 2 for q in range(len(words[0].letters))]
+
+
 def classify_basis(basis: MubBasis) -> Separability:
-    """The separability class every state of the basis shares, read off its
-    d - 1 stabilizer words.  Across the cut q|rest, the letters the words
-    carry at qubit q, with I, are the group's restriction to q, of order
-    2^r for its GF(2) rank r; every state has Schmidt rank 2^(r - 1) across
-    the cut (Fattal et al., quant-ph/0406168): 1 when the words carry one
-    non-identity letter there, else 2.  separability is the oracle on the
-    states."""
+    """The separability class every state of the basis shares, from the
+    ranks of its words across the three cuts."""
     if basis.d != 8:
         raise ValueError("entanglement classification is defined for d = 8")
-    words = basis.operator_words
-    return _kind([len({"I", *(w.letters[q] for w in words)}) // 2 for q in range(3)])
+    return _kind(_word_ranks(basis))
 
 
 class EntanglementStructure(Value):
     __slots__ = ("n_f", "n_b", "n_ns")
-
-    def __init__(self, n_f: int, n_b: int, n_ns: int) -> None:
-        self.n_f = n_f
-        self.n_b = n_b
-        self.n_ns = n_ns
 
     @classmethod
     def count(cls, kinds: Sequence[Separability]) -> "EntanglementStructure":

@@ -14,7 +14,7 @@ from __future__ import annotations
 import time
 from collections import Counter
 from functools import cached_property, partial, reduce
-from operator import attrgetter, itemgetter, or_
+from operator import itemgetter, or_
 from typing import Iterable, Sequence
 
 from .gf2n import Field, Value
@@ -38,11 +38,6 @@ class SearchResult(Value):
     Supersquare."""
 
     __slots__ = ("field", "bases", "covers", "labels", "exhaustive", "__dict__")
-    _key = attrgetter("field", "bases", "covers", "labels", "exhaustive")  # not the cache
-
-    def __init__(self, field: Field, bases: tuple, covers: tuple, labels: tuple, exhaustive: bool):
-        self.field, self.bases, self.covers = field, bases, covers
-        self.labels, self.exhaustive = labels, exhaustive
 
     @cached_property
     def blocks(self) -> dict[int, Supersquare]:

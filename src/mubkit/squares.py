@@ -119,7 +119,6 @@ class Supersquare(Value):
     are derived from the generator on first use."""
 
     __slots__ = ("generator", "__dict__")  # the cached properties live in __dict__
-    _key = attrgetter("generator")  # not the cache in __dict__
 
     def __init__(self, generator: Subgroup) -> None:
         d = generator.field.order
@@ -220,18 +219,6 @@ def render_ascii(square: Square) -> str:
 
 class CompleteSet(Value):
     __slots__ = ("set_type", "v1", "v2", "supersquares")
-
-    def __init__(
-        self,
-        set_type: str,
-        v1: Point | None,
-        v2: Point | None,
-        supersquares: tuple[Supersquare, ...],
-    ) -> None:
-        self.set_type = set_type
-        self.v1 = v1
-        self.v2 = v2
-        self.supersquares = supersquares
 
     @property
     def field(self) -> Field:
@@ -404,22 +391,6 @@ class SquareReport(Value):
         "failures",
     )
 
-    def __init__(
-        self,
-        generator: Subgroup | None,
-        class1_subgroup: bool,
-        class1_extraordinary: bool,
-        supersquare: bool,
-        physical_striation: bool,
-        failures: tuple[str, ...],
-    ) -> None:
-        self.generator = generator
-        self.class1_subgroup = class1_subgroup
-        self.class1_extraordinary = class1_extraordinary
-        self.supersquare = supersquare
-        self.physical_striation = physical_striation
-        self.failures = failures
-
     def checks(self) -> dict[str, bool]:
         return {
             "class1_subgroup": self.class1_subgroup,
@@ -472,22 +443,6 @@ class CompleteSetReport(Value):
         "striations",
         "failures",
     )
-
-    def __init__(
-        self,
-        cardinality: bool,
-        extraordinary_supersquares: bool,
-        orthogonality: bool,
-        trivial_intersections: bool,
-        striations: bool,
-        failures: tuple[str, ...],
-    ) -> None:
-        self.cardinality = cardinality
-        self.extraordinary_supersquares = extraordinary_supersquares
-        self.orthogonality = orthogonality
-        self.trivial_intersections = trivial_intersections
-        self.striations = striations
-        self.failures = failures
 
     @property
     def passed(self) -> bool:

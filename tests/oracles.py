@@ -34,9 +34,11 @@ and the rotation into the canonical quadrant by a unit search (the
 library translates packed bit-planes and divides by the first entry);
 the content reduction of a ray by Gaussian gcds (the
 library divides by the one magnitude of a stabilizer column);
-proportionality and the integer unbiasedness test of two states; and the
+proportionality and the integer unbiasedness test of two states; the
 rank of a Gaussian matrix by fraction-free elimination (the library
-reads a two-row rank off the 2x2 minors).
+reads a two-row rank off the 2x2 minors); and the two-qubit rank of a
+state from its Gaussian 2x2 minors (the library reads a built basis's
+entanglement off its stabilizer words).
 
 The search and typing references are here too: the striation test by
 every nonzero element of the origin class (the library translates by a
@@ -68,6 +70,7 @@ from mubkit.mub import (
     EntanglementStructure,
     UnnormalizedState,
     _class_map_fault,
+    _cut_rank,
     separability,
 )
 from mubkit.phasespace import Point, _polars, point_table
@@ -185,6 +188,14 @@ def gauss_rank(rows: list[list[GaussInt]]) -> int:
             ]
         rank += 1
     return rank
+
+
+def two_qubit_rank(u: UnnormalizedState) -> int:
+    """Rank across the single 1|2 cut of a two-qubit state: 1 means
+    product, 2 means entangled."""
+    if u.dim != 4:
+        raise ValueError("two_qubit_rank supports two-qubit states only")
+    return _cut_rank(u, 2, 1)
 
 
 # -- points and translations ------------------------------------------------------

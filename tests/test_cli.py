@@ -9,8 +9,17 @@ from pathlib import Path
 import pytest
 
 import mubkit
-from mubkit import CompleteSet, Point, type_I_set, verify_complete_set
-from mubkit.cli import DEFAULT_PAIRS, _parse_point, main
+from mubkit import (
+    CompleteSet,
+    Point,
+    build_mub_set,
+    det,
+    type_I_set,
+    type_II_set_d4,
+    verify_complete_set,
+)
+from mubkit.cli import DEFAULT_PAIRS, _parse_basis, _parse_point, main
+from mubkit.mub import _word_ranks
 from mubkit.pauli import translation_table
 from mubkit.serialize import (
     complete_set_to_json,
@@ -20,6 +29,8 @@ from mubkit.serialize import (
     square_to_json,
     squares_payload_from_json,
 )
+
+from oracles import all_points, two_qubit_rank
 
 
 def run(capsys, *argv):
@@ -248,6 +259,34 @@ def test_mub_gen_type_i(capsys):
     assert code == 0
     assert out.count("basis ") == 5
     assert "unbiasedness: verified exactly" in out
+
+
+def test_mub_gen_d4_entanglement_lines(capsys, f4):
+    """The d = 4 entanglement line reads a basis's words: the rank they
+    give at either qubit is the two-qubit rank of each of its states, on
+    every basis of every valid (type, v1, v2) under both orders of the
+    selfdual basis."""
+    points = [p for p in all_points(f4) if not p.is_zero]
+    pairs = [(v1, v2, det(v1, v2)) for v1 in points for v2 in points]
+    sets = [type_I_set(v1, v2) for v1, v2, k in pairs if not k.is_zero]
+    sets += [type_II_set_d4(v1, v2) for v1, v2, k in pairs if k == f4.one]
+    assert len(sets) == 240
+    for order in ("m,m2", "m2,m"):
+        basis_e = _parse_basis(f4, order)
+        for cset in sets:
+            for b in build_mub_set(cset, basis_e).bases:
+                (rank,) = {two_qubit_rank(st) for st in b.states}
+                assert _word_ranks(b) == [rank, rank], (order, cset.set_type, cset.v1, cset.v2)
+    want = {
+        "I": ["product", "product", "entangled", "entangled", "product"],
+        "II": ["entangled", "product", "product", "product", "entangled"],
+    }
+    for set_type, kinds in want.items():
+        argv = ("mub", "gen", "--d", "4", "--type", set_type, "--format", "ascii")
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        lines = [line for line in out.splitlines() if line.startswith("  entanglement: ")]
+        assert lines == [f"  entanglement: {kind}" for kind in kinds], set_type
 
 
 def test_mub_gen_verify_roundtrip(capsys, tmp_path):

@@ -46,14 +46,13 @@ from mubkit.mub import (
     _ray_planes,
     _two_row_rank,
     schmidt_rank,
-    two_qubit_rank,
 )
 from mubkit.pauli import ONE, ZERO, PauliWord, translation_table
 from mubkit.phasespace import _polars, point_table, point_to_mask
 from mubkit.serialize import dumps_canonical, square_to_json
 
 import oracles
-from oracles import GaussMatrix, all_points, square_sign, translation_operator
+from oracles import GaussMatrix, all_points, square_sign, translation_operator, two_qubit_rank
 
 D8_CONSTRUCTORS = {
     "I": type_I_set,

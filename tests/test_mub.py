@@ -34,6 +34,7 @@ from oracles import (
     proportional_to,
     state_from_raw,
     translation_operator,
+    two_qubit_rank,
 )
 
 
@@ -373,8 +374,6 @@ def test_structure_rejects_d4(d4_mubs):
 
 
 def test_two_qubit_rank(d4_mubs):
-    from mubkit.mub import two_qubit_rank
-
     product = state((1, 0), (0, 0), (0, 0), (0, 0))
     bell = state((1, 0), (0, 0), (0, 0), (1, 0))
     assert two_qubit_rank(product) == 1

@@ -1,5 +1,6 @@
 """The value types: equality and hashing on their fields, for instances of
-one class only, and the validation messages of their constructors."""
+one class only, the validation messages of their constructors, and the
+TypeError naming the class for a wrong count of values."""
 
 import itertools
 
@@ -83,6 +84,14 @@ def test_equal_fields_give_equal_values_and_hashes(cases):
         a, b = cls(*args()), cls(*args())
         assert a == b and not a != b, cls
         assert hash(a) == hash(b), cls
+        # one value too many, or one too few where no default fills it in
+        fields = args()
+        wrong = [fields + [None]]
+        if cls is not MubBasis:  # its class_of_state defaults to None
+            wrong.append(fields[:-1])
+        for values in wrong:
+            with pytest.raises(TypeError, match=rf"^{cls.__name__}\b"):
+                cls(*values)
 
 
 def test_one_changed_field_gives_a_different_value(cases):
