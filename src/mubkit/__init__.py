@@ -19,22 +19,23 @@ _HOME = {
             dual_basis field_for_dimension is_selfdual""",
         "phasespace": """Point Subgroup det enumerate_extraordinary_subgroups
             is_extraordinary trace_zero_subgroup""",
-        "squares": """CompleteSet CompleteSetReport Square SquareKind SquareReport
-            Supersquare are_orthogonal classify is_physical_striation is_supersquare
-            perturb_supersquare render_ascii supersquare_from_subgroup type_I_set
-            type_II_set_d4 type_II_set_d8 type_III_set_d8 type_IV_set_d8
-            verify_complete_set verify_square verify_squares""",
+        "squares": """CompleteSet CompleteSetReport Square SquareKind Supersquare
+            are_orthogonal classify perturb_supersquare render_ascii
+            supersquare_from_subgroup type_I_set type_II_set_d4 type_II_set_d8
+            type_III_set_d8 type_IV_set_d8 verify_complete_set""",
+        "squaresdoc": """SquareReport is_physical_striation is_supersquare verify_square
+            verify_squares""",
         "search": "SearchResult complete_set_templates search_complete_sets",
         "pauli": "GaussInt PauliWord",
-        "mub": """BIPARTITIONS ConstructionError EntanglementStructure MubBasis MubSet
-            Separability UnnormalizedState apply_correspondence build_mub_set
-            certify_bases classify_basis common_eigenbasis rank_profile
-            schmidt_rank separability structure""",
+        "mub": """ConstructionError EntanglementStructure MubBasis MubSet Separability
+            UnnormalizedState apply_correspondence build_mub_set classify_basis
+            common_eigenbasis structure""",
+        "mubdoc": "BIPARTITIONS certify_bases rank_profile schmidt_rank separability",
     }.items()
     for name in names.split()
 }
 
-_SUBMODULES = ("gf2n", "phasespace", "squares", "search", "pauli", "mub", "serialize", "cli")
+_SUBMODULES = "gf2n phasespace squares squaresdoc search pauli mub mubdoc serialize cli".split()
 
 __all__ = sorted(_HOME)
 

@@ -1,15 +1,7 @@
-"""Command-line surface.
+"""Command-line surface: the commands of COMMANDS, such as
 
-Subcommands:
-
-    mubkit field-info --d 8
     mubkit squares gen --d 4 --type II --v1 1,m2 --v2 1,m
-    mubkit squares verify SET.json
-    mubkit squares classify SET.json
-    mubkit squares search --d 4 --time-budget 10
-    mubkit mub gen --d 8 --type II
     mubkit mub verify MUBS.json
-    mubkit mub structure --d 8 --type II
 
 Exit codes: 0 pass, 1 verification failure, 2 usage or parse error,
 3 incomplete (budget-limited) search.
@@ -17,20 +9,22 @@ Exit codes: 0 pass, 1 verification failure, 2 usage or parse error,
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
 import sys
 from itertools import islice
+from types import SimpleNamespace
 from typing import TYPE_CHECKING, Iterable, Sequence
 
 from .gf2n import Field, FieldBasis, default_selfdual_basis, field_for_dimension, is_selfdual
 from .phasespace import Point, trace_zero_subgroup
 
-# Each command imports the modules it runs, before it reads its input:
-# squares commands never load mub or pauli, and `mub verify` never loads
-# squares.
+# Each command imports the modules it runs, a reader once its input has
+# parsed: squares commands never load mub or pauli, and `mub verify` never
+# loads squares.  main imports argparse only for a line _exact_args leaves.
 if TYPE_CHECKING:
+    import argparse
+
     from .mub import MubSet
     from .squares import CompleteSet
 
@@ -219,19 +213,21 @@ def _read_json(path: str):
 
 
 def cmd_squares_verify(args: argparse.Namespace) -> int:
-    from .serialize import squares_payload_from_json
-    from .squares import verify_square, verify_squares
+    doc = _read_json(args.input)
+    from .squaresdoc import squares_payload_from_json, verify_square, verify_squares
 
-    kind, payload = squares_payload_from_json(_read_json(args.input))
+    kind, payload = squares_payload_from_json(doc)
     report = verify_square(payload) if kind == "square" else verify_squares(payload[3])
     return _report(args, report.checks(), list(report.failures))
 
 
 def cmd_squares_classify(args: argparse.Namespace) -> int:
-    from .serialize import _canonical_pieces, squares_payload_from_json
+    doc = _read_json(args.input)
+    from .serialize import _canonical_pieces
     from .squares import classify
+    from .squaresdoc import squares_payload_from_json
 
-    kind, payload = squares_payload_from_json(_read_json(args.input))
+    kind, payload = squares_payload_from_json(doc)
     squares = [payload] if kind == "square" else payload[3]
     kinds = [classify(sq).value for sq in squares]
     if args.format == "json":
@@ -242,8 +238,7 @@ def cmd_squares_classify(args: argparse.Namespace) -> int:
 
 
 def cmd_squares_search(args: argparse.Namespace) -> int:
-    from .search import search_complete_sets
-    from .serialize import search_result_pieces
+    from .search import search_complete_sets, search_result_pieces
 
     result = search_complete_sets(field_for_dimension(args.d), time_budget=args.time_budget)
     if args.format == "json":
@@ -299,10 +294,9 @@ def cmd_mub_gen(args: argparse.Namespace) -> int:
 
 
 def cmd_mub_verify(args: argparse.Namespace) -> int:
-    from .mub import certify_bases
-    from .serialize import mub_payload_from_json, mub_words_from_json
-
     doc = _read_json(args.input)
+    from .mubdoc import certify_bases, mub_payload_from_json, mub_words_from_json
+
     d, bases, maps, triple = mub_payload_from_json(doc)
     checks, failures = certify_bases(bases, d, maps, triple, mub_words_from_json(doc, d))
     return _report(args, checks, failures)
@@ -329,81 +323,116 @@ def cmd_mub_structure(args: argparse.Namespace) -> int:
 
 # -- parser -------------------------------------------------------------------
 
+# An option: (flag, type, choices, default, help), type None for a string
+# and bool for a flag that takes no value.
+_D = ("--d", int, (4, 8, 16, 32), 4, None)
+_FORMAT = ("--format", None, ("json", "ascii"), "ascii", None)
+_OUT = ("--out", None, None, None, "write output to this path instead of stdout")
+_READ = (_FORMAT, ("--out", None, None, None, None))  # a command that reads one JSON file
+_POINT = "point as 'x,y' (mu-power tokens or bitmasks)"
+_BUILD = (("--type", None, ("I", "II", "III", "IV"), "II", None),
+          ("--v1", None, None, None, _POINT), ("--v2", None, None, None, _POINT), _FORMAT, _OUT)
+_BASIS = ("--basis", None, None, None, "selfdual basis as comma-separated tokens")
+_PERTURB_HELP = "emit a seeded label-perturbed square instead (negative-test input)"
+_GROUPS = {"squares": "complete-set construction and checks", "mub": "mutually unbiased bases"}
 
-def _add_common(parser: argparse.ArgumentParser, with_type: bool = True) -> None:
-    parser.add_argument("--d", type=int, choices=(4, 8, 16, 32), default=4)
-    if with_type:
-        parser.add_argument("--type", choices=("I", "II", "III", "IV"), default="II")
-        parser.add_argument("--v1", help="point as 'x,y' (mu-power tokens or bitmasks)")
-        parser.add_argument("--v2", help="point as 'x,y' (mu-power tokens or bitmasks)")
-    parser.add_argument("--format", choices=("json", "ascii"), default="ascii")
-    parser.add_argument("--out", help="write output to this path instead of stdout")
-
-
-def _add_reader(sub: argparse._SubParsersAction, name: str, help: str, func) -> None:
-    parser = sub.add_parser(name, help=help)  # a command that reads one JSON file
-    parser.add_argument("input")
-    parser.add_argument("--format", choices=("json", "ascii"), default="ascii")
-    parser.add_argument("--out")
-    parser.set_defaults(func=func)
+# Every command once, in help order: (words, help, function, positional or
+# None, options), read by build_parser and _exact_args.
+COMMANDS = (
+    ("field-info", "element, trace, and basis tables", cmd_field_info, None, (_D, _FORMAT, _OUT)),
+    ("squares gen", "build a complete set", cmd_squares_gen, None, (
+        _D, *_BUILD, ("--seed", int, None, 0, None), ("--perturb", bool, None, False, _PERTURB_HELP)
+    )),
+    ("squares verify", "verify a square or set file", cmd_squares_verify, "input", _READ),
+    ("squares classify", "Latin-type classification", cmd_squares_classify, "input", _READ),
+    ("squares search", "enumerate all complete sets", cmd_squares_search, None, (
+        _D, (*_FORMAT[:3], "json", None), _OUT, ("--time-budget", float, None, None, None)
+    )),
+    ("mub gen", "build the MUB set of a complete set", cmd_mub_gen, None, (_D, *_BUILD, _BASIS)),
+    ("mub verify", "re-verify an emitted MUB file", cmd_mub_verify, "input", _READ),
+    ("mub structure", "three-qubit entanglement census", cmd_mub_structure, None, (
+        (*_D[:3], 8, None), *_BUILD, _BASIS
+    )),
+)
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """argparse's tree of COMMANDS: the help text, abbreviated flags and
+    usage errors of every line _exact_args leaves to it."""
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="mubkit",
         description="Exact extraordinary supersquares and mutually unbiased bases.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p_field = sub.add_parser("field-info", help="element, trace, and basis tables")
-    _add_common(p_field, with_type=False)
-    p_field.set_defaults(func=cmd_field_info)
-
-    p_squares = sub.add_parser("squares", help="complete-set construction and checks")
-    squares_sub = p_squares.add_subparsers(dest="subcommand", required=True)
-
-    p_gen = squares_sub.add_parser("gen", help="build a complete set")
-    _add_common(p_gen)
-    p_gen.add_argument("--seed", type=int, default=0)
-    p_gen.add_argument(
-        "--perturb",
-        action="store_true",
-        help="emit a seeded label-perturbed square instead (negative-test input)",
-    )
-    p_gen.set_defaults(func=cmd_squares_gen)
-
-    _add_reader(squares_sub, "verify", "verify a square or set file", cmd_squares_verify)
-    _add_reader(squares_sub, "classify", "Latin-type classification", cmd_squares_classify)
-
-    p_search = squares_sub.add_parser("search", help="enumerate all complete sets")
-    _add_common(p_search, with_type=False)
-    p_search.add_argument("--time-budget", type=float, default=None)
-    p_search.set_defaults(func=cmd_squares_search, format="json")
-
-    p_mub = sub.add_parser("mub", help="mutually unbiased bases")
-    mub_sub = p_mub.add_subparsers(dest="subcommand", required=True)
-
-    p_mgen = mub_sub.add_parser("gen", help="build the MUB set of a complete set")
-    _add_common(p_mgen)
-    p_mgen.add_argument("--basis", help="selfdual basis as comma-separated tokens")
-    p_mgen.set_defaults(func=cmd_mub_gen)
-
-    _add_reader(mub_sub, "verify", "re-verify an emitted MUB file", cmd_mub_verify)
-
-    p_mstruct = mub_sub.add_parser("structure", help="three-qubit entanglement census")
-    _add_common(p_mstruct)
-    p_mstruct.add_argument("--basis", help="selfdual basis as comma-separated tokens")
-    p_mstruct.set_defaults(func=cmd_mub_structure, d=8)
-
+    subs = {"": parser.add_subparsers(dest="command", required=True)}
+    for path, text, func, positional, options in COMMANDS:
+        group, _, name = path.rpartition(" ")
+        if group not in subs:
+            p = subs[""].add_parser(group, help=_GROUPS[group])
+            subs[group] = p.add_subparsers(dest="subcommand", required=True)
+        p = subs[group].add_parser(name, help=text)
+        if positional:
+            p.add_argument(positional)
+        for flag, kind, choices, default, hint in options:
+            if kind is bool:
+                p.add_argument(flag, action="store_true", help=hint)
+            else:
+                p.add_argument(flag, type=kind, choices=choices, default=default, help=hint)
+        p.set_defaults(func=func)
     return parser
 
 
+def _exact_args(argv: list[str]) -> SimpleNamespace | None:
+    """build_parser()'s namespace of a well-formed argv: a command's words,
+    its exact flags, each but a bool with one value that does not start
+    with "-" and converts into its choices, and its one positional if it
+    has one.  None for any other argv: this parser reports no error."""
+    for path, _, func, positional, options in COMMANDS:
+        words = path.split()
+        if argv[: len(words)] == words:
+            break
+    else:
+        return None
+    specs = {spec[0]: spec for spec in options}
+    values = dict(zip(("command", "subcommand"), words), func=func)
+    values.update((flag[2:].replace("-", "_"), default) for flag, _, _, default, _ in options)
+    rest = iter(argv[len(words) :])
+    for arg in rest:
+        if not arg.startswith("-"):
+            if positional is None or positional in values:
+                return None
+            values[positional] = arg
+            continue
+        if arg not in specs:
+            return None
+        _, kind, choices, _, _ = specs[arg]
+        if kind is bool:
+            value = True
+        else:
+            value = next(rest, "-")
+            if value.startswith("-"):
+                return None
+            try:
+                value = value if kind is None else kind(value)
+            except ValueError:
+                return None
+            if choices and value not in choices:
+                return None
+        values[arg[2:].replace("-", "_")] = value
+    if positional and positional not in values:
+        return None
+    return SimpleNamespace(**values)
+
+
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code) if exc.code is not None else USAGE
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = _exact_args(argv)
+    if args is None:
+        try:
+            args = build_parser().parse_args(argv)
+        except SystemExit as exc:
+            return int(exc.code) if exc.code is not None else USAGE
     try:
         return args.func(args)
     except UsageError as exc:

@@ -21,7 +21,7 @@ packed into a support mask and two phase bit-planes (entry k is i^p,
 p = lo_k + 2 hi_k).  Translations and eigenvector checks work on the
 planes, and the certificate reads <u,v> off popcounts; a state with any
 other entry, which only a document given to `mub verify` can hold, takes
-the entry-by-entry inner product.
+the entry-by-entry inner product; that command enters through mubdoc.
 """
 
 from __future__ import annotations
@@ -228,27 +228,6 @@ class MubSet(Value):
         return self.source_set.d
 
 
-# entry i^p -> p
-_PHASE = {u: p for p, u in enumerate(UNITS)}
-
-
-def pack_state(st: UnnormalizedState) -> tuple[int, int, int] | None:
-    """(support, lo, hi) bit masks of a state whose entries all lie in
-    {0, +-1, +-i}: bit k of support is set where entry k is nonzero, and
-    there entry k is i^p with p = lo_k + 2 hi_k.  None for any other state."""
-    support = lo = hi = 0
-    for k, e in enumerate(st.entries):
-        if e.is_zero:
-            continue
-        p = _PHASE.get(e)
-        if p is None:
-            return None
-        support |= 1 << k
-        lo |= (p & 1) << k
-        hi |= (p >> 1) << k
-    return support, lo, hi
-
-
 def packed_inner(a: tuple[int, int, int], b: tuple[int, int, int]) -> tuple[int, int]:
     """(re, im) of <a|b> for packed states: each common support bit adds
     i^q for the phase difference q = p_b - p_a mod 4, whose bit-planes are
@@ -282,37 +261,10 @@ def _stabilizer(words, states, packs, d: int) -> list[int] | None:
     return gens if len({_signature(ops, p, n) for p in packs} - {None}) == d else None
 
 
-def certify_bases(
-    bases: Sequence[Sequence[UnnormalizedState]],
-    d: int,
-    class_maps: Sequence[Sequence[int] | None],
-    expected_structure: Sequence[int] | None = None,
-    words: Sequence[Sequence[tuple[int, int]] | None] | None = None,
-) -> tuple[dict[str, bool], list[str]]:
-    """The exact MUB certificate: d+1 bases of d states of d entries each;
-    each norm_sq equal to the recomputed, nonzero squared norm; states
-    orthogonal within each basis; d * |<u,v>|^2 = N_u * N_v across bases;
-    every class map a bijection onto the d states.  With
-    ``expected_structure``, the entanglement structure recounted from the
-    states must equal it, which needs d = 8.  A state without d entries
-    fails the cardinality check and is left out of the pair checks.
-    Inner products of packed states are read off popcounts (packed_inner),
-    others taken entry by entry.
-
-    ``words`` are untrusted (x, z) masks per basis, of translations claimed
-    to stabilize its states.  A basis they certify (_stabilizer) skips its
-    orthogonality pairs, and two such bases whose 2n generator masks are
-    independent skip their d^2 inner products: stabilizer bases whose
-    groups meet only in the identity are unbiased.  Every other basis and
-    pair is checked, so the result never depends on the words.  Returns
-    the checks and every failure."""
-    packs = [[pack_state(st) for st in states] for states in bases]
-    return _certify(bases, packs, d, class_maps, expected_structure, words)
-
-
-def _certify(bases, packs, d: int, class_maps, expected_structure, words):
-    """certify_bases, given packs[b][s]: the planes of bases[b][s], or None
-    where it has an entry outside {0, +-1, +-i}."""
+def _certify(bases, packs, d: int, class_maps, words):
+    """mubdoc.certify_bases but the structure check, given packs[b][s]: the
+    planes of bases[b][s], or None where it has an entry outside
+    {0, +-1, +-i}."""
     failures: list[str] = []
     checks = {"cardinality": len(bases) == d + 1}
     if not checks["cardinality"]:
@@ -364,17 +316,6 @@ def _certify(bases, packs, d: int, class_maps, expected_structure, words):
         if fault:
             checks["class_maps"] = False
             failures.append(f"basis {bi} {fault}")
-    if expected_structure is not None and d != 8:
-        checks["structure"] = False
-        failures.append(f"structure is defined for d = 8 only, document has d = {d}")
-    elif expected_structure is not None:
-        kinds = [separability([st for _, st, _ in states]) for states in sized]
-        recount = (
-            [0, 0, 0] if None in kinds else list(EntanglementStructure.count(kinds).astuple())
-        )
-        checks["structure"] = recount == list(expected_structure)
-        if not checks["structure"]:
-            failures.append(f"structure mismatch: recomputed {recount}")
     return checks, failures
 
 
@@ -396,8 +337,9 @@ def build_mub_set(
 ) -> MubSet:
     """Run the eigenbasis construction and correspondence over every
     square of a verified complete set, then certify the result as
-    certify_bases does, on the planes its states were unpacked from and
-    its generator translations; the first failure raises ConstructionError."""
+    mubdoc.certify_bases does, on the planes its states were unpacked from
+    and its generator translations; the first failure raises
+    ConstructionError."""
     from .squares import verify_complete_set
 
     report = verify_complete_set(c)
@@ -410,7 +352,7 @@ def build_mub_set(
         expansion_basis = default_selfdual_basis(field)
     bases, packs, words = zip(*(_eigenbasis(ss, expansion_basis, True) for ss in c.supersquares))
     states, maps = [b.states for b in bases], [b.class_of_state for b in bases]
-    _, failures = _certify(states, packs, field.order, maps, None, words)
+    _, failures = _certify(states, packs, field.order, maps, words)
     if failures:
         raise ConstructionError(failures[0])
     return MubSet(bases, c)
@@ -420,58 +362,10 @@ def build_mub_set(
 # Three-qubit entanglement structure
 # ---------------------------------------------------------------------------
 
-BIPARTITIONS = ("1|23", "2|13", "3|12")
-
-
-def _two_row_rank(top: Sequence[GaussInt], bottom: Sequence[GaussInt]) -> int:
-    """Rank of a two-row matrix over the Gaussian rationals, read off its
-    2x2 minors: 0 when both rows are zero, 1 when every minor vanishes,
-    2 otherwise."""
-    if all(e.is_zero for e in top) and all(e.is_zero for e in bottom):
-        return 0
-    minors = (
-        top[i] * bottom[j] - top[j] * bottom[i]
-        for i in range(len(top))
-        for j in range(i + 1, len(top))
-    )
-    return 2 if any(not m.is_zero for m in minors) else 1
-
-
-def _cut_rank(u: UnnormalizedState, n: int, q: int) -> int:
-    """Rank of an n-qubit state across the cut of qubit q from the rest: the
-    two rows are the entries with bit n - q of the index clear and set,
-    in index order; qubit 1 is the most significant index bit."""
-    rows: tuple[list[GaussInt], list[GaussInt]] = ([], [])
-    for b, e in enumerate(u.entries):
-        rows[b >> (n - q) & 1].append(e)
-    return _two_row_rank(*rows)
-
-
-def schmidt_rank(u: UnnormalizedState, bipartition: str) -> int:
-    """Exact rank of the 2x4 reshape of a three-qubit state across the cut
-    "q|rest"."""
-    if u.dim != 8:
-        raise ValueError("schmidt_rank supports three-qubit states only")
-    if bipartition not in BIPARTITIONS:
-        raise ValueError(f"bipartition must be one of {BIPARTITIONS}")
-    return _cut_rank(u, 3, BIPARTITIONS.index(bipartition) + 1)
-
-
-def rank_profile(u: UnnormalizedState) -> tuple[int, int, int]:
-    return tuple(schmidt_rank(u, bp) for bp in BIPARTITIONS)  # type: ignore[return-value]
-
-
 class Separability(enum.Enum):
     FACTORIZED = "factorized"
     BISEPARABLE = "biseparable"
     NONSEPARABLE = "nonseparable"
-
-
-def separability(states: Sequence[UnnormalizedState]) -> Separability | None:
-    """The class of three-qubit states from the rank profile across the
-    three cuts they all share; None when their profiles differ."""
-    profiles = {rank_profile(st) for st in states}
-    return _kind(*profiles) if len(profiles) == 1 else None
 
 
 def _kind(profile: Sequence[int]) -> Separability:

@@ -5,20 +5,23 @@ The search enumerates every tiling by one depth-first exact cover in one
 process over the extraordinary subgroups, held as integer bitsets of
 their points with a bitset of compatible blocks per block; its result is
 one value of those blocks' bases, the covers and their labels, and builds
-supersquares and sets only when they are read.  Only ``squares search``
-loads this module.
+supersquares and sets only when they are read, and it writes the census
+document.  Only ``squares search`` loads this module.
 """
 
 from __future__ import annotations
 
 import time
 from collections import Counter
-from functools import cached_property, partial, reduce
+from functools import cache, cached_property, partial, reduce
+from json.encoder import encode_basestring_ascii
 from operator import itemgetter, or_
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .gf2n import Field, Value
-from .phasespace import Point, Subgroup, _sorted_bases, _span, iter_lagrangian_bases, point_table
+from .phasespace import Point, Subgroup, _sorted_bases, _span, iter_lagrangian_bases
+from .phasespace import point_table, point_to_mask
+from .serialize import _canonical_pieces, _classes, _point_leaves, _punctuation
 from .squares import (
     CompleteSet,
     Supersquare,
@@ -270,3 +273,47 @@ def search_complete_sets(field: Field, time_budget: float | None = None) -> Sear
     unclassified = ("Unclassified", None, None)  # one object: the writer keys labels by id
     labels = tuple(templates.get(frozenset(bits[i] for i in c), unclassified) for c in solutions)
     return SearchResult(field, bases, tuple(solutions), labels, exhaustive)
+
+
+@cache
+def _point_texts(field: Field, depth: int) -> tuple[str, ...]:
+    """The text of each packed point's leaf nested depth deep in a document."""
+    return tuple("".join(_canonical_pieces(leaf, depth)) for leaf in _point_leaves(field))
+
+
+def search_result_pieces(result: SearchResult) -> Iterator[bytes]:
+    """The `squares search` document as bytes, set by set from the covers,
+    with no Square, CompleteSet or tree built.  A block's square is its
+    label table's classes, ordered as by square_to_json, of point texts at
+    depth 7; a set opens with one text ("squares" sorts first) and ends
+    with its label's tail, its type and v1 and v2 at depth 3.  Each square
+    and tail is encoded once and yielded for every set that holds it."""
+    field, d = result.field, result.field.order
+    doc = {"census": result.census(), "d": d, "exhaustive": result.exhaustive, "sets": []}
+    pieces = _canonical_pieces(doc)
+    cut = pieces.index("[]")  # the sets, which sort last
+    sep, open_list, open_dict, close_list, close_dict = zip(*map(_punctuation, range(7)))
+    square_open = open_dict[4] + '"classes": ' + open_list[5]
+    square_close = f'{close_list[5]}{sep[4]}"d": {d}{close_dict[4]}'
+    squares = {}
+    for i, ss in result.blocks.items():
+        classes = _classes(field, ss._label_table(), _point_texts(field, 7))
+        text = sep[5].join(open_list[6] + sep[6].join(c) + close_list[6] for c in classes)
+        squares[i] = (square_open + text + square_close).encode()
+    opener = open_dict[2] + '"squares": ' + open_list[3]
+    first, later, between = (t.encode() for t in (open_list[1] + opener, sep[1] + opener, sep[3]))
+    tails: dict[int, bytes] = {}  # by id; the result keeps each label alive
+    yield "".join(pieces[:cut]).encode()
+    for k, (cover, label) in enumerate(zip(result.covers, result.labels)):
+        yield later if k else first
+        for j, i in enumerate(cover):  # one piece per square: a joined set is a copy of it
+            if j:
+                yield between
+            yield squares[i]
+        if (tail := tails.get(id(label))) is None:
+            kind, *vs = label
+            v1, v2 = ("null" if v is None else _point_texts(field, 3)[point_to_mask(v)] for v in vs)
+            text = f'"type": {encode_basestring_ascii(kind)}{sep[2]}"v1": {v1}{sep[2]}"v2": {v2}'
+            tail = tails[id(label)] = (close_list[3] + sep[2] + text + close_dict[2]).encode()
+        yield tail
+    yield ((close_list[1] if result.covers else "[]") + "".join(pieces[cut + 1 :])).encode()

@@ -6,22 +6,21 @@ order, and states as {"num": [[re, im], ...], "norm_sq": N}.  Square
 payloads carry only "d", the field modulus being the canonical one.  The
 documents share their leaves: one (x, y) tuple per point of a field and
 one (re, im) tuple per entry 0, +-1, +-i (json.loads gives lists).  The
-search document is written set by set as bytes from a search result's
-covers, each block's square formatted once from per-field point texts.
+decoders live with the checks of their document kind (squaresdoc, mubdoc)
+and the census writer with the search, so a build compiles neither.
 """
 
 from __future__ import annotations
 
 from functools import cache
 from json.encoder import encode_basestring_ascii
-from typing import TYPE_CHECKING, Any, Iterator, Sequence
+from typing import TYPE_CHECKING, Any, Sequence
 
-from .gf2n import Field, field_for_dimension
+from .gf2n import Field
 from .phasespace import Point, Subgroup, _point_rank, point_to_mask
 
-if TYPE_CHECKING:  # a decoder imports the module of the type it builds
+if TYPE_CHECKING:
     from .mub import MubBasis, MubSet, UnnormalizedState
-    from .search import SearchResult
     from .squares import CompleteSet, Square
 
 
@@ -132,8 +131,8 @@ def _scalar_json(o: Any) -> str | None:
     raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
 
 
-# The *_from_json parsers raise ValueError on any document of the wrong
-# shape, so the CLI reports it as a parse error.
+# Shared by the decoders, which raise ValueError on any document of the
+# wrong shape, so the CLI reports it as a parse error.
 
 
 def _expect(data: Any, kind: type, what: str) -> Any:
@@ -164,11 +163,6 @@ def point_to_json(p: Point) -> tuple[int, int]:
     return _point_leaves(p.field)[point_to_mask(p)]
 
 
-def point_from_json(field: Field, data: Any) -> Point:
-    x, y = _ints(data, "a point", 2)
-    return Point(field.element(x), field.element(y))
-
-
 def subgroup_to_json(g: Subgroup) -> list[tuple[int, int]]:
     return list(map(_point_leaves(g.field).__getitem__, g.masks()))
 
@@ -186,24 +180,6 @@ def _classes(field: Field, labels: Sequence[int], leaves: Sequence[Any]) -> list
     return classes
 
 
-@cache
-def _point_texts(field: Field, depth: int) -> tuple[str, ...]:
-    """The text of each packed point's leaf nested depth deep in a document."""
-    return tuple("".join(_canonical_pieces(leaf, depth)) for leaf in _point_leaves(field))
-
-
-def square_from_json(data: Any) -> Square:
-    from .squares import Square
-
-    data = _expect(data, dict, "a square")
-    field = field_for_dimension(_expect(data.get("d"), int, "d"))
-    classes = [
-        [point_from_json(field, item) for item in _expect(cls, list, "a class")]
-        for cls in _expect(data.get("classes"), list, "classes")
-    ]
-    return Square(field, classes)
-
-
 def complete_set_to_json(c: CompleteSet) -> dict:
     return {
         "type": c.set_type,
@@ -213,63 +189,6 @@ def complete_set_to_json(c: CompleteSet) -> dict:
     }
 
 
-def search_result_pieces(result: SearchResult) -> Iterator[bytes]:
-    """The `squares search` document as bytes, set by set from the covers,
-    with no Square, CompleteSet or tree built.  A block's square is its
-    label table's classes, ordered as by square_to_json, of point texts at
-    depth 7; a set opens with one text ("squares" sorts first) and ends
-    with its label's tail, its type and v1 and v2 at depth 3.  Each square
-    and tail is encoded once and yielded for every set that holds it."""
-    field, d = result.field, result.field.order
-    doc = {"census": result.census(), "d": d, "exhaustive": result.exhaustive, "sets": []}
-    pieces = _canonical_pieces(doc)
-    cut = pieces.index("[]")  # the sets, which sort last
-    sep, open_list, open_dict, close_list, close_dict = zip(*map(_punctuation, range(7)))
-    square_open = open_dict[4] + '"classes": ' + open_list[5]
-    square_close = f'{close_list[5]}{sep[4]}"d": {d}{close_dict[4]}'
-    squares = {}
-    for i, ss in result.blocks.items():
-        classes = _classes(field, ss._label_table(), _point_texts(field, 7))
-        text = sep[5].join(open_list[6] + sep[6].join(c) + close_list[6] for c in classes)
-        squares[i] = (square_open + text + square_close).encode()
-    opener = open_dict[2] + '"squares": ' + open_list[3]
-    first, later, between = (t.encode() for t in (open_list[1] + opener, sep[1] + opener, sep[3]))
-    tails: dict[int, bytes] = {}  # by id; the result keeps each label alive
-    yield "".join(pieces[:cut]).encode()
-    for k, (cover, label) in enumerate(zip(result.covers, result.labels)):
-        yield later if k else first
-        for j, i in enumerate(cover):  # one piece per square: a joined set is a copy of it
-            if j:
-                yield between
-            yield squares[i]
-        if (tail := tails.get(id(label))) is None:
-            kind, *vs = label
-            v1, v2 = ("null" if v is None else _point_texts(field, 3)[point_to_mask(v)] for v in vs)
-            text = f'"type": {encode_basestring_ascii(kind)}{sep[2]}"v1": {v1}{sep[2]}"v2": {v2}'
-            tail = tails[id(label)] = (close_list[3] + sep[2] + text + close_dict[2]).encode()
-        yield tail
-    yield ((close_list[1] if result.covers else "[]") + "".join(pieces[cut + 1 :])).encode()
-
-
-def squares_payload_from_json(data: Any) -> tuple[str, Any]:
-    """Dispatch a parsed JSON document to ("square", Square) or
-    ("set", (type, v1, v2, [Square, ...])).  Raises ValueError on
-    malformed payloads; striation/orthogonality defects are left to the
-    verification layer."""
-    data = _expect(data, dict, "the document")
-    if "classes" in data:
-        return "square", square_from_json(data)
-    if "squares" in data:
-        squares = [square_from_json(sq) for sq in _expect(data["squares"], list, "squares")]
-        if not squares:
-            raise ValueError("empty square list")
-        field = squares[0].field
-        v1 = None if data.get("v1") is None else point_from_json(field, data["v1"])
-        v2 = None if data.get("v2") is None else point_from_json(field, data["v2"])
-        return "set", (str(data.get("type", "Unclassified")), v1, v2, squares)
-    raise ValueError("payload is neither a square nor a complete set")
-
-
 # the shared leaf of each entry 0, 1, i, -1, -i, found by the equal GaussInt
 _UNIT_LEAVES = {e: e for e in ((0, 0), (1, 0), (0, 1), (-1, 0), (0, -1))}
 
@@ -277,54 +196,6 @@ _UNIT_LEAVES = {e: e for e in ((0, 0), (1, 0), (0, 1), (-1, 0), (0, -1))}
 def state_to_json(s: UnnormalizedState) -> dict:
     num = [_UNIT_LEAVES.get(e) or (e.re, e.im) for e in s.entries]
     return {"num": num, "norm_sq": s.norm_sq}
-
-
-def state_from_json(data: Any) -> UnnormalizedState:
-    from .mub import UnnormalizedState
-    from .pauli import GaussInt
-
-    data = _expect(data, dict, "a state")
-    entries = tuple(
-        GaussInt(*_ints(e, "an entry", 2)) for e in _expect(data.get("num"), list, "num")
-    )
-    return UnnormalizedState(entries, _expect(data.get("norm_sq"), int, "norm_sq"))
-
-
-def mub_payload_from_json(
-    data: Any,
-) -> tuple[int, list[list[UnnormalizedState]], list[list[int] | None], list[int] | None]:
-    """(d, states per basis, class map per basis, structure or None) from a
-    MUB document."""
-    data = _expect(data, dict, "the document")
-    d = field_for_dimension(_expect(data.get("d"), int, "d")).order
-    bases, maps = [], []
-    for basis in _expect(data.get("bases"), list, "bases"):
-        basis = _expect(basis, dict, "a basis")
-        states = _expect(basis.get("states"), list, "states")
-        bases.append([state_from_json(s) for s in states])
-        cmap = basis.get("class_of_state")
-        maps.append(None if cmap is None else _ints(cmap, "class_of_state"))
-    triple = data.get("structure")
-    return d, bases, maps, None if triple is None else _ints(triple, "structure", 3)
-
-
-# a word's letters -> the bits of its x and of its z mask, qubit 1 first, Y = XZ
-_X_BITS, _Z_BITS = str.maketrans("IXYZ", "0110"), str.maketrans("IXYZ", "0011")
-
-
-def mub_words_from_json(data: Any, d: int) -> list[list[tuple[int, int]]]:
-    """The (x, z) masks of the n-letter "words" of each basis in a MUB
-    document that mub_payload_from_json has read.  They are untrusted hints
-    for certify_bases, so words that do not parse are dropped."""
-    out = []
-    for basis in data["bases"]:
-        try:
-            words = ["".join(w) for w in basis["words"]]
-        except (KeyError, TypeError):
-            words = []
-        words = [w for w in words if 1 << len(w) == d and not w.strip("IXYZ")]
-        out.append([(int(w.translate(_X_BITS), 2), int(w.translate(_Z_BITS), 2)) for w in words])
-    return out
 
 
 def basis_to_json(b: MubBasis) -> dict:

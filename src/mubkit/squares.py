@@ -22,7 +22,8 @@ map's table, the image of every packed point: the constructors map the
 base generators through it, and the census of the search module types a
 found set by looking it up among the images, reading the maps between
 pairs that share a template off the same tables.  A physical striation is
-exactly an extraordinary supersquare.
+exactly an extraordinary supersquare.  The checks of a bare square, which
+only the readers of a squares document run, live in squaresdoc.
 """
 
 from __future__ import annotations
@@ -31,7 +32,6 @@ import enum
 import random
 from functools import cached_property, partial
 from itertools import combinations
-from operator import attrgetter
 from typing import Iterable, Sequence
 
 from .gf2n import Field, Value, _independent
@@ -160,18 +160,6 @@ class Supersquare(Value):
 def supersquare_from_subgroup(a1: Subgroup) -> Supersquare:
     """The quotient of the plane by a1."""
     return Supersquare(a1)
-
-
-def is_supersquare(square: Square) -> bool:
-    """True iff some class is a subgroup and every other class is a coset
-    of it.  Only the class through the origin can qualify."""
-    return verify_square(square).supersquare
-
-
-def is_physical_striation(square: Square) -> bool:
-    """True iff the square has an extraordinary-subgroup class whose
-    nonzero elements translate every class onto itself."""
-    return verify_square(square).physical_striation
 
 
 def are_orthogonal(s: Square, t: Square) -> bool:
@@ -378,62 +366,6 @@ def type_IV_set_d8(v1: Point, v2: Point) -> CompleteSet:
     return _d8_set("IV", v1, v2)
 
 
-class SquareReport(Value):
-    """The single-square checks; ``generator`` is the origin class as a
-    subgroup, or None when it is not one."""
-
-    __slots__ = (
-        "generator",
-        "class1_subgroup",
-        "class1_extraordinary",
-        "supersquare",
-        "physical_striation",
-        "failures",
-    )
-
-    def checks(self) -> dict[str, bool]:
-        return {
-            "class1_subgroup": self.class1_subgroup,
-            "class1_extraordinary": self.class1_extraordinary,
-            "supersquare": self.supersquare,
-            "physical_striation": self.physical_striation,
-        }
-
-
-def verify_square(square: Square) -> SquareReport:
-    """Is the class through the origin an extraordinary subgroup, are the
-    other classes its cosets, and do its translations fix every class?"""
-    failures: list[str] = []
-    labels = square._labels
-    members: list[list[int]] = [[] for _ in range(square.d)]
-    for m, label in enumerate(labels):
-        members[label - 1].append(m)
-    try:
-        sub = Subgroup.from_masks(square.field, members[labels[0] - 1])
-    except ValueError as exc:
-        sub = None
-        failures.append(f"origin class is not a subgroup: {exc}")
-    extraordinary = sub is not None and is_extraordinary(sub)
-    if sub is not None and not extraordinary:
-        failures.append("origin class is not extraordinary")
-    gens = () if sub is None else sub.masks()
-    # a class of d points is a coset of the order-d subgroup iff one of
-    # its points, translated by the subgroup, stays in the class
-    supersquare = sub is not None and all(
-        labels[cls[0] ^ g] == labels[cls[0]] for cls in members for g in gens
-    )
-    if not supersquare:
-        failures.append("square is not a supersquare")
-    # an order-d subgroup's translations fix every class of d points iff
-    # every class is one of its cosets
-    striation = extraordinary and supersquare
-    if not striation:
-        failures.append("square is not a physical striation")
-    return SquareReport(
-        sub, sub is not None, extraordinary, supersquare, striation, tuple(failures)
-    )
-
-
 class CompleteSetReport(Value):
     __slots__ = (
         "cardinality",
@@ -496,17 +428,9 @@ def _verify_set(
     return CompleteSetReport(cardinality, squares_ok, orth_ok, inter_ok, squares_ok, tuple(failures))
 
 
-def verify_squares(squares: Sequence[Square]) -> CompleteSetReport:
-    """The complete-set checks over bare squares: d+1 extraordinary
-    supersquares that are physical striations, pairwise orthogonal, with
-    generators meeting only in the origin."""
-    row = attrgetter("generator", "supersquare", "physical_striation")
-    return _verify_set(squares, [row(verify_square(sq)) for sq in squares])
-
-
 def verify_complete_set(c: CompleteSet) -> CompleteSetReport:
-    """verify_squares(c.squares) read off the generators: each quotient is a
-    supersquare, and a striation iff its generator is extraordinary."""
+    """squaresdoc.verify_squares(c.squares) read off the generators: each
+    quotient is a supersquare, a striation iff its generator is extraordinary."""
     return _verify_set(c.supersquares, [(g, True, is_extraordinary(g)) for g in c.generators])
 
 

@@ -66,15 +66,11 @@ from typing import Iterable, Sequence
 from mubkit import Square, Subgroup, det, serialize, trace_zero_subgroup
 from mubkit.gf2n import FieldBasis, _independent, dual_basis, is_dual_pair, is_selfdual
 from mubkit.pauli import I_UNIT, ONE, UNITS, ZERO, GaussInt, PauliWord
-from mubkit.mub import (
-    EntanglementStructure,
-    UnnormalizedState,
-    _class_map_fault,
-    _cut_rank,
-    separability,
-)
+from mubkit.mub import EntanglementStructure, UnnormalizedState, _class_map_fault
+from mubkit.mubdoc import _cut_rank, separability
 from mubkit.phasespace import Point, _polars, point_table
-from mubkit.squares import CompleteSetReport, SquareReport, are_orthogonal
+from mubkit.squares import CompleteSetReport, are_orthogonal
+from mubkit.squaresdoc import SquareReport
 
 
 # -- Gaussian-integer arithmetic and states ------------------------------------

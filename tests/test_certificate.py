@@ -43,7 +43,8 @@ from mubkit import (
 from mubkit import mub
 from mubkit.cli import DEFAULT_PAIRS, _parse_point
 from mubkit.gf2n import _independent, default_selfdual_basis
-from mubkit.mub import pack_state, packed_inner
+from mubkit.mub import packed_inner
+from mubkit.mubdoc import pack_state
 from mubkit.pauli import I_UNIT, ONE, UNITS, ZERO, translation_table
 
 from oracles import all_points, canonical_rotation, certify_bases_dense, translate
@@ -484,7 +485,7 @@ def assert_trusted_route_agrees(cset, dense=True):
     states, planes, maps, words = trusted_payload(cset)
     assert planes == [[pack_state(st_) for st_ in b] for b in states]
     d = cset.d
-    trusted = mub._certify(states, planes, d, maps, None, words)
+    trusted = mub._certify(states, planes, d, maps, words)
     assert trusted == certify_bases(states, d, maps, words=words)
     if dense:
         assert trusted == certify_bases_dense(states, d, maps)
@@ -537,7 +538,7 @@ def test_trusted_planes_with_one_flipped_bit(type_i_sets, d8_type_ii_set, d, pla
         bad_planes = [list(col) for col in planes]
         bad_planes[b][i] = flipped
         bad_states[b][i] = unpacked(flipped, d, states[b][i].norm_sq)
-        trusted = mub._certify(bad_states, bad_planes, d, maps, None, words)
+        trusted = mub._certify(bad_states, bad_planes, d, maps, words)
         assert trusted == certify_bases(bad_states, d, maps, words=words)
         assert trusted == certify_bases_dense(bad_states, d, maps)
         assert trusted[1], (b, i, flipped)

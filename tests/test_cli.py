@@ -21,14 +21,9 @@ from mubkit import (
 from mubkit.cli import DEFAULT_PAIRS, _parse_basis, _parse_point, main
 from mubkit.mub import _word_ranks
 from mubkit.pauli import translation_table
-from mubkit.serialize import (
-    complete_set_to_json,
-    dumps_canonical,
-    mub_set_to_json,
-    mub_words_from_json,
-    square_to_json,
-    squares_payload_from_json,
-)
+from mubkit.mubdoc import mub_words_from_json
+from mubkit.serialize import complete_set_to_json, dumps_canonical, mub_set_to_json, square_to_json
+from mubkit.squaresdoc import squares_payload_from_json
 
 from oracles import all_points, two_qubit_rank
 
@@ -568,16 +563,24 @@ def test_cli_import_leaves_pool_modules_unloaded():
     assert _probe(f"import sys, mubkit.cli; print(sorted({unloaded!r} & set(sys.modules)))") == "[]"
 
 
-def _loaded_by(*argv: str) -> set[str]:
-    """The mubkit modules loaded by running the CLI on argv in a fresh
-    interpreter; the command must exit 0."""
+WATCHED = {"argparse", "gettext", "locale"}  # what only argparse's help and errors need
+READERS_ONLY = WATCHED | {"mubkit.squaresdoc", "mubkit.mubdoc"}
+
+
+def _loaded_by(*argv: str, code: int = 0) -> set[str]:
+    """The mubkit modules, and those of WATCHED, that running the CLI on
+    argv loads in a fresh interpreter; the command must exit with code."""
     out = _probe(
-        "import contextlib, io, sys, mubkit.cli\n"
-        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "import contextlib, io, sys\n"
+        "before = set(sys.modules)\n"
+        "import mubkit.cli\n"
+        "sink = io.StringIO()\n"
+        "with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):\n"
         f"    code = mubkit.cli.main({list(argv)!r})\n"
-        "print(code, *sorted(m for m in sys.modules if m.startswith('mubkit')))"
+        "new = set(sys.modules) - before\n"
+        f"print(code, *sorted(m for m in new if m.startswith('mubkit') or m in {WATCHED!r}))"
     ).split()
-    assert out[0] == "0"
+    assert out[0] == str(code)
     return set(out[1:])
 
 
@@ -588,8 +591,9 @@ def test_squares_commands_load_no_mub_modules(tmp_path, command):
     assert main(argv) == 0
     loaded = _loaded_by("squares", command, *(["--d", "4"] if command == "search" else [str(path)]))
     assert "mubkit.squares" in loaded
-    assert not loaded & {"mubkit.mub", "mubkit.pauli"}
+    assert not loaded & {"mubkit.mub", "mubkit.pauli", "mubkit.mubdoc", *WATCHED}
     assert ("mubkit.search" in loaded) == (command == "search")
+    assert ("mubkit.squaresdoc" in loaded) == (command != "search")
 
 
 @pytest.mark.parametrize("group, command", [("squares", "gen"), ("mub", "gen"), ("mub", "structure")])
@@ -597,14 +601,43 @@ def test_gen_and_structure_load_no_search_module(group, command):
     loaded = _loaded_by(group, command, "--d", "8", "--type", "II")
     assert "mubkit.squares" in loaded
     assert "mubkit.search" not in loaded
+    assert not loaded & READERS_ONLY
 
 
 def test_mub_verify_loads_no_squares_module(tmp_path):
     path = tmp_path / "mubs.json"
     assert main(["mub", "gen", "--d", "8", "--format", "json", "--out", str(path)]) == 0
     loaded = _loaded_by("mub", "verify", str(path))
-    assert "mubkit.mub" in loaded
-    assert "mubkit.squares" not in loaded
+    assert {"mubkit.mub", "mubkit.mubdoc"} <= loaded
+    assert not loaded & {"mubkit.squares", "mubkit.squaresdoc", *WATCHED}
+
+
+def test_a_document_that_is_not_json_loads_no_squares_module(tmp_path):
+    path = tmp_path / "truncated.json"
+    path.write_text('{"d": 4, "classes": [', encoding="utf-8")
+    loaded = _loaded_by("squares", "verify", str(path), code=2)
+    assert not loaded & {"mubkit.squares", "mubkit.squaresdoc", *WATCHED}
+
+
+def test_a_usage_error_loads_argparse_and_no_command_module():
+    loaded = _loaded_by("mub", "gen", "--d", "3", code=2)
+    assert {"argparse", "gettext"} <= loaded
+    assert not loaded & {"mubkit.squares", "mubkit.mub", "mubkit.serialize"}
+
+
+def test_library_mub_build_loads_no_reader_module():
+    # perfbench's `lib mub16` op: a d = 16 type I set built, certified and
+    # written through the library
+    out = _probe(
+        "import sys, mubkit\n"
+        "from mubkit.serialize import dumps_canonical, mub_set_to_json\n"
+        "f = mubkit.field_for_dimension(16)\n"
+        "cset = mubkit.type_I_set(mubkit.Point(f.one, f.zero), mubkit.Point(f.zero, f.one))\n"
+        "text = dumps_canonical(mub_set_to_json(mubkit.build_mub_set(cset), None))\n"
+        "readers = [m for m in ('mubkit.squaresdoc', 'mubkit.mubdoc') if m in sys.modules]\n"
+        "print(len(text) > 0, readers)"
+    )
+    assert out == "True []"
 
 
 def test_bare_package_import_loads_no_submodule():
@@ -633,7 +666,8 @@ def test_every_public_name_is_the_object_of_its_home_module():
 def test_submodules_resolve_as_package_attributes():
     out = _probe(
         "import sys, mubkit\n"
-        "names = 'gf2n phasespace squares search pauli mub serialize cli'.split()\n"
+        "names = 'gf2n phasespace squares squaresdoc search pauli mub mubdoc serialize cli'\n"
+        "names = names.split()\n"
         "print(all(getattr(mubkit, m) is sys.modules['mubkit.' + m] for m in names))\n"
         "print(set(names) <= set(dir(mubkit)), set(mubkit.__all__) <= set(dir(mubkit)))"
     )

@@ -39,14 +39,8 @@ from mubkit import (
 )
 from mubkit.cli import DEFAULT_PAIRS, _parse_point
 from mubkit.gf2n import dual_basis
-from mubkit.mub import (
-    BIPARTITIONS,
-    ConstructionError,
-    _cosets,
-    _ray_planes,
-    _two_row_rank,
-    schmidt_rank,
-)
+from mubkit.mub import ConstructionError, _cosets, _ray_planes
+from mubkit.mubdoc import BIPARTITIONS, _two_row_rank, schmidt_rank
 from mubkit.pauli import ONE, ZERO, PauliWord, translation_table
 from mubkit.phasespace import _polars, point_table, point_to_mask
 from mubkit.serialize import dumps_canonical, square_to_json

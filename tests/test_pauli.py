@@ -12,7 +12,7 @@ from mubkit import (
     UnnormalizedState,
     default_selfdual_basis,
 )
-from mubkit.mub import pack_state
+from mubkit.mubdoc import pack_state
 from mubkit.pauli import I_UNIT, ONE, UNITS, ZERO, PauliWord, translate_packed, translation_table
 from mubkit.phasespace import point_to_mask
 

@@ -4,7 +4,7 @@ A SearchResult is one value of the field, the blocks' bases, each found
 set's sorted block indices and (type, v1, v2) label, and whether the
 search ran to the end; its blocks and CompleteSets are built on first
 read.  The `squares search` document is written set by set from the
-covers by serialize.search_result_pieces as bytes, and
+covers by search.search_result_pieces as bytes, and
 oracles.search_result_to_json, one tree over the built sets, is the
 oracle whose encoded text they must match.
 """
@@ -19,12 +19,8 @@ import pytest
 from mubkit import Field, search, search_complete_sets, squares
 from mubkit.cli import main
 from mubkit.phasespace import iter_lagrangian_bases
-from mubkit.serialize import (
-    _canonical_pieces,
-    dumps_canonical,
-    search_result_pieces,
-    square_to_json,
-)
+from mubkit.search import search_result_pieces
+from mubkit.serialize import _canonical_pieces, dumps_canonical, square_to_json
 
 import oracles
 
