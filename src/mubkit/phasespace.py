@@ -15,7 +15,6 @@ subgroups are its Lagrangian subspaces, enumerated by isotropic extension.
 from __future__ import annotations
 
 from functools import cache
-from itertools import combinations
 from typing import Iterable, Iterator
 
 from .gf2n import Field, FieldElement, Value, _independent
@@ -275,42 +274,39 @@ def _isotropic_rows(p: int, free: int, chosen: list[int], polars: tuple[int, ...
 
 def iter_lagrangian_bases(field: Field) -> Iterator[tuple[int, ...]]:
     """The canonical basis of every extraordinary order-d subgroup, i.e.
-    every Lagrangian subspace of F_2^2n under the form tr(det).
+    every Lagrangian subspace of F_2^2n under the form tr(det), in order.
 
-    Each n-dimensional subspace has one reduced-row-echelon basis: row i
-    has its lowest bit at pivot i and zeros at the other pivots.  The rows
-    are chosen one at a time, highest pivot first, each from the solutions
-    of the form vanishing against every row already chosen
-    (_isotropic_rows); the form being bilinear and alternating, that makes
-    the whole span isotropic.  Each leaf's rows give its _canonical_basis."""
+    In rank coordinates a canonical basis is the reduced echelon basis on
+    the highest bits, ascending, and canonical order is the lexicographic
+    order of those rows.  So the rows are chosen lowest pivot first, each
+    pivot above the last and at most n + i for row i, each from the
+    solutions of the form (carried into rank coordinates) vanishing
+    against the rows already chosen (_isotropic_rows, ascending); the form
+    being bilinear and alternating, the span is isotropic.  It yields once
+    per first row, so a deadline can cut it there."""
     n = field.n
-    m = 2 * n
+    rank = _point_rank(field)  # its own inverse
     polars = _polars(field)
-    for pivots in combinations(range(m), n):
-        taken = sum(1 << p for p in pivots)
-        order = pivots[::-1]
-        frees = [((1 << m) - (2 << p)) & ~taken for p in order]
-        found: list[tuple[int, ...]] = []
+    forms = tuple([rank[polars[r]] for r in rank])  # forms[a] = rank[polars[rank[a]]]
+    found: list[tuple[int, ...]] = []
 
-        def extend(i: int, chosen: list[int]) -> None:
-            if i == n:
-                found.append(_canonical_basis(field, chosen))
-                return
-            for r in _isotropic_rows(order[i], frees[i], chosen, polars):
-                extend(i + 1, chosen + [r])
+    def extend(chosen: list[int], taken: int, basis: tuple[int, ...]) -> None:
+        i = len(chosen)
+        for p in range(chosen[-1].bit_length(), n + i + 1):
+            rows = _isotropic_rows(p, (1 << p) - 1 & ~taken, chosen, forms)
+            if i + 1 == n:
+                found.extend([basis + (rank[r],) for r in rows])
+            else:
+                for r in rows:
+                    extend(chosen + [r], taken | 1 << p, basis + (rank[r],))
 
-        extend(0, [])
-        yield from found
-
-
-def _sorted_bases(field: Field, bases: Iterable[tuple[int, ...]]) -> list[tuple[int, ...]]:
-    """Canonical bases in their subgroups' canonical order: the points up
-    to position 2^j are the span of the first j basis masks, so two
-    subgroups' point ranks first differ where their basis ranks do."""
-    rank = _point_rank(field).__getitem__
-    return sorted(bases, key=lambda b: tuple(map(rank, b)))
+    for p in range(n + 1):
+        for r in range(1 << p, 2 << p):  # every first row: no form to meet yet (n >= 2)
+            extend([r], 1 << p, (rank[r],))
+            yield from found
+            found.clear()
 
 
 def enumerate_extraordinary_subgroups(field: Field) -> list[Subgroup]:
     """The order-d subgroups on which tr(det) vanishes, canonically sorted."""
-    return [Subgroup._trusted(field, b) for b in _sorted_bases(field, iter_lagrangian_bases(field))]
+    return [Subgroup._trusted(field, b) for b in iter_lagrangian_bases(field)]

@@ -16,10 +16,10 @@ from collections import Counter
 from functools import cache, cached_property, partial, reduce
 from json.encoder import encode_basestring_ascii
 from operator import itemgetter, or_
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .gf2n import Field, Value
-from .phasespace import Point, Subgroup, _sorted_bases, _span, iter_lagrangian_bases
+from .phasespace import Point, Subgroup, _span, iter_lagrangian_bases
 from .phasespace import point_table, point_to_mask
 from .serialize import _canonical_pieces, _classes, _point_leaves, _punctuation
 from .squares import (
@@ -169,16 +169,28 @@ class _Deadline(Exception):
     pass
 
 
+class _OnFirstRead(dict):
+    """A table whose entry i is make(i), made when first read."""
+
+    def __init__(self, make: Callable[[int], int]) -> None:
+        self.make = make
+
+    def __missing__(self, i: int) -> int:
+        value = self[i] = self.make(i)
+        return value
+
+
 def _cover_tables(
     blocks: Iterable[Sequence[int]], d: int, deadline: float | None = None
-) -> tuple[list[int], list[int], list[int]] | None:
+) -> tuple[list[int], list[int], _OnFirstRead] | None:
     """Exact-cover tables over block masks listed origin first: each
     block's nonzero points as a bitset, through[p] the bitset of the blocks
     that contain point p, and compat[i] the bitset of the blocks that share
-    no nonzero point with block i.  None if the absolute
-    ``time.monotonic()`` deadline passes first: each pass over the blocks
-    checks it per block, the second being quadratic in the block count.
-    through[p] is set in a byte row, doubled when full, read once as an int."""
+    no nonzero point with block i, made on first read (a whole d = 32
+    table is 75,735 rows of 75,735 bits).  None if the absolute
+    ``time.monotonic()`` deadline passes first, checked per block.
+    through[p] is set in a byte row, doubled when full, read once as an
+    int."""
     points: list[Sequence[int]] = []
     bits: list[int] = []
     rows = [bytearray() for _ in range(d * d)]
@@ -195,16 +207,15 @@ def _cover_tables(
             rows[m][i >> 3] |= 1 << (i & 7)
     through = [int.from_bytes(row, "little") for row in rows]
     all_blocks = (1 << len(bits)) - 1
-    compat = []
-    for block in points:
-        if deadline is not None and time.monotonic() > deadline:
-            return None
-        compat.append(all_blocks & ~reduce(or_, map(through.__getitem__, block)))
-    return bits, through, compat
+
+    def compat_row(i: int) -> int:
+        return all_blocks & ~reduce(or_, map(through.__getitem__, points[i]))
+
+    return bits, through, _OnFirstRead(compat_row)
 
 
 def _search(
-    tables: tuple[list[int], list[int], list[int]], deadline: float | None
+    tables: tuple[list[int], list[int], _OnFirstRead], deadline: float | None
 ) -> tuple[list[tuple[int, ...]], bool]:
     """Every cover, and whether the search ran to the end before the
     absolute ``time.monotonic()`` deadline.
@@ -260,7 +271,7 @@ def search_complete_sets(field: Field, time_budget: float | None = None) -> Sear
             break
         bases.append(basis)
 
-    bases = tuple(_sorted_bases(field, bases))
+    bases = tuple(bases)
     tables = None  # a cut walk leaves a cover that would stop at its first node
     if enum_complete:
         tables = _cover_tables(map(_span, bases), field.order, deadline)

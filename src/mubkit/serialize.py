@@ -47,29 +47,33 @@ def _canonical_pieces(obj: Any, depth: int = 0) -> list[str]:
     document, with no newline after it.
 
     A leaf, a non-empty list or tuple of exact ints such as a point, is one
-    piece, its text kept in leaves per depth by id, next to the leaf so that
-    no other object takes its id: a shared leaf is typed and joined once per
-    depth.  Only exact ints qualify: True prints as true and 1.0 is no JSON
-    this encoder writes, so a bool, a float or an int subclass sends its
-    list down the general path.  Any other item of exact type int, str,
-    dict, list or tuple is dispatched on its type; the rest, subclasses
-    included, go through _scalar_json."""
+    piece, its text kept in texts per depth by id (the leaf in kept, so no
+    other object takes its id): a shared leaf is typed once per depth, and
+    a list of leaves all typed is one join.  Only exact ints qualify: True
+    prints as true and 1.0 is no JSON this encoder writes, so a bool, a
+    float or an int subclass sends its list down the general path.  Other
+    items of exact type int, str, dict, list or tuple are dispatched on
+    their type; the rest, subclasses included, go through _scalar_json."""
     out: list[str] = []
-    leaves: dict[int, dict[int, tuple]] = {}
+    texts: dict[int, dict[int, str]] = {}
+    kept: list[list | tuple] = []
 
     def container(o: dict | list | tuple, depth: int) -> None:
         if not o:
             out.append("{}" if isinstance(o, dict) else "[]")
             return
         sep, open_list, open_dict, close_list, close_dict = _punctuation(depth)
-        leaf_sep, leaf_open, _, leaf_close, _ = _punctuation(depth + 1)
-        leaf_texts = leaves.setdefault(depth + 1, {})
+        leaf_texts = texts.setdefault(depth + 1, {})
         if isinstance(o, dict):
             pairs = sorted(o.items())  # a key that is no str raises TypeError
             labels = [encode_basestring_ascii(k) + ": " for k, _ in pairs]
             values = [v for _, v in pairs]
             prefix, close = open_dict, close_dict
         else:
+            known = [*map(leaf_texts.get, map(id, o))]
+            if all(known):
+                out.append(open_list + sep.join(known) + close_list)
+                return
             labels, values = None, o
             prefix, close = open_list, close_list
         for i, v in enumerate(values):
@@ -81,13 +85,14 @@ def _canonical_pieces(obj: Any, depth: int = 0) -> list[str]:
             elif kind is str:
                 out.append(prefix + encode_basestring_ascii(v))
             elif (kind is list or kind is tuple) and (
-                (seen := leaf_texts.get(id(v))) or {*map(type, v)} == _INT_ONLY
+                (text := leaf_texts.get(id(v))) or {*map(type, v)} == _INT_ONLY
             ):
-                if seen is None:
-                    seen = leaf_texts[id(v)] = (
-                        v, leaf_open + leaf_sep.join(map(int.__repr__, v)) + leaf_close
-                    )
-                out.append(prefix + seen[1])
+                if text is None:
+                    leaf_sep, leaf_open, _, leaf_close, _ = _punctuation(depth + 1)
+                    text = leaf_open + leaf_sep.join(map(int.__repr__, v)) + leaf_close
+                    leaf_texts[id(v)] = text
+                    kept.append(v)
+                out.append(prefix + text)
             elif kind is dict or kind is list or kind is tuple:
                 out.append(prefix)
                 container(v, depth + 1)

@@ -68,7 +68,7 @@ from mubkit.gf2n import FieldBasis, _independent, dual_basis, is_dual_pair, is_s
 from mubkit.pauli import I_UNIT, ONE, UNITS, ZERO, GaussInt, PauliWord
 from mubkit.mub import EntanglementStructure, UnnormalizedState, _class_map_fault
 from mubkit.mubdoc import _cut_rank, separability
-from mubkit.phasespace import Point, _polars, point_table
+from mubkit.phasespace import Point, _point_rank, _polars, point_table
 from mubkit.squares import CompleteSetReport, are_orthogonal
 from mubkit.squaresdoc import SquareReport
 
@@ -502,6 +502,14 @@ def canonical_order(field, masks):
 def greedy_basis(field, masks):
     """The masks independent of those before them in canonical order."""
     return _independent(canonical_order(field, masks))
+
+
+def sorted_bases(field, bases):
+    """Canonical bases in their subgroups' canonical order: the points up
+    to position 2^j are the span of the first j basis masks, so two
+    subgroups' point ranks first differ where their basis ranks do."""
+    rank = _point_rank(field).__getitem__
+    return sorted(bases, key=lambda b: tuple(map(rank, b)))
 
 
 def quotient_by_scan(field, masks):

@@ -237,17 +237,29 @@ def test_isotropic_walk_equals_the_scan(n):
 
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_solved_walk_equals_the_candidate_filter(n):
-    """The rows solved from the perp are the rows the filter keeps, in the
-    same order, so the walk yields the greedy basis of each of the filter's
-    tuples in the same order, and the basis spans that tuple."""
+    """The walk solves its rows in rank coordinates, lowest pivot first,
+    and the filter tries every row in packed coordinates, highest pivot
+    first: they meet the same subgroups, and each walked basis is the
+    greedy basis of its points and spans them in canonical order."""
     field = Field(n)
     walked = list(iter_lagrangian_bases(field))
     filtered = list(oracles.filtered_lagrangians(field))
     assert len(walked) == len(filtered)
-    for basis, masks in zip(walked, filtered):
+    by_points = {tuple(sorted(_span(b))): b for b in walked}
+    assert by_points.keys() == set(filtered)
+    for masks in filtered:
+        basis = by_points[masks]
         assert list(basis) == oracles.greedy_basis(field, masks)
         assert _span(basis) == oracles.canonical_order(field, masks)
-        assert tuple(sorted(_span(basis))) == masks
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_walk_is_in_canonical_order(n):
+    """The walk yields every Lagrangian's basis once, strictly increasing
+    under the sort key of canonical subgroup order, with no sort."""
+    walked = list(iter_lagrangian_bases(Field(n)))
+    assert len(walked) == prod(2**i + 1 for i in range(1, n + 1))
+    assert oracles.sorted_bases(Field(n), set(walked)) == walked
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])

@@ -164,7 +164,7 @@ def test_lazy_result_equals_the_result_built_eagerly(results, d):
     assert again.sets == result.sets and again.census() == result.census()
 
 
-@pytest.mark.parametrize("rows", [0, 50, 135 + 50])
+@pytest.mark.parametrize("rows", [0, 50, 134])
 def test_deadline_in_the_table_build_runs_no_cover_node(results, rows):
     """A deadline that passes while the cover tables are built stops the
     build at the next block: the walk is whole, no cover node runs, and the

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from mubkit import Field, Point, build_mub_set, type_I_set
 from mubkit.cli import main
-from mubkit.serialize import dumps_canonical, mub_set_to_json
+from mubkit.serialize import _canonical_pieces, dumps_canonical, mub_set_to_json
 
 
 def oracle(value) -> str:
@@ -126,6 +126,55 @@ leafy_values = st.recursive(
 @given(value=leafy_values)
 def test_repeated_leaves_match_json_dumps(value):
     assert dumps_canonical(value) == oracle(value)
+
+
+def oracle_at_depth(value, k):
+    """The oracle's text of value nested k lists deep, without those lists."""
+    nested = value
+    for _ in range(k):
+        nested = [nested]
+    text = oracle(nested)
+    openers = "".join("[\n" + "  " * (j + 1) for j in range(k))
+    closers = "".join("\n" + "  " * j + "]" for j in reversed(range(k))) + "\n"
+    assert text.startswith(openers) and text.endswith(closers)
+    return text[len(openers) : -len(closers)] if k else text
+
+
+# Lists whose items are all leaves already typed at their depth are joined
+# whole; these documents mix such lists with ones that must not be.
+P, L = (1, 2), [1, 2]
+LISTS_OF_LEAVES = {
+    "one leaf in many lists and at two depths": {
+        "a": [[P, P]] * 3 + [[P], (P, P, P)],
+        "b": [[[P, P], [P]], [[P, P], [P]], [P, P]],
+    },
+    "typed leaves, then a list holding [True, 1]": [[P, P], [P, [True, 1]], [[True, 1]], [P, P]],
+    "a (1, 2) tuple next to a [1, 2] list": [[P, L], [L, P], [P, L, P], [L, L], (P, P)],
+    "empty lists": [[P, []], [], [[], []], [P, P, []], [P], [P, ()]],
+    "a bool or an int subclass in an int leaf": [
+        [P, P], [(1, True), P], [[Letter.A, 2], P], (P, [2, Letter.A]), [P, P], [P, (1, True)],
+    ],
+}
+
+
+@pytest.mark.parametrize("k", range(4))
+@pytest.mark.parametrize("name", LISTS_OF_LEAVES)
+def test_lists_of_typed_leaves_match_json_dumps(name, k):
+    """At the top, where dumps_canonical starts, and nested k deep."""
+    value = LISTS_OF_LEAVES[name]
+    assert "".join(_canonical_pieces(value, k)) == oracle_at_depth(value, k)
+    if not k:
+        assert dumps_canonical(value) == oracle(value)
+
+
+@pytest.mark.parametrize("k", range(3))
+def test_a_list_of_typed_leaves_is_one_piece(k):
+    """The first list types the leaf; each later list of it is one join."""
+    value = {"a": [[P, P]] * 3, "b": [[L, P, L]] * 2}
+    pieces = _canonical_pieces(value, k)
+    assert "".join(pieces) == oracle_at_depth(value, k)
+    assert pieces.count("".join(_canonical_pieces([P, P], k + 2))) == 2
+    assert pieces.count("".join(_canonical_pieces([L, P, L], k + 2))) == 1
 
 
 def test_d16_type_i_mub_document_matches_json_dumps():

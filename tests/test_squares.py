@@ -531,7 +531,24 @@ def test_cover_tables_match_the_tables_built_by_or(n):
     (6, 135 and 2,295 blocks; the byte rows grow past one byte at d = 8)."""
     d = 1 << n
     blocks = [_span(b) for b in iter_lagrangian_bases(Field(n))]
-    assert _cover_tables(iter(blocks), d) == oracles.cover_tables_by_or(blocks, d)
+    bits, through, compat = _cover_tables(iter(blocks), d)
+    rows = [compat[i] for i in range(len(bits))]
+    assert (bits, through, rows) == oracles.cover_tables_by_or(blocks, d)
+
+
+def test_compat_rows_are_made_on_first_read():
+    """compat starts empty and holds only the rows the cover read, each
+    the row of the table built pair by pair; the d = 8 search still finds
+    its 960 covers."""
+    blocks = [_span(b) for b in iter_lagrangian_bases(Field(3))]
+    tables = _cover_tables(blocks, 8)
+    compat = tables[2]
+    assert compat == {}
+    got, complete = _search(tables, None)
+    assert complete and len(got) == 960
+    full = oracles.cover_tables_by_or(blocks, 8)[2]
+    assert 0 < len(compat) <= 135
+    assert all(row == full[i] for i, row in compat.items())
 
 
 @pytest.mark.parametrize("n, count", [(2, 6), (3, 960)])
@@ -565,6 +582,26 @@ def test_search_rejects_bad_settings(f4):
 def test_search_budget_flags_partial(f8):
     result = search_complete_sets(f8, time_budget=1e-9)
     assert not result.exhaustive
+
+
+def test_budget_cuts_the_d32_walk(monkeypatch):
+    """The walk yields once per first row, so a 0.05 s budget stops a d = 32
+    search partway through its 75,735 Lagrangians: the search draws one
+    basis past those it keeps and leaves the walk undrained."""
+    drawn = []
+
+    def walk(field):
+        for basis in iter_lagrangian_bases(field):
+            drawn.append(basis)
+            yield basis
+        drawn.append(None)
+
+    monkeypatch.setattr(search, "iter_lagrangian_bases", walk)
+    result = search_complete_sets(Field(5), time_budget=0.05)
+    assert not result.exhaustive
+    assert None not in drawn
+    assert list(result.bases) == drawn[:-1]
+    assert len(result.bases) < 75_735
 
 
 def test_partial_search_is_in_canonical_order(f8, monkeypatch):
